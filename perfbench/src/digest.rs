@@ -1,5 +1,5 @@
-//! Seed derivation and stable digests (no dependency on the standard
-//! hasher, whose output may change between Rust releases).
+//! Seed derivation (no dependency on the standard hasher, whose output
+//! may change between Rust releases).
 
 /// Derives the `i`-th sub-seed of `seed` (SplitMix64 finalizer).
 pub fn mix(seed: u64, i: u64) -> u64 {
@@ -17,19 +17,6 @@ pub fn shuffle<T>(seed: u64, items: &mut [T]) {
         let j = (mix(seed, i as u64) % (i as u64 + 1)) as usize;
         items.swap(i, j);
     }
-}
-
-/// FNV-1a over `lines` (newline-separated), folded to 48 bits so the value
-/// survives a JSON number exactly.
-pub fn of_lines(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_bytes().iter().chain(b"\n") {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    (h ^ (h >> 48)) & ((1 << 48) - 1)
 }
 
 #[cfg(test)]
@@ -55,13 +42,5 @@ mod tests {
         assert_ne!(a, c);
         a.sort_unstable();
         assert_eq!(a, (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn digest_sees_line_boundaries() {
-        let a = of_lines(&["ab".into(), "c".into()]);
-        let b = of_lines(&["a".into(), "bc".into()]);
-        assert_ne!(a, b);
-        assert!(a < 1 << 48);
     }
 }

@@ -233,8 +233,8 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// The per-layer metrics of a traced run, with their units. Counters and
-/// digests are per round (every round repeats them).
+/// The per-layer metrics of a traced run, with their units. Counters are
+/// per round (every round repeats them).
 fn per_layer(plain: &[&Round], traced: &[&Round]) -> Vec<(&'static str, f64, &'static str)> {
     let fixed = traced[0];
     let c = |n: &str| fixed.trace.counter(n);
@@ -266,13 +266,6 @@ fn per_layer(plain: &[&Round], traced: &[&Round]) -> Vec<(&'static str, f64, &'s
     let attempted: usize = plain.iter().map(|r| r.attempted()).sum();
     let failed: usize = plain.iter().map(|r| r.failures.len()).sum();
     let applied = c("provabsd.applied");
-    let self_request: Vec<f64> = traced
-        .iter()
-        .map(|r| {
-            r.trace.self_ms().get("request").copied().unwrap_or(0.0)
-                / r.latencies_ms.len().max(1) as f64
-        })
-        .collect();
     vec![
         ("relational.eval.eval_ms", span_ms("relational.eval"), "ms"),
         (
@@ -471,7 +464,6 @@ fn per_layer(plain: &[&Round], traced: &[&Round]) -> Vec<(&'static str, f64, &'s
             "ms",
         ),
         ("tree.build_ms", timing_median("tree.build_ms"), "ms"),
-        ("request.self_ms", mean(&self_request), "ms"),
         ("publish.p50_ms", quantile(&publish, 0.5), "ms"),
         ("publish.p75_ms", quantile(&publish, 0.75), "ms"),
         ("publish.total_s", publish.iter().sum::<f64>() / 1e3, "s"),
@@ -502,16 +494,6 @@ fn per_layer(plain: &[&Round], traced: &[&Round]) -> Vec<(&'static str, f64, &'s
             "overhead.request_p90_ms",
             with_trace.p90_ms - untraced.p90_ms,
             "ms",
-        ),
-        (
-            "digest.inputs",
-            digest::of_lines(&fixed.inputs) as f64,
-            "hash",
-        ),
-        (
-            "digest.answers",
-            digest::of_lines(&fixed.answers) as f64,
-            "hash",
         ),
     ]
 }

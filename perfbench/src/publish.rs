@@ -8,7 +8,7 @@
 
 use crate::trace::Trace;
 use crate::{digest, Round};
-use provabs_bench::HarnessCaps;
+use provabs_bench::{HarnessCaps, ScenarioSettings};
 use provabs_core::loi::{loss_of_information, LoiDistribution};
 use provabs_core::privacy::{compute_privacy, PrivacyCache, PrivacyConfig};
 use provabs_core::search::{find_optimal_abstraction_with_cache, BestAbstraction, SearchConfig};
@@ -22,39 +22,23 @@ use provabs_tree::AbstractionTree;
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// Data sizes of the publish workloads.
-#[derive(Debug, Clone, Copy)]
-pub struct Sizes {
-    /// TPC-H lineitem rows per dataset.
-    pub lineitems: usize,
-    /// IMDB people per dataset.
-    pub imdb_people: usize,
-    /// IMDB movies per dataset.
-    pub imdb_movies: usize,
-    /// Leaves of each TPC-H abstraction tree.
-    pub tree_leaves: usize,
-    /// Height of each TPC-H abstraction tree.
-    pub tree_height: u32,
-    /// K-example rows.
-    pub rows: usize,
+/// Data sizes: the scenario harness's defaults (2,000 lineitems, IMDB
+/// 150 people × 150 movies, trees of 800 leaves and height 5, 2-row
+/// K-examples).
+fn sizes() -> ScenarioSettings {
+    ScenarioSettings::default()
 }
 
-/// The sizes every publish round runs at.
-pub const SIZES: Sizes = Sizes {
-    lineitems: 2_000,
-    imdb_people: 150,
-    imdb_movies: 150,
-    tree_leaves: 800,
-    tree_height: 5,
-    rows: 2,
-};
-
 /// The search caps: `HarnessCaps` count caps, no wall-clock budget, one
-/// worker.
+/// worker. The candidate cap is a fortieth and the concretization cap a
+/// hundredth of the defaults, so that a `publish-paper` round takes about
+/// 2.5 s and a run measures every request about a dozen times. With a
+/// tenth of the defaults a round takes 9 s, and three repetitions leave the
+/// per-request best at the mercy of the machine's slow periods.
 pub fn caps() -> HarnessCaps {
     HarnessCaps {
-        max_candidates: 20_000,
-        max_concretizations: 2_000,
+        max_candidates: 5_000,
+        max_concretizations: 200,
         time_budget_ms: None,
         parallelism: Some(1),
         ..HarnessCaps::default()
@@ -150,7 +134,7 @@ fn setup(mode: Mode, seed: u64, trace: &mut Trace) -> (Vec<Instance>, Vec<Reques
 fn add_instances(mode: Mode, d: usize, ds: u64, trace: &mut Trace, instances: &mut Vec<Instance>) {
     let t = Instant::now();
     let (db, rels) = tpch::generate(&TpchConfig {
-        lineitem_rows: SIZES.lineitems,
+        lineitem_rows: sizes().tpch_lineitems,
         seed: ds,
     });
     trace.time("datagen.generate_ms", t);
@@ -160,15 +144,15 @@ fn add_instances(mode: Mode, d: usize, ds: u64, trace: &mut Trace, instances: &m
     for w in tpch::tpch_queries(db.schema()) {
         let mut db = db.clone();
         let (out, _) = Evaluator::new(&db).eval_cq(&w.query);
-        let Some(example) = select_kexample(&out, SIZES.rows) else {
+        let Some(example) = select_kexample(&out, sizes().rows) else {
             continue;
         };
         let tree = tpch::tpch_tree_covering(
             &mut db,
             &rels,
             &example,
-            SIZES.tree_leaves,
-            SIZES.tree_height,
+            sizes().tree_leaves,
+            sizes().tree_height,
             ds,
             false,
         );
@@ -183,8 +167,8 @@ fn add_instances(mode: Mode, d: usize, ds: u64, trace: &mut Trace, instances: &m
     if mode == Mode::Paper {
         let t = Instant::now();
         let (mut db, rels) = imdb::generate(&ImdbConfig {
-            num_people: SIZES.imdb_people,
-            num_movies: SIZES.imdb_movies,
+            num_people: sizes().imdb_people,
+            num_movies: sizes().imdb_movies,
             cast_per_movie: 5,
             seed: ds,
         });
@@ -193,7 +177,7 @@ fn add_instances(mode: Mode, d: usize, ds: u64, trace: &mut Trace, instances: &m
         let tree = imdb::imdb_tree(&mut db, &rels);
         let queries: Vec<Workload> = imdb::imdb_queries(db.schema())
             .into_iter()
-            .filter(|w| Evaluator::new(&db).eval_cq(&w.query).0.len() >= SIZES.rows)
+            .filter(|w| Evaluator::new(&db).eval_cq(&w.query).0.len() >= sizes().rows)
             .collect();
         trace.time("tree.build_ms", t);
         instances.push(Instance {
@@ -288,11 +272,11 @@ pub fn round(mode: Mode, seed: u64, traced: bool) -> Round {
         let (answers, work) = Evaluator::new(&inst.db).eval_cq(&w.query);
         trace.end(s);
         let s = trace.begin(id, "relational.kexample");
-        let example = select_kexample(&answers, SIZES.rows);
+        let example = select_kexample(&answers, sizes().rows);
         trace.end(s);
         let Some(example) = example else {
             trace.end(whole);
-            r.fail(format!("{}: fewer than {} answers", w.name, SIZES.rows));
+            r.fail(format!("{}: fewer than {} answers", w.name, sizes().rows));
             continue;
         };
         let s = trace.begin(id, "core.bound");

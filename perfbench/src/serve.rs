@@ -15,32 +15,19 @@ use provabsd::{Provabsd, ServiceConfig, Session};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Shape of the serve-churn workload.
-#[derive(Debug, Clone, Copy)]
-pub struct Sizes {
-    /// TPC-H lineitem rows of the served database.
-    pub lineitems: usize,
-    /// Operations per round (queries and churn batches).
-    pub operations: usize,
-    /// Every `update_every`-th operation is a churn batch.
-    pub update_every: usize,
-    /// Zipf exponent of the template popularity.
-    pub zipf_s: f64,
-    /// Changes per churn batch.
-    pub batch_size: usize,
-    /// WAL transactions between automatic checkpoints.
-    pub checkpoint_every: u64,
-}
-
-/// The sizes every serve-churn round runs at.
-pub const SIZES: Sizes = Sizes {
-    lineitems: 1_000,
-    operations: 400,
-    update_every: 8,
-    zipf_s: 1.1,
-    batch_size: 2,
-    checkpoint_every: 16,
-};
+/// TPC-H lineitem rows of the served database.
+pub const LINEITEMS: usize = 1_000;
+/// Operations per round (queries and churn batches).
+pub const OPERATIONS: usize = 400;
+/// Every `UPDATE_EVERY`-th operation is a churn batch.
+pub const UPDATE_EVERY: usize = 8;
+/// Zipf exponent of the template popularity.
+pub const ZIPF_S: f64 = 1.1;
+/// Changes per churn batch, at 70% inserts: the closed loop of the
+/// `provabsd` CLI and of the service and adaptive harnesses.
+pub const BATCH_SIZE: usize = 8;
+/// WAL transactions between automatic checkpoints.
+pub const CHECKPOINT_EVERY: u64 = 16;
 
 /// Seed of the served database and of the query schedule. Both are fixed
 /// so that every run serves the same data and query mix: the join-heavy
@@ -77,7 +64,7 @@ pub fn round(seed: u64, traced: bool) -> Round {
     let t_setup = Instant::now();
     let t = Instant::now();
     let (mut db, rels) = tpch::generate(&TpchConfig {
-        lineitem_rows: SIZES.lineitems,
+        lineitem_rows: LINEITEMS,
         seed: DATABASE,
     });
     db.build_indexes();
@@ -90,7 +77,7 @@ pub fn round(seed: u64, traced: bool) -> Round {
         work_budget: WORK_BUDGET,
         inflight_budget: WORK_BUDGET,
         durable: DurableOptions {
-            checkpoint_every: SIZES.checkpoint_every,
+            checkpoint_every: CHECKPOINT_EVERY,
             ..DurableOptions::default()
         },
         ..ServiceConfig::default()
@@ -106,15 +93,15 @@ pub fn round(seed: u64, traced: bool) -> Round {
     let io_start = mem.lock().expect("vfs lock").stats();
     let schedule = service_schedule(&ServiceWorkloadConfig {
         clients: 1,
-        operations: SIZES.operations,
+        operations: OPERATIONS,
         templates: templates.len(),
-        zipf_s: SIZES.zipf_s,
-        update_every: SIZES.update_every,
+        zipf_s: ZIPF_S,
+        update_every: UPDATE_EVERY,
         seed: DATABASE,
     });
     // Orders and their lineitems come and go; the dimension tables stay.
     let mut churn = ChurnGenerator::new(&ChurnConfig {
-        batch_size: SIZES.batch_size,
+        batch_size: BATCH_SIZE,
         insert_ratio: 0.7,
         seed,
     })

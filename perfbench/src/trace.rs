@@ -19,8 +19,6 @@ pub struct Span {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Index of the enclosing span, if any.
-    pub parent: Option<usize>,
 }
 
 /// Handle of an open span (`None` while tracing is off).
@@ -33,7 +31,6 @@ pub struct Trace {
     on: bool,
     origin: Instant,
     spans: Vec<Span>,
-    open: Vec<usize>,
     counters: BTreeMap<&'static str, u64>,
     timings: BTreeMap<&'static str, f64>,
 }
@@ -45,7 +42,6 @@ impl Trace {
             on,
             origin: Instant::now(),
             spans: Vec::new(),
-            open: Vec::new(),
             counters: BTreeMap::new(),
             timings: BTreeMap::new(),
         }
@@ -56,8 +52,7 @@ impl Trace {
         self.on
     }
 
-    /// Opens a span of `layer` for `request`, nested in the innermost open
-    /// span.
+    /// Opens a span of `layer` for `request`.
     pub fn begin(&mut self, request: usize, layer: &'static str) -> Open {
         if !self.on {
             return Open(None);
@@ -68,17 +63,13 @@ impl Trace {
             layer,
             start_ns: self.origin.elapsed().as_nanos() as u64,
             dur_ns: 0,
-            parent: self.open.last().copied(),
         });
-        self.open.push(idx);
         Open(Some(idx))
     }
 
-    /// Closes a span opened by [`Trace::begin`] (innermost first).
+    /// Closes a span opened by [`Trace::begin`].
     pub fn end(&mut self, span: Open) {
         let Some(idx) = span.0 else { return };
-        let top = self.open.pop();
-        debug_assert_eq!(top, Some(idx), "spans close innermost first");
         let end = self.origin.elapsed().as_nanos() as u64;
         self.spans[idx].dur_ns = end - self.spans[idx].start_ns;
     }
@@ -124,22 +115,6 @@ impl Trace {
             .map(|s| s.dur_ns as f64 / 1e6)
             .collect()
     }
-
-    /// Self time of every layer in milliseconds: each span's duration
-    /// minus the part its child spans cover.
-    pub fn self_ms(&self) -> BTreeMap<&'static str, f64> {
-        let mut child_ns = vec![0u64; self.spans.len()];
-        for s in &self.spans {
-            if let Some(p) = s.parent {
-                child_ns[p] += s.dur_ns;
-            }
-        }
-        let mut out = BTreeMap::new();
-        for (s, c) in self.spans.iter().zip(child_ns) {
-            *out.entry(s.layer).or_default() += s.dur_ns.saturating_sub(c) as f64 / 1e6;
-        }
-        out
-    }
 }
 
 /// The `q`-quantile (`0..=1`) of `xs` by the nearest-rank method; 0 when
@@ -184,20 +159,5 @@ mod tests {
         t.end(s);
         assert!(t.spans().is_empty());
         assert_eq!(t.counter("c"), 3);
-    }
-
-    #[test]
-    fn nested_spans_link_parents_and_split_self_time() {
-        let mut t = Trace::new(true);
-        let outer = t.begin(4, "outer");
-        let inner = t.begin(4, "inner");
-        std::hint::black_box((0..10_000u64).sum::<u64>());
-        t.end(inner);
-        t.end(outer);
-        assert_eq!(t.spans()[1].parent, Some(0));
-        assert!(t.spans().iter().all(|s| s.request == 4));
-        let own = t.self_ms();
-        let total = t.layer_ms("outer")[0];
-        assert!((own["outer"] + own["inner"] - total).abs() < 1e-9);
     }
 }
