@@ -5,9 +5,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use provabs_core::fixtures::running_example;
 use provabs_core::privacy::{compute_privacy, PrivacyCache, PrivacyConfig};
 use provabs_core::{Abstraction, Bound};
+use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_relational::{eval_cq, parse_cq};
 use provabs_reveng::{
-    canonical_key, contained_in, find_consistent_queries, ContainmentMode, RevOptions,
+    canonical_form, canonical_key, contained_in, find_consistent_queries, ContainmentMode,
+    RevOptions,
 };
 use provabs_semiring::{AnnotId, Monomial, Polynomial};
 
@@ -29,6 +31,21 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("canonical_key", |b| {
         b.iter(|| canonical_key(&fx.qreal));
+    });
+
+    // Canonical key and canonical query in one search, on TPC-H Q21's
+    // triple Lineitem self-join (the largest tie group of the workloads).
+    let (tpch_db, _) = tpch::generate(&TpchConfig {
+        lineitem_rows: 20,
+        seed: 1,
+    });
+    let q21 = tpch::tpch_queries(tpch_db.schema())
+        .into_iter()
+        .find(|w| w.name == "TPCH-Q21")
+        .expect("TPC-H Q21 is a workload query")
+        .query;
+    group.bench_function("canonical_form_q21", |b| {
+        b.iter(|| canonical_form(&q21));
     });
 
     group.bench_function("containment_bijective", |b| {

@@ -400,13 +400,16 @@ fn table3_with(exhaustive: bool) -> (usize, usize, usize) {
             })
             .collect();
         if concrete.len() == conc.len() {
-            let qs = if exhaustive {
+            let keyed: Vec<(String, provabs_relational::Cq)> = if exhaustive {
                 enumerate_consistent_queries(&concrete, &RevOptions::default(), 100_000)
+                    .into_iter()
+                    .map(|q| (provabs_reveng::canonical_key(&q), q))
+                    .collect()
             } else {
-                provabs_reveng::find_consistent_queries(&concrete, &RevOptions::default())
+                provabs_reveng::find_consistent_queries(&concrete, &RevOptions::default()).queries
             };
-            for q in qs {
-                if keys.insert(provabs_reveng::canonical_key(&q)) {
+            for (key, q) in keyed {
+                if keys.insert(key) {
                     all.push(q);
                 }
             }

@@ -224,7 +224,8 @@ pub fn run_user_study(trials: usize, seed: u64) -> StudyOutcome {
         let raw_frontier = provabs_reveng::find_consistent_queries(
             &raw_resolved,
             &provabs_reveng::RevOptions::default(),
-        );
+        )
+        .into_cqs();
         if identifies(&raw_frontier) {
             outcome.group_a_identified += 1;
         }

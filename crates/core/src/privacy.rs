@@ -12,11 +12,9 @@ use crate::sharded::ShardedMap;
 use crate::{AbsRow, Bound};
 use provabs_relational::{ConcreteRow, Cq, Ucq};
 use provabs_reveng::ucq::{cim_ucqs, find_consistent_ucqs, UcqOptions};
-use provabs_reveng::{
-    canonical_key, cim_queries, find_consistent_queries, ContainmentMode, RevOptions,
-};
+use provabs_reveng::{cim_queries, find_consistent_queries, ContainmentMode, Frontier, RevOptions};
 use provabs_semiring::{AnnotId, SemiringKind};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -100,7 +98,8 @@ pub struct PrivacyStats {
     pub connectivity_cache_hits: usize,
     /// Connectivity-cache misses.
     pub connectivity_cache_misses: usize,
-    /// Whether a cap was hit (result is a lower bound).
+    /// Whether a cap was hit (result is a lower bound): the concretization
+    /// cap, or the alignment cap of a consistent-query frontier.
     pub truncated: bool,
 }
 
@@ -156,7 +155,9 @@ pub struct PrivacyCache {
     /// [`OccId`] instead of hashed owned annotation vectors, so repeat
     /// lookups hash a handful of `u32`s rather than whole concretizations.
     occs: OccInterner,
-    consistent: ShardedMap<ConcKey, Vec<Stamped<Arc<Vec<Cq>>>>>,
+    /// The keyed frontier of connected consistent queries per
+    /// concretization.
+    consistent: ShardedMap<ConcKey, Vec<Stamped<Arc<Frontier>>>>,
     connectivity: ShardedMap<OccId, Vec<Stamped<bool>>>,
     /// Sorted invalidation epochs per occurrence id (fed by
     /// [`PrivacyCache::invalidate_at`]): the lifetime fences a late insert
@@ -376,7 +377,7 @@ impl PrivacyCache {
     }
 
     /// The cached consistent queries of `key` as seen at `epoch`.
-    fn consistent_at(&self, key: &ConcKey, epoch: u64) -> Option<Arc<Vec<Cq>>> {
+    fn consistent_at(&self, key: &ConcKey, epoch: u64) -> Option<Arc<Frontier>> {
         self.consistent
             .read(key, |vs| version_at(vs, epoch))
             .flatten()
@@ -384,7 +385,7 @@ impl PrivacyCache {
 
     /// Stores `value` under `key` at `epoch` (first insert wins) and
     /// returns the canonical stored value.
-    fn store_consistent(&self, key: ConcKey, epoch: u64, value: Arc<Vec<Cq>>) -> Arc<Vec<Cq>> {
+    fn store_consistent(&self, key: ConcKey, epoch: u64, value: Arc<Frontier>) -> Arc<Frontier> {
         let ids: Vec<OccId> = key.iter().map(|&(_, id)| id).collect();
         self.consistent.update(key, Vec::new, |vs| {
             if let Some(v) = version_at(vs, epoch) {
@@ -467,15 +468,22 @@ pub fn compute_privacy(
     cfg: &PrivacyConfig,
     cache: &PrivacyCache,
 ) -> PrivacyOutcome {
+    let ev = Eval {
+        bound,
+        cfg,
+        cache,
+        stats: PrivacyStats::default(),
+        sorted: Vec::new(),
+    };
     match cfg.query_class {
         QueryClass::Cq => {
             if cfg.row_by_row && abs_rows.len() > 1 {
-                privacy_row_by_row(bound, abs_rows, cfg, cache)
+                privacy_row_by_row(ev, abs_rows)
             } else {
-                privacy_direct(bound, abs_rows, cfg, cache)
+                privacy_direct(ev, abs_rows)
             }
         }
-        QueryClass::Ucq => privacy_ucq(bound, abs_rows, cfg),
+        QueryClass::Ucq => privacy_ucq(ev, abs_rows),
     }
 }
 
@@ -492,227 +500,236 @@ fn containment_mode(cfg: &PrivacyConfig) -> ContainmentMode {
     ContainmentMode::for_semiring(cfg.semiring)
 }
 
-/// Row connectivity with caching.
-fn row_connected(
-    bound: &Bound<'_>,
-    occs: &[AnnotId],
-    cfg: &PrivacyConfig,
-    cache: &PrivacyCache,
-    stats: &mut PrivacyStats,
-) -> bool {
-    if !cfg.connectivity_filter {
-        return true;
-    }
-    let key = cfg.caching.then(|| {
-        let mut sorted: Vec<AnnotId> = occs.to_vec();
-        sorted.sort_unstable();
-        cache.occs.intern(sorted)
-    });
-    if let Some(id) = key {
-        if let Some(c) = cache.connectivity_at(id, cfg.epoch) {
-            stats.connectivity_cache_hits += 1;
-            return c;
-        }
-    }
-    stats.connectivity_cache_misses += 1;
-    let connected = provabs_relational::monomial_connected(bound.db, occs);
-    if let Some(id) = key {
-        return cache.store_connectivity(id, cfg.epoch, connected);
-    }
-    connected
+/// One privacy evaluation: its inputs, its counters and scratch space.
+struct Eval<'e, 'db> {
+    bound: &'e Bound<'db>,
+    cfg: &'e PrivacyConfig,
+    cache: &'e PrivacyCache,
+    stats: PrivacyStats,
+    /// Reused buffer for sorting an occurrence list before a cache probe.
+    sorted: Vec<AnnotId>,
 }
 
-/// Consistent-query frontier of a concrete prefix, with caching.
-fn consistent_of(
-    bound: &Bound<'_>,
-    abs_rows: &[AbsRow],
-    conc: &[Vec<AnnotId>],
-    cfg: &PrivacyConfig,
-    cache: &PrivacyCache,
-    stats: &mut PrivacyStats,
-) -> Arc<Vec<Cq>> {
-    let key: Option<ConcKey> = cfg.caching.then(|| {
-        conc.iter()
-            .enumerate()
-            .map(|(r, occs)| {
-                let mut sorted = occs.clone();
-                sorted.sort_unstable();
-                (abs_rows[r].output.clone(), cache.occs.intern(sorted))
-            })
-            .collect()
-    });
-    if let Some(k) = &key {
-        if let Some(qs) = cache.consistent_at(k, cfg.epoch) {
-            stats.consistency_cache_hits += 1;
-            return qs;
+impl Eval<'_, '_> {
+    /// The outcome of this evaluation: `cim` when it meets the threshold,
+    /// the paper's `-1` otherwise.
+    fn finish(self, cim: Vec<Cq>) -> PrivacyOutcome {
+        let (privacy, cim) = if cim.len() < self.cfg.threshold {
+            (None, Vec::new())
+        } else {
+            (Some(cim.len()), cim)
+        };
+        PrivacyOutcome {
+            privacy,
+            cim,
+            stats: self.stats,
         }
     }
-    stats.consistency_cache_misses += 1;
-    let rows: Vec<ConcreteRow> = conc
-        .iter()
-        .enumerate()
-        .filter_map(|(r, occs)| ConcreteRow::resolve(bound.db, &abs_rows[r].output, occs))
-        .collect();
-    let qs = Arc::new(if rows.len() == conc.len() {
-        find_consistent_queries(&rows, &rev_options(cfg))
-    } else {
-        Vec::new()
-    });
-    if let Some(k) = key {
-        // First insert wins; racing workers converge on the stored value.
-        return cache.store_consistent(k, cfg.epoch, qs);
+
+    /// The interned id of the sorted occurrence list `occs`. Probing the
+    /// interner allocates nothing; only a list seen for the first time is
+    /// copied into it.
+    fn occ_id(&mut self, occs: &[AnnotId]) -> OccId {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(occs);
+        self.sorted.sort_unstable();
+        match self.cache.occs.ids.get_borrowed(self.sorted.as_slice()) {
+            Some(id) => id,
+            None => self.cache.occs.intern(self.sorted.clone()),
+        }
     }
-    qs
+
+    /// Row connectivity with caching.
+    fn row_connected(&mut self, occs: &[AnnotId]) -> bool {
+        if !self.cfg.connectivity_filter {
+            return true;
+        }
+        let id = self.cfg.caching.then(|| self.occ_id(occs));
+        if let Some(id) = id {
+            if let Some(c) = self.cache.connectivity_at(id, self.cfg.epoch) {
+                self.stats.connectivity_cache_hits += 1;
+                return c;
+            }
+        }
+        self.stats.connectivity_cache_misses += 1;
+        let connected = provabs_relational::monomial_connected(self.bound.db, occs);
+        if let Some(id) = id {
+            return self.cache.store_connectivity(id, self.cfg.epoch, connected);
+        }
+        connected
+    }
+
+    /// The connected concretizations of `row`, in enumeration order, from
+    /// an enumeration capped at `cfg.max_concretizations` that also stops
+    /// once `stop_at` are collected; with whether the enumeration ran to its
+    /// end.
+    fn connected_concretizations(
+        &mut self,
+        row: &AbsRow,
+        stop_at: usize,
+    ) -> (Vec<Vec<AnnotId>>, bool) {
+        let mut out = Vec::new();
+        let complete =
+            for_each_row_concretization(self.bound, row, self.cfg.max_concretizations, |occs| {
+                self.stats.concretizations_enumerated += 1;
+                if self.row_connected(occs) {
+                    out.push(occs.to_vec());
+                }
+                out.len() < stop_at
+            });
+        (out, complete)
+    }
+
+    /// Consistent-query frontier of a concrete prefix, with caching. A
+    /// frontier cut short by the alignment cap marks the evaluation
+    /// truncated, whether it was computed or served from the cache.
+    fn consistent_of(&mut self, abs_rows: &[AbsRow], conc: &[Vec<AnnotId>]) -> Arc<Frontier> {
+        let key: Option<ConcKey> = self.cfg.caching.then(|| {
+            conc.iter()
+                .enumerate()
+                .map(|(r, occs)| (abs_rows[r].output.clone(), self.occ_id(occs)))
+                .collect()
+        });
+        let cached = key
+            .as_ref()
+            .and_then(|k| self.cache.consistent_at(k, self.cfg.epoch));
+        let frontier = match cached {
+            Some(f) => {
+                self.stats.consistency_cache_hits += 1;
+                f
+            }
+            None => {
+                self.stats.consistency_cache_misses += 1;
+                let f = Arc::new(self.find_consistent(abs_rows, conc));
+                match key {
+                    // First insert wins; racing workers converge on the
+                    // stored value.
+                    Some(k) => self.cache.store_consistent(k, self.cfg.epoch, f),
+                    None => f,
+                }
+            }
+        };
+        self.stats.truncated |= !frontier.complete;
+        frontier
+    }
+
+    /// Runs `reveng` on the resolved concrete rows and keeps the connected
+    /// queries (an empty frontier when some row does not resolve).
+    fn find_consistent(&self, abs_rows: &[AbsRow], conc: &[Vec<AnnotId>]) -> Frontier {
+        let rows: Vec<ConcreteRow> = conc
+            .iter()
+            .enumerate()
+            .filter_map(|(r, occs)| ConcreteRow::resolve(self.bound.db, &abs_rows[r].output, occs))
+            .collect();
+        if rows.len() == conc.len() {
+            // Both CQ paths read only the connected queries (line 13), so
+            // the cache keeps just those.
+            let opts = RevOptions {
+                connected_only: true,
+                ..rev_options(self.cfg)
+            };
+            find_consistent_queries(&rows, &opts)
+        } else {
+            Frontier::default()
+        }
+    }
 }
 
 /// The incremental Algorithm 1 (lines 1–23).
-fn privacy_row_by_row(
-    bound: &Bound<'_>,
-    abs_rows: &[AbsRow],
-    cfg: &PrivacyConfig,
-    cache: &PrivacyCache,
-) -> PrivacyOutcome {
-    let mut stats = PrivacyStats::default();
-    let mode = containment_mode(cfg);
+fn privacy_row_by_row(mut ev: Eval<'_, '_>, abs_rows: &[AbsRow]) -> PrivacyOutcome {
+    let cap = ev.cfg.max_concretizations;
+    let mode = containment_mode(ev.cfg);
     // GoodConc: concrete prefixes, starting from the concretizations of the
     // first row (line 1 holds the abstract row; its concretization happens
-    // in the first iteration below).
-    let mut good: Vec<Vec<Vec<AnnotId>>> = Vec::new();
-    {
-        let complete =
-            for_each_row_concretization(bound, &abs_rows[0], cfg.max_concretizations, |occs| {
-                stats.concretizations_enumerated += 1;
-                if row_connected(bound, occs, cfg, cache, &mut stats) {
-                    stats.concretizations_kept += 1;
-                    good.push(vec![occs.to_vec()]);
-                }
-                true
-            });
-        stats.truncated |= !complete;
-    }
+    // here).
+    let (first, complete) = ev.connected_concretizations(&abs_rows[0], usize::MAX);
+    ev.stats.truncated |= !complete;
+    ev.stats.concretizations_kept += first.len();
+    let mut good: Vec<Vec<Vec<AnnotId>>> = first.into_iter().map(|occs| vec![occs]).collect();
     let mut last_cim: Vec<Cq> = Vec::new();
     for i in 1..abs_rows.len() {
-        // Lines 3–6: extend every good prefix with the concretizations of
-        // row i, dropping disconnected rows.
+        // Lines 3–6: extend every good prefix with the connected
+        // concretizations of row i. The row is enumerated once per
+        // evaluation, not once per prefix; it stops where the first
+        // prefix's extensions would fill the candidate cap.
         let mut candidates: Vec<Vec<Vec<AnnotId>>> = Vec::new();
-        for gc in &good {
-            let complete =
-                for_each_row_concretization(bound, &abs_rows[i], cfg.max_concretizations, |occs| {
-                    stats.concretizations_enumerated += 1;
-                    if row_connected(bound, occs, cfg, cache, &mut stats) {
-                        stats.concretizations_kept += 1;
-                        let mut prefix = gc.clone();
-                        prefix.push(occs.to_vec());
-                        candidates.push(prefix);
+        if !good.is_empty() {
+            let (row, complete) = ev.connected_concretizations(&abs_rows[i], cap);
+            ev.stats.truncated |= !complete;
+            'extend: for gc in &good {
+                for occs in &row {
+                    ev.stats.concretizations_kept += 1;
+                    let mut prefix = Vec::with_capacity(i + 1);
+                    prefix.extend_from_slice(gc);
+                    prefix.push(occs.clone());
+                    candidates.push(prefix);
+                    if candidates.len() >= cap {
+                        ev.stats.truncated = true;
+                        break 'extend;
                     }
-                    candidates.len() < cfg.max_concretizations
-                });
-            stats.truncated |= !complete;
-            if candidates.len() >= cfg.max_concretizations {
-                stats.truncated = true;
-                break;
+                }
             }
         }
-        // Lines 7–13: consistent connected queries per concretization.
-        let mut qconn: BTreeMap<String, Cq> = BTreeMap::new();
-        let mut queries_to_conc: HashMap<String, Vec<usize>> = HashMap::new();
-        for (idx, prefix) in candidates.iter().enumerate() {
-            let qs = consistent_of(bound, &abs_rows[..=i], prefix, cfg, cache, &mut stats);
-            for q in qs.iter() {
-                if !q.is_connected() {
-                    continue; // line 13
-                }
-                let key = canonical_key(q);
-                qconn.entry(key.clone()).or_insert_with(|| q.clone());
-                queries_to_conc.entry(key).or_default().push(idx);
-            }
+        // Lines 7–13: consistent connected queries per concretization,
+        // deduplicated by the keys the frontiers carry.
+        let frontiers: Vec<Arc<Frontier>> = candidates
+            .iter()
+            .map(|prefix| ev.consistent_of(&abs_rows[..=i], prefix))
+            .collect();
+        let mut qconn: BTreeMap<&str, &Cq> = BTreeMap::new();
+        for (key, q) in frontiers.iter().flat_map(|f| &f.queries) {
+            qconn.entry(key).or_insert(q);
         }
         // Lines 14–15.
-        if qconn.len() < cfg.threshold {
-            return PrivacyOutcome {
-                privacy: None,
-                cim: Vec::new(),
-                stats,
-            };
+        if qconn.len() < ev.cfg.threshold {
+            return ev.finish(Vec::new());
         }
-        // Lines 16–19: keep only concretizations that created queries.
-        let mut keep: HashSet<usize> = HashSet::new();
-        for idxs in queries_to_conc.values() {
-            keep.extend(idxs.iter().copied());
-        }
+        // Lines 16–19: keep only the concretizations that created queries.
         good = candidates
             .into_iter()
-            .enumerate()
-            .filter(|(idx, _)| keep.contains(idx))
-            .map(|(_, p)| p)
+            .zip(&frontiers)
+            .filter_map(|(prefix, f)| (!f.is_empty()).then_some(prefix))
             .collect();
         // Lines 20–22.
-        let conn: Vec<Cq> = qconn.into_values().collect();
+        let conn: Vec<Cq> = qconn.into_values().cloned().collect();
         last_cim = cim_queries(&conn, mode);
-        if last_cim.len() < cfg.threshold {
-            return PrivacyOutcome {
-                privacy: None,
-                cim: Vec::new(),
-                stats,
-            };
+        if last_cim.len() < ev.cfg.threshold {
+            return ev.finish(Vec::new());
         }
     }
-    PrivacyOutcome {
-        privacy: Some(last_cim.len()),
-        cim: last_cim,
-        stats,
-    }
+    ev.finish(last_cim)
 }
 
 /// Single-shot evaluation: concretize the full example at once (also the
 /// path for 1-row examples and the row-by-row ablation).
-fn privacy_direct(
-    bound: &Bound<'_>,
-    abs_rows: &[AbsRow],
-    cfg: &PrivacyConfig,
-    cache: &PrivacyCache,
-) -> PrivacyOutcome {
-    let mut stats = PrivacyStats::default();
-    let mode = containment_mode(cfg);
+fn privacy_direct(mut ev: Eval<'_, '_>, abs_rows: &[AbsRow]) -> PrivacyOutcome {
+    let mode = containment_mode(ev.cfg);
     let mut qall: BTreeMap<String, Cq> = BTreeMap::new();
-    let complete = for_each_concretization(bound, abs_rows, cfg.max_concretizations, |conc| {
-        stats.concretizations_enumerated += 1;
-        let connected = conc
-            .iter()
-            .all(|occs| row_connected(bound, occs, cfg, cache, &mut stats));
-        if !connected {
+    let (bound, cap) = (ev.bound, ev.cfg.max_concretizations);
+    let complete = for_each_concretization(bound, abs_rows, cap, |conc| {
+        ev.stats.concretizations_enumerated += 1;
+        if !conc.iter().all(|occs| ev.row_connected(occs)) {
             return true;
         }
-        stats.concretizations_kept += 1;
-        let qs = consistent_of(bound, abs_rows, conc, cfg, cache, &mut stats);
-        for q in qs.iter() {
-            if q.is_connected() {
-                qall.entry(canonical_key(q)).or_insert_with(|| q.clone());
+        ev.stats.concretizations_kept += 1;
+        let frontier = ev.consistent_of(abs_rows, conc);
+        for (key, q) in &frontier.queries {
+            if !qall.contains_key(key) {
+                qall.insert(key.clone(), q.clone());
             }
         }
         true
     });
-    stats.truncated |= !complete;
+    ev.stats.truncated |= !complete;
     let conn: Vec<Cq> = qall.into_values().collect();
     let cim = cim_queries(&conn, mode);
-    if cim.len() < cfg.threshold {
-        return PrivacyOutcome {
-            privacy: None,
-            cim: Vec::new(),
-            stats,
-        };
-    }
-    PrivacyOutcome {
-        privacy: Some(cim.len()),
-        cim,
-        stats,
-    }
+    ev.finish(cim)
 }
 
 /// UCQ privacy (Table 4 orange/green cells): direct evaluation with the
 /// trivial-query exclusion and the "disconnected UCQ" rule.
-fn privacy_ucq(bound: &Bound<'_>, abs_rows: &[AbsRow], cfg: &PrivacyConfig) -> PrivacyOutcome {
-    let mut stats = PrivacyStats::default();
+fn privacy_ucq(mut ev: Eval<'_, '_>, abs_rows: &[AbsRow]) -> PrivacyOutcome {
+    let (bound, cfg) = (ev.bound, ev.cfg);
     let mode = containment_mode(cfg);
     let opts = UcqOptions {
         rev: rev_options(cfg),
@@ -722,7 +739,7 @@ fn privacy_ucq(bound: &Bound<'_>, abs_rows: &[AbsRow], cfg: &PrivacyConfig) -> P
     let mut frontier: Vec<Ucq> = Vec::new();
     let mut seen: HashSet<String> = HashSet::new();
     let complete = for_each_concretization(bound, abs_rows, cfg.max_concretizations, |conc| {
-        stats.concretizations_enumerated += 1;
+        ev.stats.concretizations_enumerated += 1;
         let rows: Vec<ConcreteRow> = conc
             .iter()
             .enumerate()
@@ -734,38 +751,24 @@ fn privacy_ucq(bound: &Bound<'_>, abs_rows: &[AbsRow], cfg: &PrivacyConfig) -> P
         if cfg.connectivity_filter && !rows.iter().all(ConcreteRow::is_connected) {
             return true;
         }
-        stats.concretizations_kept += 1;
-        for u in find_consistent_ucqs(&rows, &opts) {
-            if !u.is_connected() {
-                continue;
-            }
-            let key = u
-                .disjuncts
-                .iter()
-                .map(canonical_key)
-                .collect::<Vec<_>>()
-                .join("|");
-            if seen.insert(key) {
+        ev.stats.concretizations_kept += 1;
+        for (key, u) in find_consistent_ucqs(&rows, &opts) {
+            if u.is_connected() && seen.insert(key) {
                 frontier.push(u);
             }
         }
         true
     });
-    stats.truncated |= !complete;
+    ev.stats.truncated |= !complete;
     let cim = cim_ucqs(&frontier, mode);
     if cim.len() < cfg.threshold {
-        return PrivacyOutcome {
-            privacy: None,
-            cim: Vec::new(),
-            stats,
-        };
+        return ev.finish(Vec::new());
     }
     // Report the CQ disjuncts of the first CIM UCQ for display purposes.
-    let witness: Vec<Cq> = cim.first().map(|u| u.disjuncts.clone()).unwrap_or_default();
     PrivacyOutcome {
         privacy: Some(cim.len()),
-        cim: witness,
-        stats,
+        cim: cim.first().map(|u| u.disjuncts.clone()).unwrap_or_default(),
+        stats: ev.stats,
     }
 }
 
@@ -774,6 +777,7 @@ mod tests {
     use super::*;
     use crate::fixtures::running_example;
     use crate::Abstraction;
+    use provabs_reveng::canonical_key;
 
     fn abs_lifting(bound: &Bound<'_>, lifts: &[(&str, u32)]) -> Abstraction {
         let mut abs = Abstraction::identity(bound);
@@ -1080,6 +1084,56 @@ mod tests {
         };
         let out = privacy_of(&[("h1", 3), ("h2", 3), ("i1", 3), ("i2", 3)], &cfg);
         assert!(out.stats.truncated);
+    }
+
+    #[test]
+    fn alignment_cap_marks_privacy_truncated() {
+        use provabs_relational::{eval_cq, parse_cq, Database, KExample};
+        // Rows derived by a self-join: each pair of rows has two alignments,
+        // so an alignment cap of one cuts every two-row frontier short.
+        let mut db = Database::new();
+        let r = db.add_relation("R", &["a", "b"]);
+        for (a, f) in [
+            ("t1", ["1", "5"]),
+            ("t2", ["5", "9"]),
+            ("t3", ["2", "6"]),
+            ("t4", ["6", "9"]),
+        ] {
+            db.insert_str(r, a, &f);
+        }
+        db.build_indexes();
+        let root = db.intern_label("*");
+        let mut tb = provabs_tree::TreeBuilder::new(root);
+        for n in ["t1", "t2", "t3", "t4"] {
+            tb.add_child(root, db.annotations().get(n).unwrap());
+        }
+        let tree = tb.build();
+        let q = parse_cq("Q(x) :- R(x, y), R(y, 9)", db.schema()).unwrap();
+        let ex = KExample::from_krelation(&eval_cq(&db, &q), usize::MAX);
+        assert_eq!(ex.rows.len(), 2);
+        let b = Bound::new(&db, &tree, &ex).unwrap();
+        let rows = Abstraction::identity(&b).apply(&b).rows;
+        for row_by_row in [true, false] {
+            let cfg = PrivacyConfig {
+                threshold: 1,
+                row_by_row,
+                ..Default::default()
+            };
+            let full = compute_privacy(&b, &rows, &cfg, &PrivacyCache::new());
+            assert_eq!(full.privacy, Some(1));
+            assert!(!full.stats.truncated);
+            let capped_cfg = PrivacyConfig {
+                max_alignments: 1,
+                ..cfg
+            };
+            let cache = PrivacyCache::new();
+            let capped = compute_privacy(&b, &rows, &capped_cfg, &cache);
+            assert!(capped.stats.truncated, "row_by_row={row_by_row}");
+            // A frontier served from the cache still reports its cut.
+            let again = compute_privacy(&b, &rows, &capped_cfg, &cache);
+            assert_eq!(again.stats.consistency_cache_misses, 0);
+            assert!(again.stats.truncated, "row_by_row={row_by_row}");
+        }
     }
 
     #[test]

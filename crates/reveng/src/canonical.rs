@@ -7,125 +7,134 @@
 //! first). Under `N[X]` semantics, query equivalence *is* isomorphism, so
 //! canonical keys double as equivalence keys for frontier deduplication.
 
-use provabs_relational::{Cq, Term, VarId};
-use std::collections::HashMap;
+use provabs_relational::{Atom, Cq, Term, VarId};
+use std::fmt::Write;
 
-/// A total rendering of a CQ with variables replaced by their
-/// first-occurrence index (head first, then atoms in the given order).
-fn encode(cq: &Cq, atom_order: &[usize]) -> String {
-    let mut var_ids: HashMap<VarId, usize> = HashMap::new();
-    let mut out = String::new();
-    let mut push_term = |t: &Term, out: &mut String| match t {
-        Term::Const(c) => {
-            out.push('c');
-            out.push_str(&c.to_string());
-        }
-        Term::Var(v) => {
-            let next = var_ids.len();
-            let id = *var_ids.entry(*v).or_insert(next);
-            out.push('v');
-            out.push_str(&id.to_string());
-        }
+/// The index of `v` in `vars`, appending it when new: first-occurrence
+/// numbering with a linear scan (queries have a few dozen variables at most).
+fn var_index(vars: &mut Vec<VarId>, v: VarId) -> usize {
+    vars.iter().position(|&x| x == v).unwrap_or_else(|| {
+        vars.push(v);
+        vars.len() - 1
+    })
+}
+
+/// Appends the total rendering of `cq` to `out`, with variables replaced by
+/// their first-occurrence index (head first, then atoms in `atom_order`).
+/// Leaves that numbering in `vars`.
+fn encode(cq: &Cq, atom_order: &[usize], vars: &mut Vec<VarId>, out: &mut String) {
+    vars.clear();
+    let mut push_term = |t: &Term, out: &mut String| {
+        // Writing into a `String` cannot fail.
+        let _ = match t {
+            Term::Const(c) => write!(out, "c{c},"),
+            Term::Var(v) => write!(out, "v{},", var_index(vars, *v)),
+        };
     };
     out.push('H');
     for t in &cq.head {
-        push_term(t, &mut out);
-        out.push(',');
+        push_term(t, out);
     }
     for &i in atom_order {
         let a = &cq.body[i];
-        out.push('A');
-        out.push_str(&a.rel.0.to_string());
-        out.push('(');
+        let _ = write!(out, "A{}(", a.rel.0);
         for t in &a.terms {
-            push_term(t, &mut out);
-            out.push(',');
+            push_term(t, out);
         }
         out.push(')');
     }
-    out
 }
 
-/// An isomorphism-invariant key for one atom, used to pre-sort atoms before
-/// permutation search: relation, and per position either the constant or a
-/// variable signature (number of occurrences of the variable in the whole
-/// query and whether it appears in the head).
-fn atom_invariant(cq: &Cq, atom_idx: usize) -> String {
-    let mut occ: HashMap<VarId, usize> = HashMap::new();
-    for a in &cq.body {
-        for v in a.variables() {
-            *occ.entry(v).or_insert(0) += 1;
-        }
-    }
-    let head_vars: Vec<VarId> = cq.head.iter().filter_map(Term::as_var).collect();
-    let a = &cq.body[atom_idx];
-    let mut s = format!("R{}(", a.rel.0);
-    for t in &a.terms {
-        match t {
-            Term::Const(c) => s.push_str(&format!("c{c},")),
-            Term::Var(v) => {
-                let h = head_vars.iter().filter(|x| **x == *v).count();
-                s.push_str(&format!("v[o{},h{}],", occ[v], h));
+/// Isomorphism-invariant keys of the atoms, used to pre-sort atoms before
+/// the permutation search: relation, and per position either the constant
+/// or a variable signature (number of occurrences of the variable in the
+/// whole body and in the head). All keys share one buffer; atom `i`'s key is
+/// `buf[ends[i - 1]..ends[i]]`.
+struct AtomInvariants {
+    buf: String,
+    ends: Vec<usize>,
+}
+
+impl AtomInvariants {
+    fn new(cq: &Cq) -> Self {
+        // One counting pass: `counts[var_index(v)]` holds the body and head
+        // occurrences of `v`.
+        let mut vars: Vec<VarId> = Vec::new();
+        let mut counts: Vec<[usize; 2]> = Vec::new();
+        let body = cq.body.iter().flat_map(Atom::variables).map(|v| (v, 0));
+        let head = cq.head.iter().filter_map(Term::as_var).map(|v| (v, 1));
+        for (v, side) in body.chain(head) {
+            let i = var_index(&mut vars, v);
+            if i == counts.len() {
+                counts.push([0, 0]);
             }
+            counts[i][side] += 1;
         }
+        let mut buf = String::new();
+        let mut ends = Vec::with_capacity(cq.body.len());
+        for a in &cq.body {
+            let _ = write!(buf, "R{}(", a.rel.0);
+            for t in &a.terms {
+                let _ = match t {
+                    Term::Const(c) => write!(buf, "c{c},"),
+                    Term::Var(v) => {
+                        let [body, head] = counts[var_index(&mut vars, *v)];
+                        write!(buf, "v[o{body},h{head}],")
+                    }
+                };
+            }
+            buf.push(')');
+            ends.push(buf.len());
+        }
+        Self { buf, ends }
     }
-    s.push(')');
-    s
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.buf[start..self.ends[i]]
+    }
 }
 
-/// Computes the canonical key of `cq`: a string equal for exactly the CQs
-/// isomorphic to `cq` (same relations, same constant placement, same
-/// variable-sharing pattern, same head).
-///
-/// Complexity: product of factorials of atom tie-group sizes; tie groups are
-/// atoms with identical invariant keys, which stay tiny for the paper's
-/// workloads (worst case: TPC-H Q21's triple self-join → 3! permutations).
-pub fn canonical_key(cq: &Cq) -> String {
-    // Group atoms by invariant.
-    let n = cq.body.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let invariants: Vec<String> = (0..n).map(|i| atom_invariant(cq, i)).collect();
-    order.sort_by(|&a, &b| invariants[a].cmp(&invariants[b]).then(a.cmp(&b)));
-    // Identify tie groups.
-    let mut groups: Vec<(usize, usize)> = Vec::new(); // [start, end) in `order`
-    let mut start = 0;
-    for i in 1..=n {
-        if i == n || invariants[order[i]] != invariants[order[start]] {
-            groups.push((start, i));
-            start = i;
-        }
-    }
-    // Search over permutations within tie groups for the minimal encoding.
-    let mut best: Option<String> = None;
-    permute_groups(cq, &mut order, &groups, 0, &mut best);
-    best.unwrap_or_else(|| encode(cq, &order))
+/// The search for the atom order with the lexicographically smallest
+/// encoding: atoms sorted by invariant, every permutation tried within each
+/// tie group (atoms with identical invariants).
+struct OrderSearch<'a> {
+    cq: &'a Cq,
+    /// Tie groups as `[start, end)` ranges of the atom order.
+    groups: Vec<(usize, usize)>,
+    vars: Vec<VarId>,
+    buf: String,
+    best: String,
+    /// The first order, in search order, that renders to `best`.
+    best_order: Option<Vec<usize>>,
 }
 
-fn permute_groups(
-    cq: &Cq,
-    order: &mut Vec<usize>,
-    groups: &[(usize, usize)],
-    g: usize,
-    best: &mut Option<String>,
-) {
-    if g == groups.len() {
-        let enc = encode(cq, order);
-        if best.as_ref().is_none_or(|b| enc < *b) {
-            *best = Some(enc);
+impl OrderSearch<'_> {
+    fn visit(&mut self, order: &mut Vec<usize>, g: usize) {
+        if g == self.groups.len() {
+            self.buf.clear();
+            encode(self.cq, order, &mut self.vars, &mut self.buf);
+            if self.best_order.is_none() || self.buf < self.best {
+                std::mem::swap(&mut self.buf, &mut self.best);
+                self.best_order = Some(order.clone());
+            }
+            return;
         }
-        return;
+        let (s, e) = self.groups[g];
+        if e - s <= 1 {
+            self.visit(order, g + 1);
+            return;
+        }
+        // Every permutation of the group, each extended by the later groups
+        // from their sorted order; the group's sorted order is restored
+        // afterwards (`permute_slice` leaves `idxs` as it found it).
+        let mut idxs: Vec<usize> = order[s..e].to_vec();
+        permute_slice(&mut idxs, 0, &mut |perm| {
+            order[s..e].copy_from_slice(perm);
+            self.visit(order, g + 1);
+        });
+        order[s..e].copy_from_slice(&idxs);
     }
-    let (s, e) = groups[g];
-    if e - s <= 1 {
-        permute_groups(cq, order, groups, g + 1, best);
-        return;
-    }
-    // Heap's-algorithm-free simple recursion over the group's permutations.
-    let mut idxs: Vec<usize> = order[s..e].to_vec();
-    permute_slice(&mut idxs, 0, &mut |perm| {
-        order[s..e].copy_from_slice(perm);
-        permute_groups(cq, &mut order.clone(), groups, g + 1, best);
-    });
 }
 
 fn permute_slice(v: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
@@ -140,79 +149,85 @@ fn permute_slice(v: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
     }
 }
 
-/// Rewrites `cq` into its canonical form: atoms in canonical order and
-/// variables renumbered `v0, v1, ...` in first-occurrence order.
-pub fn canonical_cq(cq: &Cq) -> Cq {
-    // Recover the atom order realizing the canonical key by re-running the
-    // search and keeping the best order.
+/// The canonical key of `cq` and the atom order realizing it.
+///
+/// Complexity: product of factorials of atom tie-group sizes; tie groups are
+/// atoms with identical invariant keys, which stay tiny for the paper's
+/// workloads (worst case: TPC-H Q21's triple self-join → 3! permutations).
+fn best_order(cq: &Cq) -> (String, Vec<usize>) {
     let n = cq.body.len();
+    let inv = AtomInvariants::new(cq);
     let mut order: Vec<usize> = (0..n).collect();
-    let invariants: Vec<String> = (0..n).map(|i| atom_invariant(cq, i)).collect();
-    order.sort_by(|&a, &b| invariants[a].cmp(&invariants[b]).then(a.cmp(&b)));
+    order.sort_by(|&a, &b| inv.get(a).cmp(inv.get(b)).then(a.cmp(&b)));
     let mut groups: Vec<(usize, usize)> = Vec::new();
     let mut start = 0;
     for i in 1..=n {
-        if i == n || invariants[order[i]] != invariants[order[start]] {
+        if i == n || inv.get(order[i]) != inv.get(order[start]) {
             groups.push((start, i));
             start = i;
         }
     }
-    let mut best: Option<(String, Vec<usize>)> = None;
-    search_best_order(cq, &mut order, &groups, 0, &mut best);
-    let order = best.map(|(_, o)| o).unwrap_or(order);
-    // Renumber variables in first-occurrence order (head first).
-    let mut map: HashMap<VarId, VarId> = HashMap::new();
-    let mut next = 0u32;
-    let mut note = |t: &Term, map: &mut HashMap<VarId, VarId>| {
-        if let Term::Var(v) = t {
-            map.entry(*v).or_insert_with(|| {
-                let id = VarId(next);
-                next += 1;
-                id
-            });
-        }
+    let mut search = OrderSearch {
+        cq,
+        groups,
+        vars: Vec::new(),
+        buf: String::new(),
+        best: String::new(),
+        best_order: None,
     };
-    for t in &cq.head {
-        note(t, &mut map);
-    }
-    for &i in &order {
-        for t in &cq.body[i].terms {
-            note(t, &mut map);
-        }
-    }
-    let reordered = Cq {
-        head_name: cq.head_name.clone(),
-        head: cq.head.clone(),
-        body: order.iter().map(|&i| cq.body[i].clone()).collect(),
-    };
-    reordered.rename_vars(&map)
+    search.visit(&mut order, 0);
+    let best_order = search.best_order.unwrap_or(order);
+    (search.best, best_order)
 }
 
-fn search_best_order(
-    cq: &Cq,
-    order: &mut Vec<usize>,
-    groups: &[(usize, usize)],
-    g: usize,
-    best: &mut Option<(String, Vec<usize>)>,
-) {
-    if g == groups.len() {
-        let enc = encode(cq, order);
-        if best.as_ref().is_none_or(|(b, _)| enc < *b) {
-            *best = Some((enc, order.clone()));
+/// The canonical form of `cq`: its canonical key — a string equal for
+/// exactly the CQs isomorphic to `cq` (same relations, same constant
+/// placement, same variable-sharing pattern, same head) — and `cq` rewritten
+/// with its atoms in canonical order and its variables renumbered `v0, v1,
+/// ...` in first-occurrence order (head first). Both come from one search.
+pub fn canonical_form(cq: &Cq) -> (String, Cq) {
+    let (key, order) = best_order(cq);
+    // First-occurrence numbering of the canonical order (what `encode`
+    // rendered), then every variable renamed to its number.
+    let mut vars: Vec<VarId> = Vec::new();
+    let terms = cq
+        .head
+        .iter()
+        .chain(order.iter().flat_map(|&i| &cq.body[i].terms));
+    for v in terms.filter_map(Term::as_var) {
+        var_index(&mut vars, v);
+    }
+    let rename = |t: &Term| match t {
+        Term::Var(v) => {
+            let i = vars.iter().position(|x| x == v).expect("numbered above");
+            Term::Var(VarId(i as u32))
         }
-        return;
-    }
-    let (s, e) = groups[g];
-    if e - s <= 1 {
-        search_best_order(cq, order, groups, g + 1, best);
-        return;
-    }
-    let mut idxs: Vec<usize> = order[s..e].to_vec();
-    permute_slice(&mut idxs, 0, &mut |perm| {
-        let mut o2 = order.clone();
-        o2[s..e].copy_from_slice(perm);
-        search_best_order(cq, &mut o2, groups, g + 1, best);
-    });
+        c => c.clone(),
+    };
+    let canon = Cq {
+        head_name: cq.head_name.clone(),
+        head: cq.head.iter().map(rename).collect(),
+        body: order
+            .iter()
+            .map(|&i| Atom {
+                rel: cq.body[i].rel,
+                terms: cq.body[i].terms.iter().map(rename).collect(),
+            })
+            .collect(),
+    };
+    (key, canon)
+}
+
+/// The canonical key of `cq` (the first half of [`canonical_form`], without
+/// building the rewritten query).
+pub fn canonical_key(cq: &Cq) -> String {
+    best_order(cq).0
+}
+
+/// Rewrites `cq` into its canonical form (the second half of
+/// [`canonical_form`]).
+pub fn canonical_cq(cq: &Cq) -> Cq {
+    canonical_form(cq).1
 }
 
 #[cfg(test)]

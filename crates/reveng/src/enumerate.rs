@@ -16,7 +16,7 @@
 //! isomorphism, with a hard cap.
 
 use crate::alignment::for_each_alignment;
-use crate::canonical::{canonical_cq, canonical_key};
+use crate::canonical::canonical_form;
 use crate::most_specific::RevOptions;
 use provabs_relational::{Atom, ConcreteRow, Cq, Term, Value, VarId};
 use std::collections::{BTreeMap, HashMap};
@@ -228,8 +228,8 @@ fn emit_heads(
                 }
             })
             .collect();
-        let q = canonical_cq(&Cq::new(h.to_vec(), body));
-        out.entry(canonical_key(&q)).or_insert(q);
+        let (key, q) = canonical_form(&Cq::new(h.to_vec(), body));
+        out.entry(key).or_insert(q);
     });
     let _ = per_row;
 }
@@ -280,6 +280,7 @@ fn partition_rec<T: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canonical::canonical_key;
     use crate::cim::cim_queries;
     use crate::containment::ContainmentMode;
     use provabs_relational::{parse_cq, Database, KExample, Tuple};
@@ -357,8 +358,8 @@ mod tests {
         let frontier = crate::find_consistent_queries(&rs, &RevOptions::default());
         let all = enumerate_consistent_queries(&rs, &RevOptions::default(), 1000);
         let all_keys: Vec<String> = all.iter().map(canonical_key).collect();
-        for q in &frontier {
-            assert!(all_keys.contains(&canonical_key(q)));
+        for (key, _) in &frontier.queries {
+            assert!(all_keys.contains(key));
         }
     }
 

@@ -11,7 +11,9 @@
 //!   consistent query of every *alignment* (relation-respecting bijection
 //!   between the annotation occurrences of the rows). Every consistent query
 //!   contains some frontier query, so the frontier suffices for counting CIM
-//!   queries and soundly gates Algorithm 1's thresholds.
+//!   queries and soundly gates Algorithm 1's thresholds. The returned
+//!   [`Frontier`] carries each query's canonical key ([`canonical_form`]
+//!   computes both in one search), so callers never canonicalize again.
 //! * [`containment`] decides `Q1 ⊆_K Q2` per semiring (classical
 //!   Chandra–Merlin, and the bijective/surjective homomorphism variants of
 //!   annotated containment, Green ICDT 2009).
@@ -35,8 +37,8 @@ mod most_specific;
 pub mod ucq;
 
 pub use alignment::{expansions_of_row, Alignment};
-pub use canonical::{canonical_cq, canonical_key};
+pub use canonical::{canonical_cq, canonical_form, canonical_key};
 pub use cim::{cim_queries, minimal_queries};
 pub use containment::{contained_in, equivalent, strictly_contained, ContainmentMode};
 pub use enumerate::enumerate_consistent_queries;
-pub use most_specific::{find_consistent_queries, RevOptions};
+pub use most_specific::{find_consistent_queries, Frontier, RevOptions};

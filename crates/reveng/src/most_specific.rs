@@ -1,7 +1,7 @@
 //! The consistent-query frontier: most-specific queries per alignment.
 
 use crate::alignment::{expansions_of_row, for_each_alignment, rows_alignable};
-use crate::canonical::{canonical_cq, canonical_key};
+use crate::canonical::canonical_form;
 use provabs_relational::{Atom, ConcreteRow, Cq, Term, Value, VarId};
 use provabs_semiring::SemiringKind;
 use std::collections::BTreeMap;
@@ -36,6 +36,53 @@ impl Default for RevOptions {
     }
 }
 
+/// The candidate frontier of a concrete K-example, as returned by
+/// [`find_consistent_queries`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frontier {
+    /// `(canonical key, query in canonical form)` pairs, unique by key and
+    /// sorted by it. The key is [`crate::canonical_key`] of the query, so
+    /// callers deduplicate across frontiers without canonicalizing again.
+    pub queries: Vec<(String, Cq)>,
+    /// Whether every alignment was visited. `false` when
+    /// [`RevOptions::max_alignments`] cut the enumeration short: the
+    /// frontier may then miss queries, and counts derived from it are lower
+    /// bounds.
+    pub complete: bool,
+}
+
+/// The empty frontier: no consistent CQ, and nothing cut short.
+impl Default for Frontier {
+    fn default() -> Self {
+        Self {
+            queries: Vec::new(),
+            complete: true,
+        }
+    }
+}
+
+impl Frontier {
+    /// Number of frontier queries.
+    pub fn len(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// Whether no consistent CQ was found.
+    pub fn is_empty(&self) -> bool {
+        self.queries.is_empty()
+    }
+
+    /// The queries, in key order.
+    pub fn cqs(&self) -> impl Iterator<Item = &Cq> {
+        self.queries.iter().map(|(_, q)| q)
+    }
+
+    /// The queries without their keys, in key order.
+    pub fn into_cqs(self) -> Vec<Cq> {
+        self.queries.into_iter().map(|(_, q)| q).collect()
+    }
+}
+
 /// Finds the **candidate frontier** of consistent queries w.r.t. a concrete
 /// K-example (Def. 3.9): for every alignment of the rows' occurrences, the
 /// most-specific consistent query — constants wherever the aligned value
@@ -44,24 +91,26 @@ impl Default for RevOptions {
 /// Every consistent query `Q` contains (under the semiring's containment
 /// order) the frontier query of the alignment induced by `Q`'s derivations,
 /// so the frontier's minimal elements are exactly the minimal consistent
-/// queries. Queries are returned in canonical form, deduplicated, sorted by
-/// canonical key.
+/// queries. Queries are returned in canonical form with their canonical
+/// keys, deduplicated, sorted by key; each most-specific query is
+/// canonicalized once.
 ///
-/// Returns an empty vector when no consistent CQ exists (e.g. rows with
+/// Returns an empty frontier when no consistent CQ exists (e.g. rows with
 /// different relation signatures — a UCQ may still be consistent, see
 /// [`crate::ucq`]).
-pub fn find_consistent_queries(rows: &[ConcreteRow], opts: &RevOptions) -> Vec<Cq> {
+pub fn find_consistent_queries(rows: &[ConcreteRow], opts: &RevOptions) -> Frontier {
     let mut out: BTreeMap<String, Cq> = BTreeMap::new();
     if rows.is_empty() {
-        return Vec::new();
+        return Frontier::default();
     }
     // All outputs must share an arity.
     let arity = rows[0].output.arity();
     if rows.iter().any(|r| r.output.arity() != arity) {
-        return Vec::new();
+        return Frontier::default();
     }
+    let mut complete = true;
     if opts.semiring.keeps_exponents() {
-        collect_from_rows(rows, opts, &mut out);
+        complete = collect_from_rows(rows, opts, &mut out);
     } else {
         // Exponent-dropping semirings: normalize rows to their support and
         // try increasing common degrees with expansions.
@@ -81,15 +130,15 @@ pub fn find_consistent_queries(rows: &[ConcreteRow], opts: &RevOptions) -> Vec<C
             }
             let mut choice: Vec<ConcreteRow> = per_row.iter().map(|v| v[0].clone()).collect();
             expand_product(&per_row, 0, &mut choice, &mut |expanded| {
-                collect_from_rows(expanded, opts, &mut out);
+                complete &= collect_from_rows(expanded, opts, &mut out);
             });
         }
     }
-    let mut queries: Vec<Cq> = out.into_values().collect();
+    let mut queries: Vec<(String, Cq)> = out.into_iter().collect();
     if opts.connected_only {
-        queries.retain(Cq::is_connected);
+        queries.retain(|(_, q)| q.is_connected());
     }
-    queries
+    Frontier { queries, complete }
 }
 
 fn expand_product(
@@ -121,16 +170,23 @@ fn support_row(row: &ConcreteRow) -> ConcreteRow {
     }
 }
 
-fn collect_from_rows(rows: &[ConcreteRow], opts: &RevOptions, out: &mut BTreeMap<String, Cq>) {
+/// Adds the most-specific query of every alignment of `rows` to `out`;
+/// returns whether every alignment was visited.
+fn collect_from_rows(
+    rows: &[ConcreteRow],
+    opts: &RevOptions,
+    out: &mut BTreeMap<String, Cq>,
+) -> bool {
     if !rows_alignable(rows) {
-        return;
+        return true;
     }
-    let _complete = for_each_alignment(rows, opts.max_alignments, |alignment| {
+    for_each_alignment(rows, opts.max_alignments, |alignment| {
         if let Some(q) = most_specific_query(rows, &alignment.per_row) {
-            let canon = canonical_cq(&q);
-            out.entry(canonical_key(&canon)).or_insert(canon);
+            let (key, canon) = canonical_form(&q);
+            out.entry(key).or_insert(canon);
         }
-    });
+    })
+    .is_some()
 }
 
 /// Builds the most-specific consistent query of one alignment, or `None` if
@@ -187,6 +243,7 @@ pub(crate) fn most_specific_query(rows: &[ConcreteRow], per_row: &[Vec<usize>]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canonical::canonical_key;
     use provabs_relational::{eval_cq, parse_cq, Database, KExample, Tuple};
     use provabs_semiring::Monomial;
 
@@ -241,14 +298,17 @@ mod tests {
             &[("1", &["p1", "h1", "i1"]), ("2", &["p2", "h2", "i2"])],
         );
         let qs = find_consistent_queries(&rows, &RevOptions::default());
+        assert!(qs.complete);
         assert_eq!(qs.len(), 1);
         let qreal = parse_cq(
             "Q(id) :- Person(id, n, a), Hobbies(id, 'Dance', w1), Interests(id, 'Music', w2)",
             db.schema(),
         )
         .unwrap();
-        assert_eq!(canonical_key(&qs[0]), canonical_key(&qreal));
-        assert!(qs[0].is_connected());
+        let (key, q) = &qs.queries[0];
+        assert_eq!(*key, canonical_key(&qreal));
+        assert_eq!(*key, canonical_key(q));
+        assert!(q.is_connected());
     }
 
     #[test]
@@ -266,7 +326,7 @@ mod tests {
             db.schema(),
         )
         .unwrap();
-        assert_eq!(canonical_key(&qs[0]), canonical_key(&qfalse1));
+        assert_eq!(qs.queries[0].0, canonical_key(&qfalse1));
     }
 
     #[test]
@@ -279,7 +339,7 @@ mod tests {
             &[("1", &["p1", "h1", "i1"]), ("2", &["p2", "h2", "i2"])],
         );
         let qs = find_consistent_queries(&rows, &RevOptions::default());
-        for q in &qs {
+        for q in qs.cqs() {
             let out = eval_cq(&db, q);
             for (output, annots) in [("1", ["p1", "h1", "i1"]), ("2", ["p2", "h2", "i2"])] {
                 let m =
@@ -306,7 +366,7 @@ mod tests {
         // vector with Person, so the query is disconnected.
         let db = figure1_db();
         let rows = rows_for(&db, &[("1", &["p1", "h3"]), ("2", &["p2", "h2"])]);
-        let all = find_consistent_queries(&rows, &RevOptions::default());
+        let all = find_consistent_queries(&rows, &RevOptions::default()).into_cqs();
         assert_eq!(all.len(), 1);
         assert!(!all[0].is_connected());
         let connected_only = find_consistent_queries(
@@ -332,7 +392,7 @@ mod tests {
     fn single_row_yields_ground_query() {
         let db = figure1_db();
         let rows = rows_for(&db, &[("1", &["p1", "h1"])]);
-        let qs = find_consistent_queries(&rows, &RevOptions::default());
+        let qs = find_consistent_queries(&rows, &RevOptions::default()).into_cqs();
         assert_eq!(qs.len(), 1);
         assert!(!qs[0].has_variable());
     }
@@ -353,7 +413,7 @@ mod tests {
             max_expansion_extra: 1,
             ..Default::default()
         };
-        let qs = find_consistent_queries(&rows, &opts);
+        let qs = find_consistent_queries(&rows, &opts).into_cqs();
         // Expect both the 1-atom query Q(x) :- R(x,x) and 2-atom expansions.
         assert!(qs.iter().any(|q| q.body.len() == 1));
         assert!(qs.iter().any(|q| q.body.len() == 2));
@@ -371,11 +431,22 @@ mod tests {
         db.build_indexes();
         // Rows: (1, t1*t2), (2, t3*t4): chain query Q(x) :- R(x,y), R(y, 9).
         let rows = rows_for(&db, &[("1", &["t1", "t2"]), ("2", &["t3", "t4"])]);
-        let qs = find_consistent_queries(&rows, &RevOptions::default());
+        let frontier = find_consistent_queries(&rows, &RevOptions::default());
+        assert!(frontier.complete);
+        let qs = frontier.into_cqs();
         // The straight alignment gives the chain; the crossed alignment has
         // no head witness for the varying output, so exactly one query.
         assert_eq!(qs.len(), 1);
         assert!(qs[0].is_connected());
         assert_eq!(qs[0].body.len(), 2);
+        // One alignment of the two is not all of them: the frontier says so.
+        let capped = find_consistent_queries(
+            &rows,
+            &RevOptions {
+                max_alignments: 1,
+                ..Default::default()
+            },
+        );
+        assert!(!capped.complete);
     }
 }

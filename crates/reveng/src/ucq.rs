@@ -8,7 +8,6 @@
 //! variable-free disjunct, e.g. the plain union of the ground rows — can be
 //! excluded (line 20 / Def. 3.10 adjustment).
 
-use crate::canonical::canonical_key;
 use crate::cim::minimal_queries;
 use crate::containment::{contained_in, ContainmentMode};
 use crate::most_specific::{find_consistent_queries, RevOptions};
@@ -39,9 +38,10 @@ impl Default for UcqOptions {
 }
 
 /// Enumerates consistent UCQs: one consistent CQ per block of a set
-/// partition of the rows. Deduplicated by the sorted canonical keys of the
-/// disjuncts.
-pub fn find_consistent_ucqs(rows: &[ConcreteRow], opts: &UcqOptions) -> Vec<Ucq> {
+/// partition of the rows. Each UCQ comes with its key — the sorted canonical
+/// keys of its disjuncts joined by `|` — and the list is deduplicated and
+/// sorted by that key.
+pub fn find_consistent_ucqs(rows: &[ConcreteRow], opts: &UcqOptions) -> Vec<(String, Ucq)> {
     let mut out: BTreeMap<String, Ucq> = BTreeMap::new();
     if rows.is_empty() {
         return Vec::new();
@@ -50,7 +50,7 @@ pub fn find_consistent_ucqs(rows: &[ConcreteRow], opts: &UcqOptions) -> Vec<Ucq>
     // Enumerate set partitions of row indexes via restricted growth strings.
     let mut rgs = vec![0usize; n];
     partition_rec(rows, &mut rgs, 1, 1, opts, &mut out);
-    out.into_values().collect()
+    out.into_iter().collect()
 }
 
 fn partition_rec(
@@ -74,6 +74,9 @@ fn partition_rec(
     }
 }
 
+/// A frontier query with its canonical key.
+type KeyedCq = (String, Cq);
+
 fn realize_partition(
     rows: &[ConcreteRow],
     rgs: &[usize],
@@ -81,8 +84,8 @@ fn realize_partition(
     opts: &UcqOptions,
     out: &mut BTreeMap<String, Ucq>,
 ) {
-    // Frontier per block.
-    let mut frontiers: Vec<Vec<Cq>> = Vec::with_capacity(num_blocks);
+    // Keyed frontier per block.
+    let mut frontiers: Vec<Vec<KeyedCq>> = Vec::with_capacity(num_blocks);
     for b in 0..num_blocks {
         let group: Vec<ConcreteRow> = rows
             .iter()
@@ -90,9 +93,9 @@ fn realize_partition(
             .filter(|(i, _)| rgs[*i] == b)
             .map(|(_, r)| r.clone())
             .collect();
-        let mut frontier = find_consistent_queries(&group, &opts.rev);
+        let mut frontier = find_consistent_queries(&group, &opts.rev).queries;
         if opts.exclude_trivial {
-            frontier.retain(Cq::has_variable);
+            frontier.retain(|(_, q)| q.has_variable());
         }
         if frontier.is_empty() {
             return; // this partition admits no consistent UCQ
@@ -100,16 +103,14 @@ fn realize_partition(
         frontiers.push(frontier);
     }
     // One CQ per block (cartesian product).
-    let mut choice: Vec<Cq> = frontiers.iter().map(|f| f[0].clone()).collect();
+    let mut choice: Vec<&KeyedCq> = frontiers.iter().map(|f| &f[0]).collect();
     product(&frontiers, 0, &mut choice, &mut |disjuncts| {
         if out.len() >= opts.max_ucqs {
             return;
         }
-        // Dedup disjuncts within the UCQ and key by sorted canonical keys.
-        let mut keyed: Vec<(String, Cq)> = disjuncts
-            .iter()
-            .map(|q| (canonical_key(q), q.clone()))
-            .collect();
+        // Dedup disjuncts within the UCQ and key by the sorted keys the
+        // frontiers carry.
+        let mut keyed: Vec<&KeyedCq> = disjuncts.to_vec();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         keyed.dedup_by(|a, b| a.0 == b.0);
         let key = keyed
@@ -118,18 +119,23 @@ fn realize_partition(
             .collect::<Vec<_>>()
             .join("|");
         out.entry(key).or_insert_with(|| Ucq {
-            disjuncts: keyed.into_iter().map(|(_, q)| q).collect(),
+            disjuncts: keyed.into_iter().map(|(_, q)| q.clone()).collect(),
         });
     });
 }
 
-fn product(frontiers: &[Vec<Cq>], i: usize, choice: &mut Vec<Cq>, f: &mut impl FnMut(&[Cq])) {
+fn product<'a>(
+    frontiers: &'a [Vec<KeyedCq>],
+    i: usize,
+    choice: &mut Vec<&'a KeyedCq>,
+    f: &mut impl FnMut(&[&'a KeyedCq]),
+) {
     if i == frontiers.len() {
         f(choice);
         return;
     }
     for q in &frontiers[i] {
-        choice[i] = q.clone();
+        choice[i] = q;
         product(frontiers, i + 1, choice, f);
     }
 }
@@ -206,8 +212,9 @@ pub fn find_consistent_agg_queries(
         }
     }
     find_consistent_queries(&rows, opts)
+        .queries
         .into_iter()
-        .map(|cq| AggCq { cq, op: agg_op })
+        .map(|(_, cq)| AggCq { cq, op: agg_op })
         .collect()
 }
 
@@ -263,9 +270,15 @@ mod tests {
         assert!(find_consistent_queries(&rs, &RevOptions::default()).is_empty());
         let ucqs = find_consistent_ucqs(&rs, &UcqOptions::default());
         assert!(!ucqs.is_empty());
-        assert!(ucqs.iter().any(|u| u.disjuncts.len() == 2));
+        assert!(ucqs.iter().any(|(_, u)| u.disjuncts.len() == 2));
         // All surviving UCQs are non-trivial.
-        assert!(ucqs.iter().all(Ucq::is_nontrivial));
+        assert!(ucqs.iter().all(|(_, u)| u.is_nontrivial()));
+        // Each key is the sorted disjunct keys joined by `|`.
+        for (key, u) in &ucqs {
+            let mut keys: Vec<String> = u.disjuncts.iter().map(crate::canonical_key).collect();
+            keys.sort();
+            assert_eq!(*key, keys.join("|"));
+        }
     }
 
     #[test]

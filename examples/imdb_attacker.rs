@@ -40,7 +40,7 @@ fn main() {
         "\nattacker on RAW provenance reconstructs {} candidate(s):",
         frontier.len()
     );
-    for q in &frontier {
+    for q in frontier.cqs() {
         println!("  {}", q.display(db.schema()));
     }
 

@@ -73,8 +73,8 @@ proptest! {
         // concretization set; Qreal is consistent w.r.t. it.
         let rows = fx.exreal.resolve(&fx.db).unwrap();
         let frontier = find_consistent_queries(&rows, &RevOptions::default());
-        let keys: Vec<String> = frontier.iter().map(canonical_key).collect();
-        prop_assert!(keys.contains(&canonical_key(&fx.qreal)));
+        let qreal = canonical_key(&fx.qreal);
+        prop_assert!(frontier.queries.iter().any(|(key, _)| *key == qreal));
     }
 
     /// CIM extraction is idempotent and anti-chain: no CIM query strictly

@@ -61,8 +61,8 @@ fn frontier_queries_verified_by_reevaluation() {
             continue;
         };
         let rows = ex.resolve(&db).unwrap();
-        for q in find_consistent_queries(&rows, &RevOptions::default()) {
-            let out = eval_cq(&db, &q);
+        for q in find_consistent_queries(&rows, &RevOptions::default()).cqs() {
+            let out = eval_cq(&db, q);
             for row in &ex.rows {
                 assert!(
                     out.provenance(&row.output).coefficient(&row.monomial) >= 1,
@@ -99,8 +99,8 @@ fn alignment_cap_degrades_gracefully() {
         max_alignments: 1,
         ..Default::default()
     };
-    for q in find_consistent_queries(&rows, &opts) {
-        let out = eval_cq(&fx.db, &q);
+    for q in find_consistent_queries(&rows, &opts).cqs() {
+        let out = eval_cq(&fx.db, q);
         for row in &fx.exreal.rows {
             assert!(out.provenance(&row.output).coefficient(&row.monomial) >= 1);
         }
