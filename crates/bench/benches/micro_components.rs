@@ -1,12 +1,17 @@
 //! Microbenchmarks of the substrate hot paths: polynomial arithmetic,
-//! provenance-tracking evaluation, canonicalization, containment, privacy.
+//! provenance-tracking evaluation, canonicalization, containment, row
+//! connectivity, privacy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use provabs_bench::scenario::{imdb_scenarios, ScenarioSettings};
+use provabs_core::concretize::{
+    connected_row_concretizations, for_each_row_concretization, row_concretization_count,
+};
 use provabs_core::fixtures::running_example;
 use provabs_core::privacy::{compute_privacy, PrivacyCache, PrivacyConfig};
 use provabs_core::{Abstraction, Bound};
 use provabs_datagen::tpch::{self, TpchConfig};
-use provabs_relational::{eval_cq, parse_cq};
+use provabs_relational::{eval_cq, monomial_connected, parse_cq};
 use provabs_reveng::{
     canonical_form, canonical_key, contained_in, find_consistent_queries, ContainmentMode,
     RevOptions,
@@ -58,7 +63,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| find_consistent_queries(&rows, &RevOptions::default()));
     });
 
-    // Privacy of Exabs1 (cold cache each iteration).
+    // Privacy of Exabs1 (cold privacy cache each iteration; the bound's row
+    // memo is warm after the first).
     let mut abs = Abstraction::identity(&bound);
     for name in ["h1", "h2"] {
         let id = fx.db.annotations().get(name).unwrap();
@@ -79,6 +85,39 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let cache = PrivacyCache::new();
             compute_privacy(&bound, &abs_rows, &cfg, &cache)
+        });
+    });
+
+    // Connected concretizations of an IMDB-Q4 row (7 occurrences) whose
+    // first occurrences are lifted one level until the row has at least
+    // 2,000 concretizations: the kernel, then the plain enumerator with
+    // `monomial_connected` on every concretization.
+    let imdb_q4 = imdb_scenarios(&ScenarioSettings::default())
+        .into_iter()
+        .find(|s| s.name == "IMDB-Q4")
+        .expect("IMDB-Q4 has a K-example");
+    let q4 = Bound::new(&imdb_q4.db, &imdb_q4.tree, &imdb_q4.example).unwrap();
+    let mut q4_abs = Abstraction::identity(&q4);
+    for i in 0..q4.row_occurrences(0).len() {
+        q4_abs.lifts[0][i] = q4.max_lift(0, i).min(1);
+        let rows = q4_abs.apply(&q4).rows;
+        if row_concretization_count(&q4, &rows[0]) >= 2_000 {
+            break;
+        }
+    }
+    let q4_row = q4_abs.apply(&q4).rows.swap_remove(0);
+    let q4_cap = 20_000;
+    group.bench_function("connected_row_concretizations", |b| {
+        b.iter(|| connected_row_concretizations(&q4, &q4_row, q4_cap, true));
+    });
+    group.bench_function("monomial_connected_row_loop", |b| {
+        b.iter(|| {
+            let mut kept = 0usize;
+            for_each_row_concretization(&q4, &q4_row, q4_cap, |occs| {
+                kept += usize::from(monomial_connected(q4.db, occs));
+                true
+            });
+            kept
         });
     });
 

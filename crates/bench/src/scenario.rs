@@ -67,7 +67,8 @@ impl Default for ScenarioSettings {
 pub struct HarnessCaps {
     /// Max abstractions enumerated per search.
     pub max_candidates: usize,
-    /// Max concretizations per privacy evaluation.
+    /// Max concretizations per enumeration (see
+    /// [`PrivacyConfig::max_concretizations`]).
     pub max_concretizations: usize,
     /// Max alignments per consistency call.
     pub max_alignments: usize,

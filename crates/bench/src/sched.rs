@@ -31,7 +31,8 @@
 use crate::report::SchedMetric;
 use provabs_core::privacy::PrivacyCache;
 use provabs_relational::storage::{FaultyVfs, SharedVfs};
-use provabs_relational::{parse_cq, Database, PlanMode, SessionRegistry};
+use provabs_relational::{parse_cq, Database, PlanMode, SessionRegistry, Tuple};
+use provabs_reveng::Frontier;
 use provabs_sched as sched;
 use provabs_semiring::AnnotId;
 use provabsd::{Provabsd, ServiceConfig, ServiceError};
@@ -171,11 +172,17 @@ fn staged_publication_body(publish_before_stage: bool) {
 }
 
 /// The privacy-cache fence protocol with the fence dropped *after* the
-/// epoch store — a reader at the new epoch can hit the stale verdict.
+/// epoch store — a reader at the new epoch can hit the stale frontier. The
+/// frontier's `complete` flag carries the per-epoch verdict.
 fn privacy_unfenced_body() {
     let annot = AnnotId(7);
+    let cell = vec![(Tuple::parse(&["1"]), vec![annot])];
     let cache = Arc::new(PrivacyCache::new());
-    cache.connectivity_record(&[annot], 0, false);
+    let stale = Frontier {
+        queries: Vec::new(),
+        complete: false,
+    };
+    cache.consistent_record(&cell, 0, stale);
     let published = Arc::new(AtomicU64::labeled("privacy.epoch", 0));
     let (c2, p2) = (Arc::clone(&cache), Arc::clone(&published));
     let writer = sched::thread::spawn(move || {
@@ -185,8 +192,8 @@ fn privacy_unfenced_body() {
     });
     let epoch = published.load(Ordering::SeqCst);
     let truth = epoch >= 1;
-    if let Some(v) = cache.connectivity_probe(&[annot], epoch) {
-        assert_eq!(v, truth, "stale privacy verdict at epoch {epoch}");
+    if let Some(f) = cache.consistent_probe(&cell, epoch) {
+        assert_eq!(f.complete, truth, "stale privacy verdict at epoch {epoch}");
     }
     writer.join().unwrap();
 }

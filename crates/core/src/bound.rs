@@ -1,5 +1,6 @@
 //! Binding a K-example to its database and abstraction tree.
 
+use crate::concretize::{connected_row_concretizations, RowConcretizations};
 use crate::sharded::ShardedMap;
 use crate::{AbsExample, AbsRow, Abstraction, CoreError, CoreResult, Sym};
 use provabs_relational::{Database, KExample};
@@ -24,6 +25,11 @@ use std::sync::Arc;
 /// with the bound, which is what makes it sound: a database delta produces a
 /// new `Bound`, so retired annotations can never be resolved through a stale
 /// entry.
+///
+/// It likewise memoizes each abstracted row's connected concretizations
+/// ([`Bound::row_concretizations_cached`]): symbols name nodes of this
+/// bound's tree, and connectivity reads this bound's database, so the memo
+/// is exact for the bound's lifetime and needs no versioning.
 #[derive(Debug)]
 pub struct Bound<'a> {
     /// The database whose tuples the example's annotations tag.
@@ -53,7 +59,14 @@ pub struct Bound<'a> {
     /// the parallel search; first insert wins (values are deterministic, so
     /// racing workers converge on equal rows).
     abs_rows: ShardedMap<(PolyId, u32), Arc<Vec<Sym>>>,
+    /// Memoized connected row concretizations:
+    /// `(symbol list, concretization cap, connectivity filter)` → the
+    /// uncut capped enumeration. First insert wins, like `abs_rows`.
+    row_concs: ShardedMap<RowConcKey, Arc<RowConcretizations>>,
 }
+
+/// Key of the row-concretization memo.
+type RowConcKey = (Arc<Vec<Sym>>, usize, bool);
 
 impl<'a> Bound<'a> {
     /// Binds `example` to `tree` and `db`.
@@ -102,6 +115,7 @@ impl<'a> Bound<'a> {
             lift_ids: ShardedMap::default(),
             next_lift: AtomicU32::new(0),
             abs_rows: ShardedMap::default(),
+            row_concs: ShardedMap::default(),
         })
     }
 
@@ -168,6 +182,24 @@ impl<'a> Bound<'a> {
         }
         let id = self.next_lift.fetch_add(1, Ordering::Relaxed);
         self.lift_ids.insert(lifts.to_vec(), id)
+    }
+
+    /// [`connected_row_concretizations`] of `row` through the bound's memo:
+    /// each distinct `(symbol list, max, connectivity_filter)` is enumerated
+    /// once for the bound's lifetime. Returns the shared result and whether
+    /// it was served from the memo.
+    pub fn row_concretizations_cached(
+        &self,
+        row: &AbsRow,
+        max: usize,
+        connectivity_filter: bool,
+    ) -> (Arc<RowConcretizations>, bool) {
+        let key = (Arc::clone(&row.syms), max, connectivity_filter);
+        if let Some(hit) = self.row_concs.get(&key) {
+            return (hit, true);
+        }
+        let concs = connected_row_concretizations(self, row, max, connectivity_filter);
+        (self.row_concs.insert(key, Arc::new(concs)), false)
     }
 
     /// Applies `abs` through the bound's abstraction-application memo.

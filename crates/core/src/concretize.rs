@@ -1,6 +1,7 @@
 //! Concretization sets of abstracted K-examples (Def. 3.3, Prop. 3.5).
 
 use crate::{AbsRow, Bound, Sym};
+use provabs_relational::{monomial_connected, Database, ValueId};
 use provabs_semiring::AnnotId;
 
 /// The number of concretizations of an abstracted row: the product over its
@@ -51,6 +52,184 @@ pub fn for_each_row_concretization(
         produced += 1;
         visit(occs)
     })
+}
+
+/// The concretizations of one abstracted row that survive the connectivity
+/// filter, as one capped enumeration produced them (see
+/// [`connected_row_concretizations`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowConcretizations {
+    /// The kept occurrence lists, concatenated (each `width` long).
+    occs: Vec<AnnotId>,
+    width: usize,
+    len: usize,
+    /// Whether the enumeration ran to its end (`false` when the cap cut it).
+    pub complete: bool,
+    /// Concretizations visited, kept or not (at most the cap).
+    pub produced: usize,
+}
+
+impl RowConcretizations {
+    /// Number of kept concretizations.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no concretization was kept.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The kept occurrence lists, in enumeration order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[AnnotId]> + '_ {
+        (0..self.len).map(|k| &self.occs[k * self.width..(k + 1) * self.width])
+    }
+}
+
+/// The concretizations of `row` that pass the connectivity filter, in the
+/// order of [`for_each_row_concretization`], from an enumeration capped at
+/// `max` concretizations. Equal to that enumerator followed by
+/// [`monomial_connected`] on every occurrence list (every list is kept when
+/// `connectivity_filter` is off), but each candidate leaf's sorted value-id
+/// set is resolved once per call and a verdict is a bitmask search over
+/// those sets that allocates nothing. Rows of more than 64 symbols fall
+/// back to [`monomial_connected`].
+pub fn connected_row_concretizations(
+    bound: &Bound<'_>,
+    row: &AbsRow,
+    max: usize,
+    connectivity_filter: bool,
+) -> RowConcretizations {
+    let choices: Vec<&[AnnotId]> = row
+        .syms
+        .iter()
+        .map(|s| match s {
+            Sym::Leaf(a) => std::slice::from_ref(a),
+            Sym::Abs(n) => bound.tree.leaves_under(*n),
+        })
+        .collect();
+    let width = choices.len();
+    let mut out = RowConcretizations {
+        occs: Vec::new(),
+        width,
+        len: 0,
+        complete: true,
+        produced: 0,
+    };
+    // One- and zero-symbol rows are connected by definition.
+    let check = connectivity_filter && width > 1;
+    let sets = (check && width <= 64).then(|| ValueSets::resolve(bound.db, &choices));
+    let mut idx = vec![0usize; width];
+    let mut current: Vec<AnnotId> = choices.iter().map(|c| c[0]).collect();
+    loop {
+        if out.produced >= max {
+            out.complete = false;
+            return out;
+        }
+        out.produced += 1;
+        let keep = match &sets {
+            Some(sets) => sets.connected(&idx),
+            None => !check || monomial_connected(bound.db, &current),
+        };
+        if keep {
+            out.occs.extend_from_slice(&current);
+            out.len += 1;
+        }
+        // Advance the odometer: the last symbol turns fastest.
+        let mut p = width;
+        loop {
+            if p == 0 {
+                return out;
+            }
+            p -= 1;
+            idx[p] += 1;
+            if idx[p] < choices[p].len() {
+                current[p] = choices[p][idx[p]];
+                break;
+            }
+            idx[p] = 0;
+            current[p] = choices[p][0];
+        }
+    }
+}
+
+/// The sorted distinct value ids of every candidate leaf of a row, per
+/// symbol position, in one flat buffer.
+struct ValueSets {
+    ids: Vec<ValueId>,
+    /// Per `(position, choice)`: the `ids` range of its set, or `None` when
+    /// the annotation tags no tuple.
+    spans: Vec<Option<(u32, u32)>>,
+    /// Per position: the index of its first choice in `spans`.
+    base: Vec<usize>,
+}
+
+impl ValueSets {
+    fn resolve(db: &Database, choices: &[&[AnnotId]]) -> Self {
+        let mut sets = Self {
+            ids: Vec::new(),
+            spans: Vec::new(),
+            base: Vec::with_capacity(choices.len()),
+        };
+        for c in choices {
+            sets.base.push(sets.spans.len());
+            for &a in *c {
+                let span = db.locate(a).map(|loc| {
+                    let start = sets.ids.len() as u32;
+                    sets.ids.extend(db.row_value_ids(loc));
+                    (start, sets.ids.len() as u32)
+                });
+                sets.spans.push(span);
+            }
+        }
+        sets
+    }
+
+    /// Whether the concretization choosing `idx[p]` at every position `p`
+    /// is connected: every occurrence resolves and the share-a-value graph
+    /// over the occurrences is connected (`idx.len()` is 2..=64).
+    fn connected(&self, idx: &[usize]) -> bool {
+        let mut spans = [(0u32, 0u32); 64];
+        for (p, &c) in idx.iter().enumerate() {
+            match self.spans[self.base[p] + c] {
+                Some(span) => spans[p] = span,
+                None => return false,
+            }
+        }
+        let set = |p: usize| &self.ids[spans[p].0 as usize..spans[p].1 as usize];
+        let all = u64::MAX >> (64 - idx.len());
+        let (mut reached, mut todo) = (1u64, 1u64);
+        while todo != 0 {
+            let i = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let mut rest = all & !reached;
+            while rest != 0 {
+                let j = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if share(set(i), set(j)) {
+                    reached |= 1 << j;
+                    todo |= 1 << j;
+                }
+            }
+            if reached == all {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Whether two sorted id lists intersect (a merge probe).
+fn share(a: &[ValueId], b: &[ValueId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
 }
 
 fn odometer(

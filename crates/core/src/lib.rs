@@ -8,7 +8,8 @@
 //!   database (occurrence-level bookkeeping for Def. 3.1).
 //! * [`Abstraction`] / [`AbsExample`] — abstraction functions and abstracted
 //!   K-examples (§3.1).
-//! * [`concretize`] — concretization sets and their cardinality (Prop. 3.5).
+//! * [`concretize`] — concretization sets and their cardinality (Prop. 3.5),
+//!   and the connected concretizations of an abstracted row.
 //! * [`loi`] — loss of information as concretization-set entropy (§3.2),
 //!   uniform and weighted distributions.
 //! * [`privacy`] — Algorithm 1: the number of CIM queries of an abstracted

@@ -7,10 +7,12 @@
 //! results (§4.1). Every optimization component carries a config flag so the
 //! Figure 19 ablation can disable it.
 
-use crate::concretize::{for_each_concretization, for_each_row_concretization};
+use crate::concretize::{
+    connected_row_concretizations, for_each_concretization, RowConcretizations,
+};
 use crate::sharded::ShardedMap;
 use crate::{AbsRow, Bound};
-use provabs_relational::{ConcreteRow, Cq, Ucq};
+use provabs_relational::{monomial_connected, ConcreteRow, Cq, Tuple, Ucq};
 use provabs_reveng::ucq::{cim_ucqs, find_consistent_ucqs, UcqOptions};
 use provabs_reveng::{cim_queries, find_consistent_queries, ContainmentMode, Frontier, RevOptions};
 use provabs_semiring::{AnnotId, SemiringKind};
@@ -46,13 +48,16 @@ pub struct PrivacyConfig {
     pub row_by_row: bool,
     /// §4.1 component 2: drop disconnected concretizations.
     pub connectivity_filter: bool,
-    /// §4.1 component 3: cache consistent queries and connectivity per
-    /// concretization.
+    /// §4.1 component 3: cache consistent queries per concretization (in
+    /// the [`PrivacyCache`]) and each abstracted row's connected
+    /// concretizations (on the [`Bound`]).
     pub caching: bool,
     /// Cap on alignments per consistency call.
     pub max_alignments: usize,
-    /// Cap on concretizations enumerated per privacy evaluation. When hit,
-    /// the returned privacy is a lower bound and `stats.truncated` is set.
+    /// Cap on concretizations per enumeration: each row enumeration of the
+    /// row-by-row path, its candidate list per row, and the whole-example
+    /// enumeration of the direct and UCQ paths. When hit, the returned
+    /// privacy is a lower bound and `stats.truncated` is set.
     pub max_concretizations: usize,
     /// Extra expansion degree for exponent-dropping semirings.
     pub max_expansion_extra: u32,
@@ -86,7 +91,8 @@ impl Default for PrivacyConfig {
 /// Counters exposed by one privacy evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct PrivacyStats {
-    /// Concretizations produced by the enumerators.
+    /// Concretizations the enumerators visited; a row served from the
+    /// bound's row memo visits none.
     pub concretizations_enumerated: usize,
     /// Concretizations surviving the connectivity filter.
     pub concretizations_kept: usize,
@@ -94,9 +100,10 @@ pub struct PrivacyStats {
     pub consistency_cache_hits: usize,
     /// Consistency-cache misses (queries actually computed).
     pub consistency_cache_misses: usize,
-    /// Connectivity-cache hits.
+    /// Connectivity verdicts replayed from the bound's row memo: a hit
+    /// counts every concretization the memoized enumeration visited.
     pub connectivity_cache_hits: usize,
-    /// Connectivity-cache misses.
+    /// Connectivity verdicts computed.
     pub connectivity_cache_misses: usize,
     /// Whether a cap was hit (result is a lower bound): the concretization
     /// cap, or the alignment cap of a consistent-query frontier.
@@ -120,7 +127,9 @@ impl PrivacyStats {
 /// about concretizations and queries"). Consistent queries are cached per
 /// concretization; CIM queries are *not* cached, exactly as the paper notes,
 /// because minimality depends on the concretization set of the abstraction
-/// under evaluation.
+/// under evaluation. Connectivity is memoized per abstracted row on the
+/// [`Bound`] instead ([`Bound::row_concretizations_cached`]): symbols name
+/// nodes of one tree, and a cache may be shared across trees.
 ///
 /// The cache is `Send + Sync` (internally a sharded concurrent map), so one
 /// cache is shared by every worker of the parallel search — candidates that
@@ -151,14 +160,13 @@ impl PrivacyStats {
 /// ```
 #[derive(Debug)]
 pub struct PrivacyCache {
-    /// Interns sorted occurrence lists to small ids: both caches key by
+    /// Interns sorted occurrence lists to small ids: the cache keys by
     /// [`OccId`] instead of hashed owned annotation vectors, so repeat
     /// lookups hash a handful of `u32`s rather than whole concretizations.
     occs: OccInterner,
     /// The keyed frontier of connected consistent queries per
     /// concretization.
     consistent: ShardedMap<ConcKey, Vec<Stamped<Arc<Frontier>>>>,
-    connectivity: ShardedMap<OccId, Vec<Stamped<bool>>>,
     /// Sorted invalidation epochs per occurrence id (fed by
     /// [`PrivacyCache::invalidate_at`]): the lifetime fences a late insert
     /// by a pinned old-epoch reader must not outlive.
@@ -166,16 +174,15 @@ pub struct PrivacyCache {
 }
 
 /// The lock hierarchy of the cache (enforced by the schedule-enumeration
-/// harness's lock-order audit): a `consistent` / `connectivity` shard may be
-/// held while a `retirements` shard is acquired — the value stores read the
-/// retirement fences from inside their shard `update` — never the reverse,
+/// harness's lock-order audit): a `consistent` shard may be held while a
+/// `retirements` shard is acquired — the value store reads the retirement
+/// fences from inside its shard `update` — never the reverse,
 /// and the interner's shards nest inside nothing.
 impl Default for PrivacyCache {
     fn default() -> Self {
         Self {
             occs: OccInterner::default(),
             consistent: ShardedMap::labeled("privacy.consistent.shard"),
-            connectivity: ShardedMap::labeled("privacy.connectivity.shard"),
             retirements: ShardedMap::labeled("privacy.retirements.shard"),
         }
     }
@@ -282,11 +289,10 @@ impl PrivacyCache {
     /// source of truth for which annotations an id covers, so invalidation
     /// evicts the intersecting ids there and then drops exactly the cache
     /// entries referencing them. Cached values depend only on the tuples
-    /// those annotations tag — consistent queries on the resolved rows,
-    /// connectivity on their value overlaps — so entries disjoint from the
-    /// delta stay exactly valid and survive. Inserted annotations are fresh
-    /// and appear in no key; they are accepted here so callers can pass the
-    /// whole touched set.
+    /// those annotations tag — consistent queries on the resolved rows — so
+    /// entries disjoint from the delta stay exactly valid and survive.
+    /// Inserted annotations are fresh and appear in no key; they are
+    /// accepted here so callers can pass the whole touched set.
     pub fn invalidate(&self, touched: &std::collections::HashSet<AnnotId>) {
         if touched.is_empty() {
             return;
@@ -295,7 +301,6 @@ impl PrivacyCache {
         if evicted.is_empty() {
             return;
         }
-        self.connectivity.retain(|id| !evicted.contains(id));
         self.consistent
             .retain(|key| !key.iter().any(|(_, id)| evicted.contains(id)));
         self.retirements.retain(|id| !evicted.contains(id));
@@ -340,40 +345,11 @@ impl PrivacyCache {
                 }
             });
         }
-        self.connectivity.for_each_mut(|id, vs| {
-            if affected.contains(id) {
-                clamp(vs, epoch);
-            }
-        });
         self.consistent.for_each_mut(|key, vs| {
             if key.iter().any(|(_, id)| affected.contains(id)) {
                 clamp(vs, epoch);
             }
         });
-    }
-
-    /// The cached connectivity of `id` as seen at `epoch`.
-    fn connectivity_at(&self, id: OccId, epoch: u64) -> Option<bool> {
-        self.connectivity
-            .read(&id, |vs| version_at(vs, epoch))
-            .flatten()
-    }
-
-    /// Stores `value` as the connectivity of `id` at `epoch` (first insert
-    /// wins) and returns the canonical stored value.
-    fn store_connectivity(&self, id: OccId, epoch: u64, value: bool) -> bool {
-        self.connectivity.update(id, Vec::new, |vs| {
-            if let Some(v) = version_at(vs, epoch) {
-                return v;
-            }
-            let dead = self.retirement_after(&[id], epoch);
-            vs.push(Stamped {
-                born: epoch,
-                dead,
-                value,
-            });
-            value
-        })
     }
 
     /// The cached consistent queries of `key` as seen at `epoch`.
@@ -401,28 +377,43 @@ impl PrivacyCache {
         })
     }
 
-    /// The connectivity verdict cached for the occurrence list `occs` as
-    /// seen at `epoch`, `None` on a miss.
+    /// The frontier cached for the concrete rows `conc` (output tuple and
+    /// occurrence list per row) as seen at `epoch`, `None` on a miss.
     ///
     /// This is the epoch-stamped cell protocol of the cache exposed
-    /// directly: probe → recompute on miss → [`PrivacyCache::connectivity_record`].
+    /// directly: probe → recompute on miss → [`PrivacyCache::consistent_record`].
     /// The schedule-enumeration harness drives the retirement fence through
     /// this pair (see `provabsd`'s sched suite), and service health checks
     /// can use it to verify fence behavior without running a full privacy
     /// evaluation.
-    pub fn connectivity_probe(&self, occs: &[AnnotId], epoch: u64) -> Option<bool> {
-        let id = self.occs.ids.get_borrowed(occs)?;
-        self.connectivity_at(id, epoch)
+    pub fn consistent_probe(
+        &self,
+        conc: &[(Tuple, Vec<AnnotId>)],
+        epoch: u64,
+    ) -> Option<Arc<Frontier>> {
+        let mut key = ConcKey::with_capacity(conc.len());
+        for (output, occs) in conc {
+            let id = self.occs.ids.get_borrowed(sorted(occs).as_slice())?;
+            key.push((output.clone(), id));
+        }
+        self.consistent_at(&key, epoch)
     }
 
-    /// Records `value` as the connectivity verdict of `occs` at `epoch`
-    /// (first insert per epoch wins; the canonical stored value is
-    /// returned). The version is born at `epoch` and dies at the earliest
-    /// retirement fence recorded after it, exactly like the internal store
-    /// path.
-    pub fn connectivity_record(&self, occs: &[AnnotId], epoch: u64, value: bool) -> bool {
-        let id = self.occs.intern(occs.to_vec());
-        self.store_connectivity(id, epoch, value)
+    /// Records `frontier` for the concrete rows `conc` at `epoch` (first
+    /// insert per epoch wins; the canonical stored value is returned). The
+    /// version is born at `epoch` and dies at the earliest retirement fence
+    /// recorded after it, exactly like the internal store path.
+    pub fn consistent_record(
+        &self,
+        conc: &[(Tuple, Vec<AnnotId>)],
+        epoch: u64,
+        frontier: Frontier,
+    ) -> Arc<Frontier> {
+        let key = conc
+            .iter()
+            .map(|(output, occs)| (output.clone(), self.occs.intern(sorted(occs))))
+            .collect();
+        self.store_consistent(key, epoch, Arc::new(frontier))
     }
 
     /// The earliest recorded retirement strictly after `epoch` across
@@ -445,7 +436,14 @@ impl PrivacyCache {
 }
 
 /// Cache key: the concrete rows (output + interned sorted occurrence list).
-type ConcKey = Vec<(provabs_relational::Tuple, OccId)>;
+type ConcKey = Vec<(Tuple, OccId)>;
+
+/// A sorted copy of an occurrence list (the interner's key form).
+fn sorted(occs: &[AnnotId]) -> Vec<AnnotId> {
+    let mut v = occs.to_vec();
+    v.sort_unstable();
+    v
+}
 
 /// The result of a privacy evaluation.
 #[derive(Debug, Clone)]
@@ -539,45 +537,36 @@ impl Eval<'_, '_> {
         }
     }
 
-    /// Row connectivity with caching.
+    /// Row connectivity of one concretization of the direct path
+    /// (uncached: the direct path visits each whole-example concretization
+    /// once).
     fn row_connected(&mut self, occs: &[AnnotId]) -> bool {
         if !self.cfg.connectivity_filter {
             return true;
         }
-        let id = self.cfg.caching.then(|| self.occ_id(occs));
-        if let Some(id) = id {
-            if let Some(c) = self.cache.connectivity_at(id, self.cfg.epoch) {
-                self.stats.connectivity_cache_hits += 1;
-                return c;
-            }
-        }
         self.stats.connectivity_cache_misses += 1;
-        let connected = provabs_relational::monomial_connected(self.bound.db, occs);
-        if let Some(id) = id {
-            return self.cache.store_connectivity(id, self.cfg.epoch, connected);
-        }
-        connected
+        monomial_connected(self.bound.db, occs)
     }
 
-    /// The connected concretizations of `row`, in enumeration order, from
-    /// an enumeration capped at `cfg.max_concretizations` that also stops
-    /// once `stop_at` are collected; with whether the enumeration ran to its
-    /// end.
-    fn connected_concretizations(
-        &mut self,
-        row: &AbsRow,
-        stop_at: usize,
-    ) -> (Vec<Vec<AnnotId>>, bool) {
-        let mut out = Vec::new();
-        let complete =
-            for_each_row_concretization(self.bound, row, self.cfg.max_concretizations, |occs| {
-                self.stats.concretizations_enumerated += 1;
-                if self.row_connected(occs) {
-                    out.push(occs.to_vec());
-                }
-                out.len() < stop_at
-            });
-        (out, complete)
+    /// The connected concretizations of `row` from an enumeration capped at
+    /// `cfg.max_concretizations`, through the bound's row memo when caching
+    /// is on.
+    fn connected_concretizations(&mut self, row: &AbsRow) -> Arc<RowConcretizations> {
+        let (cap, filter) = (self.cfg.max_concretizations, self.cfg.connectivity_filter);
+        let (concs, hit) = if self.cfg.caching {
+            self.bound.row_concretizations_cached(row, cap, filter)
+        } else {
+            let concs = connected_row_concretizations(self.bound, row, cap, filter);
+            (Arc::new(concs), false)
+        };
+        let verdicts = if filter { concs.produced } else { 0 };
+        if hit {
+            self.stats.connectivity_cache_hits += verdicts;
+        } else {
+            self.stats.concretizations_enumerated += concs.produced;
+            self.stats.connectivity_cache_misses += verdicts;
+        }
+        concs
     }
 
     /// Consistent-query frontier of a concrete prefix, with caching. A
@@ -642,26 +631,27 @@ fn privacy_row_by_row(mut ev: Eval<'_, '_>, abs_rows: &[AbsRow]) -> PrivacyOutco
     // GoodConc: concrete prefixes, starting from the concretizations of the
     // first row (line 1 holds the abstract row; its concretization happens
     // here).
-    let (first, complete) = ev.connected_concretizations(&abs_rows[0], usize::MAX);
-    ev.stats.truncated |= !complete;
+    let first = ev.connected_concretizations(&abs_rows[0]);
+    ev.stats.truncated |= !first.complete;
     ev.stats.concretizations_kept += first.len();
-    let mut good: Vec<Vec<Vec<AnnotId>>> = first.into_iter().map(|occs| vec![occs]).collect();
+    let mut good: Vec<Vec<Vec<AnnotId>>> = first.iter().map(|occs| vec![occs.to_vec()]).collect();
     let mut last_cim: Vec<Cq> = Vec::new();
     for i in 1..abs_rows.len() {
         // Lines 3–6: extend every good prefix with the connected
-        // concretizations of row i. The row is enumerated once per
-        // evaluation, not once per prefix; it stops where the first
-        // prefix's extensions would fill the candidate cap.
+        // concretizations of row i. The row is enumerated at most once per
+        // bound, not once per prefix. A row with `cap` connected
+        // concretizations fills the candidate cap with the first prefix's
+        // extensions alone, which marks the evaluation truncated.
         let mut candidates: Vec<Vec<Vec<AnnotId>>> = Vec::new();
         if !good.is_empty() {
-            let (row, complete) = ev.connected_concretizations(&abs_rows[i], cap);
-            ev.stats.truncated |= !complete;
+            let row = ev.connected_concretizations(&abs_rows[i]);
+            ev.stats.truncated |= !row.complete;
             'extend: for gc in &good {
-                for occs in &row {
+                for occs in row.iter() {
                     ev.stats.concretizations_kept += 1;
                     let mut prefix = Vec::with_capacity(i + 1);
                     prefix.extend_from_slice(gc);
-                    prefix.push(occs.clone());
+                    prefix.push(occs.to_vec());
                     candidates.push(prefix);
                     if candidates.len() >= cap {
                         ev.stats.truncated = true;
@@ -752,7 +742,9 @@ fn privacy_ucq(mut ev: Eval<'_, '_>, abs_rows: &[AbsRow]) -> PrivacyOutcome {
             return true;
         }
         ev.stats.concretizations_kept += 1;
-        for (key, u) in find_consistent_ucqs(&rows, &opts) {
+        let found = find_consistent_ucqs(&rows, &opts);
+        ev.stats.truncated |= !found.complete;
+        for (key, u) in found.ucqs {
             if u.is_connected() && seen.insert(key) {
                 frontier.push(u);
             }
@@ -1007,6 +999,8 @@ mod tests {
             pinned.stats.consistency_cache_misses, 0,
             "older-epoch reader must keep hitting its entries"
         );
+        // The bound's row memo serves every row: nothing is re-concretized.
+        assert_eq!(pinned.stats.concretizations_enumerated, 0);
         assert_eq!(pinned.stats.connectivity_cache_misses, 0);
         // A reader at epoch 1 recomputes the retired entries (the database
         // is unchanged here, so the recomputed values — and the privacy —
@@ -1087,6 +1081,35 @@ mod tests {
     }
 
     #[test]
+    fn row_filling_the_cap_exactly_is_truncated() {
+        // Row 0 stays concrete; row 1 lifts each tree occurrence one level.
+        let fx = running_example();
+        let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
+        let mut abs = Abstraction::identity(&b);
+        for i in 0..b.row_occurrences(1).len() {
+            abs.lifts[1][i] = b.max_lift(1, i).min(1);
+        }
+        let rows = abs.apply(&b).rows;
+        let all = connected_row_concretizations(&b, &rows[1], usize::MAX, true);
+        let connected = all.len();
+        assert!(connected >= 2);
+        let privacy_at = |cap: usize| {
+            let cfg = PrivacyConfig {
+                threshold: 1,
+                max_concretizations: cap,
+                ..Default::default()
+            };
+            compute_privacy(&b, &rows, &cfg, &PrivacyCache::new())
+        };
+        // Exactly `cap` connected concretizations of row 1: cut short.
+        assert!(privacy_at(connected).stats.truncated);
+        // One more allowed and the whole row fits: not truncated.
+        let roomy = privacy_at(all.produced.max(connected + 1));
+        assert!(!roomy.stats.truncated);
+        assert!(roomy.privacy.is_some());
+    }
+
+    #[test]
     fn alignment_cap_marks_privacy_truncated() {
         use provabs_relational::{eval_cq, parse_cq, Database, KExample};
         // Rows derived by a self-join: each pair of rows has two alignments,
@@ -1137,6 +1160,47 @@ mod tests {
     }
 
     #[test]
+    fn ucq_alignment_cap_marks_privacy_truncated() {
+        use provabs_relational::{eval_cq, parse_cq, Database, KExample};
+        // The self-join rows of `alignment_cap_marks_privacy_truncated`: the
+        // two-row block of the UCQ partitions has two alignments.
+        let mut db = Database::new();
+        let r = db.add_relation("R", &["a", "b"]);
+        for (a, f) in [
+            ("t1", ["1", "5"]),
+            ("t2", ["5", "9"]),
+            ("t3", ["2", "6"]),
+            ("t4", ["6", "9"]),
+        ] {
+            db.insert_str(r, a, &f);
+        }
+        db.build_indexes();
+        let root = db.intern_label("*");
+        let mut tb = provabs_tree::TreeBuilder::new(root);
+        for n in ["t1", "t2", "t3", "t4"] {
+            tb.add_child(root, db.annotations().get(n).unwrap());
+        }
+        let tree = tb.build();
+        let q = parse_cq("Q(x) :- R(x, y), R(y, 9)", db.schema()).unwrap();
+        let ex = KExample::from_krelation(&eval_cq(&db, &q), usize::MAX);
+        let b = Bound::new(&db, &tree, &ex).unwrap();
+        let rows = Abstraction::identity(&b).apply(&b).rows;
+        let cfg = PrivacyConfig {
+            threshold: 1,
+            query_class: QueryClass::Ucq,
+            ..Default::default()
+        };
+        let full = compute_privacy(&b, &rows, &cfg, &PrivacyCache::new());
+        assert!(!full.stats.truncated);
+        let capped = PrivacyConfig {
+            max_alignments: 1,
+            ..cfg
+        };
+        let out = compute_privacy(&b, &rows, &capped, &PrivacyCache::new());
+        assert!(out.stats.truncated);
+    }
+
+    #[test]
     fn ucq_privacy_counts_unions() {
         let fx = running_example();
         let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
@@ -1153,19 +1217,33 @@ mod tests {
         assert!(out.privacy.unwrap() >= 2);
     }
 
+    /// A one-row concretization and a frontier whose `complete` flag
+    /// stands in for the verdict the sched tests track per epoch.
+    fn sched_cell(annot: AnnotId) -> Vec<(Tuple, Vec<AnnotId>)> {
+        vec![(Tuple::parse(&["1"]), vec![annot])]
+    }
+
+    fn verdict(v: bool) -> Frontier {
+        Frontier {
+            queries: Vec::new(),
+            complete: v,
+        }
+    }
+
     /// Model-checked (healthy protocol): the writer records the retirement
     /// fence *before* publishing the new epoch, so across every enumerated
     /// schedule a reader that observes the new epoch can never hit a
-    /// pre-fence cached verdict.
+    /// pre-fence cached frontier.
     #[test]
     fn sched_fenced_invalidation_is_never_stale() {
         use provabs_sched as sched;
         use provabs_sched::sync::atomic::{AtomicU64 as SchedU64, Ordering as SchedOrdering};
         let outcome = sched::explore_with(sched::Config::unbounded(), || {
             let annot = provabs_semiring::AnnotId(7);
+            let cell = sched_cell(annot);
             let cache = Arc::new(PrivacyCache::new());
             // truth(epoch 0) = false, truth(epoch 1) = true
-            cache.connectivity_record(&[annot], 0, false);
+            cache.consistent_record(&cell, 0, verdict(false));
             let published = Arc::new(SchedU64::labeled("privacy.epoch", 0));
             let (c2, p2) = (Arc::clone(&cache), Arc::clone(&published));
             let writer = sched::thread::spawn(move || {
@@ -1176,16 +1254,18 @@ mod tests {
             });
             let epoch = published.load(SchedOrdering::SeqCst);
             let truth = epoch >= 1;
-            match cache.connectivity_probe(&[annot], epoch) {
-                Some(v) => assert_eq!(v, truth, "stale privacy verdict at epoch {epoch}"),
+            match cache.consistent_probe(&cell, epoch) {
+                Some(f) => assert_eq!(f.complete, truth, "stale privacy verdict at epoch {epoch}"),
                 None => {
-                    assert_eq!(cache.connectivity_record(&[annot], epoch, truth), truth);
+                    let stored = cache.consistent_record(&cell, epoch, verdict(truth));
+                    assert_eq!(stored.complete, truth);
                 }
             }
             writer.join().unwrap();
             // After the fence, epoch 1 never resolves to the epoch-0 verdict.
-            assert_ne!(cache.connectivity_probe(&[annot], 1), Some(false));
-            assert_eq!(cache.connectivity_probe(&[annot], 0), Some(false));
+            let at = |e| cache.consistent_probe(&cell, e).map(|f| f.complete);
+            assert_ne!(at(1), Some(false));
+            assert_eq!(at(0), Some(false));
         });
         outcome.expect_clean();
         assert!(
@@ -1197,7 +1277,7 @@ mod tests {
 
     /// Model-checked mutant: publishing the epoch *before* recording the
     /// retirement fence opens a window where a new-epoch reader hits the
-    /// stale pre-fence verdict. The sweep MUST find it — this proves the
+    /// stale pre-fence frontier. The sweep MUST find it — this proves the
     /// harness can see through the privacy cache's epoch-stamped protocol.
     #[test]
     fn sched_mutant_unfenced_invalidation_is_caught() {
@@ -1205,8 +1285,9 @@ mod tests {
         use provabs_sched::sync::atomic::{AtomicU64 as SchedU64, Ordering as SchedOrdering};
         let outcome = sched::explore_with(sched::Config::unbounded(), || {
             let annot = provabs_semiring::AnnotId(7);
+            let cell = sched_cell(annot);
             let cache = Arc::new(PrivacyCache::new());
-            cache.connectivity_record(&[annot], 0, false);
+            cache.consistent_record(&cell, 0, verdict(false));
             let published = Arc::new(SchedU64::labeled("privacy.epoch", 0));
             let (c2, p2) = (Arc::clone(&cache), Arc::clone(&published));
             let writer = sched::thread::spawn(move || {
@@ -1217,8 +1298,8 @@ mod tests {
             });
             let epoch = published.load(SchedOrdering::SeqCst);
             let truth = epoch >= 1;
-            if let Some(v) = cache.connectivity_probe(&[annot], epoch) {
-                assert_eq!(v, truth, "stale privacy verdict at epoch {epoch}");
+            if let Some(f) = cache.consistent_probe(&cell, epoch) {
+                assert_eq!(f.complete, truth, "stale privacy verdict at epoch {epoch}");
             }
             writer.join().unwrap();
         });

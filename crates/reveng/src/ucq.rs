@@ -37,20 +37,43 @@ impl Default for UcqOptions {
     }
 }
 
+/// The consistent UCQs of a set of rows (see [`find_consistent_ucqs`]).
+#[derive(Debug, Clone)]
+pub struct UcqFrontier {
+    /// `(key, UCQ)` pairs, unique by key and sorted by it.
+    pub ucqs: Vec<(String, Ucq)>,
+    /// Whether nothing was cut short. `false` when some block's CQ frontier
+    /// hit [`RevOptions::max_alignments`], or when [`UcqOptions::max_ucqs`]
+    /// stopped the enumeration with UCQs or partitions left unvisited: the
+    /// list may then miss UCQs.
+    pub complete: bool,
+}
+
 /// Enumerates consistent UCQs: one consistent CQ per block of a set
 /// partition of the rows. Each UCQ comes with its key — the sorted canonical
 /// keys of its disjuncts joined by `|` — and the list is deduplicated and
 /// sorted by that key.
-pub fn find_consistent_ucqs(rows: &[ConcreteRow], opts: &UcqOptions) -> Vec<(String, Ucq)> {
-    let mut out: BTreeMap<String, Ucq> = BTreeMap::new();
-    if rows.is_empty() {
-        return Vec::new();
+pub fn find_consistent_ucqs(rows: &[ConcreteRow], opts: &UcqOptions) -> UcqFrontier {
+    let mut out = Partitions {
+        ucqs: BTreeMap::new(),
+        complete: true,
+    };
+    if !rows.is_empty() {
+        // Enumerate set partitions of row indexes via restricted growth
+        // strings.
+        let mut rgs = vec![0usize; rows.len()];
+        partition_rec(rows, &mut rgs, 1, 1, opts, &mut out);
     }
-    let n = rows.len();
-    // Enumerate set partitions of row indexes via restricted growth strings.
-    let mut rgs = vec![0usize; n];
-    partition_rec(rows, &mut rgs, 1, 1, opts, &mut out);
-    out.into_iter().collect()
+    UcqFrontier {
+        ucqs: out.ucqs.into_iter().collect(),
+        complete: out.complete,
+    }
+}
+
+/// The UCQs found so far and whether a cap has cut the search.
+struct Partitions {
+    ucqs: BTreeMap<String, Ucq>,
+    complete: bool,
 }
 
 fn partition_rec(
@@ -59,9 +82,10 @@ fn partition_rec(
     i: usize,
     max_block: usize,
     opts: &UcqOptions,
-    out: &mut BTreeMap<String, Ucq>,
+    out: &mut Partitions,
 ) {
-    if out.len() >= opts.max_ucqs {
+    if out.ucqs.len() >= opts.max_ucqs {
+        out.complete = false;
         return;
     }
     if i == rgs.len() {
@@ -82,7 +106,7 @@ fn realize_partition(
     rgs: &[usize],
     num_blocks: usize,
     opts: &UcqOptions,
-    out: &mut BTreeMap<String, Ucq>,
+    out: &mut Partitions,
 ) {
     // Keyed frontier per block.
     let mut frontiers: Vec<Vec<KeyedCq>> = Vec::with_capacity(num_blocks);
@@ -93,7 +117,9 @@ fn realize_partition(
             .filter(|(i, _)| rgs[*i] == b)
             .map(|(_, r)| r.clone())
             .collect();
-        let mut frontier = find_consistent_queries(&group, &opts.rev).queries;
+        let found = find_consistent_queries(&group, &opts.rev);
+        out.complete &= found.complete;
+        let mut frontier = found.queries;
         if opts.exclude_trivial {
             frontier.retain(|(_, q)| q.has_variable());
         }
@@ -105,9 +131,6 @@ fn realize_partition(
     // One CQ per block (cartesian product).
     let mut choice: Vec<&KeyedCq> = frontiers.iter().map(|f| &f[0]).collect();
     product(&frontiers, 0, &mut choice, &mut |disjuncts| {
-        if out.len() >= opts.max_ucqs {
-            return;
-        }
         // Dedup disjuncts within the UCQ and key by the sorted keys the
         // frontiers carry.
         let mut keyed: Vec<&KeyedCq> = disjuncts.to_vec();
@@ -118,26 +141,41 @@ fn realize_partition(
             .map(|(k, _)| k.as_str())
             .collect::<Vec<_>>()
             .join("|");
-        out.entry(key).or_insert_with(|| Ucq {
-            disjuncts: keyed.into_iter().map(|(_, q)| q.clone()).collect(),
-        });
+        if out.ucqs.contains_key(&key) {
+            return true;
+        }
+        if out.ucqs.len() >= opts.max_ucqs {
+            out.complete = false;
+            return false;
+        }
+        out.ucqs.insert(
+            key,
+            Ucq {
+                disjuncts: keyed.into_iter().map(|(_, q)| q.clone()).collect(),
+            },
+        );
+        true
     });
 }
 
+/// Calls `f` on every choice of one query per frontier, until it returns
+/// `false`; returns whether every choice was visited.
 fn product<'a>(
     frontiers: &'a [Vec<KeyedCq>],
     i: usize,
     choice: &mut Vec<&'a KeyedCq>,
-    f: &mut impl FnMut(&[&'a KeyedCq]),
-) {
+    f: &mut impl FnMut(&[&'a KeyedCq]) -> bool,
+) -> bool {
     if i == frontiers.len() {
-        f(choice);
-        return;
+        return f(choice);
     }
     for q in &frontiers[i] {
         choice[i] = q;
-        product(frontiers, i + 1, choice, f);
+        if !product(frontiers, i + 1, choice, f) {
+            return false;
+        }
     }
+    true
 }
 
 /// UCQ containment `u1 ⊆ u2`: every disjunct of `u1` is contained in some
@@ -268,7 +306,9 @@ mod tests {
             ],
         );
         assert!(find_consistent_queries(&rs, &RevOptions::default()).is_empty());
-        let ucqs = find_consistent_ucqs(&rs, &UcqOptions::default());
+        let found = find_consistent_ucqs(&rs, &UcqOptions::default());
+        assert!(found.complete);
+        let ucqs = found.ucqs;
         assert!(!ucqs.is_empty());
         assert!(ucqs.iter().any(|(_, u)| u.disjuncts.len() == 2));
         // All surviving UCQs are non-trivial.
@@ -287,7 +327,7 @@ mod tests {
         // A single row admits only the ground query as a CQ; with
         // exclude_trivial the partition has no realization.
         let rs = rows(&db, &[("1", &["r1"])]);
-        let with = find_consistent_ucqs(&rs, &UcqOptions::default());
+        let with = find_consistent_ucqs(&rs, &UcqOptions::default()).ucqs;
         assert!(with.is_empty());
         let without = find_consistent_ucqs(
             &rs,
@@ -295,8 +335,42 @@ mod tests {
                 exclude_trivial: false,
                 ..Default::default()
             },
-        );
+        )
+        .ucqs;
         assert!(!without.is_empty());
+    }
+
+    #[test]
+    fn ucq_cap_marks_the_frontier_incomplete() {
+        let db = db2();
+        // Two R rows: one CQ for both, or one ground CQ per row.
+        let rs = rows(&db, &[("1", &["r1"]), ("2", &["r2"])]);
+        let opts = UcqOptions {
+            exclude_trivial: false,
+            ..Default::default()
+        };
+        let all = find_consistent_ucqs(&rs, &opts);
+        assert!(all.complete);
+        assert!(all.ucqs.len() > 1);
+        // Exactly enough room: every UCQ fits.
+        let full = UcqOptions {
+            max_ucqs: all.ucqs.len(),
+            ..opts.clone()
+        };
+        let exact = find_consistent_ucqs(&rs, &full);
+        assert_eq!(exact.ucqs, all.ucqs);
+        assert!(exact.complete);
+        // A cap below the UCQ count keeps a prefix and reports the cut.
+        let capped = find_consistent_ucqs(
+            &rs,
+            &UcqOptions {
+                max_ucqs: 1,
+                ..opts
+            },
+        );
+        assert!(!capped.complete);
+        assert_eq!(capped.ucqs.len(), 1);
+        assert!(all.ucqs.contains(&capped.ucqs[0]));
     }
 
     #[test]
