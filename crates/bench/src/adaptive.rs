@@ -29,7 +29,7 @@
 //! settings — re-plan points are row-count triggered, never wall-clock
 //! triggered — so the gate is immune to CI-runner noise.
 
-use crate::report::AdaptiveMetric;
+use crate::report::GateEntry;
 use provabs_datagen::tpch::{self, tpch_queries, TpchConfig};
 use provabs_datagen::{
     correlated_skew, service_schedule, ChurnConfig, ChurnGenerator, CorrelatedSkewConfig,
@@ -106,7 +106,7 @@ impl AdaptiveSettings {
 
 /// Runs every scenario of `settings`, returning one metric per scenario:
 /// one `corr-skew/s<seed>` entry per seed, then `plan-cache/zipf`.
-pub fn run_adaptive_comparison(settings: &AdaptiveSettings) -> Vec<AdaptiveMetric> {
+pub fn run_adaptive_comparison(settings: &AdaptiveSettings) -> Vec<GateEntry> {
     let mut out = Vec::new();
     for &seed in &settings.skew_seeds {
         out.push(skew_metric(settings, seed));
@@ -118,7 +118,7 @@ pub fn run_adaptive_comparison(settings: &AdaptiveSettings) -> Vec<AdaptiveMetri
 /// One `corr-skew/` scenario: static versus adaptive evaluation of the
 /// correlated-skew query, with the oracle as the independent correctness
 /// witness.
-fn skew_metric(settings: &AdaptiveSettings, seed: u64) -> AdaptiveMetric {
+fn skew_metric(settings: &AdaptiveSettings, seed: u64) -> GateEntry {
     let (db, w) = correlated_skew(&CorrelatedSkewConfig {
         seed,
         ..settings.skew.clone()
@@ -131,19 +131,20 @@ fn skew_metric(settings: &AdaptiveSettings, seed: u64) -> AdaptiveMetric {
     let adaptive_ms = t1.elapsed().as_secs_f64() * 1e3;
     let oracle = oracle_eval_cq(&db, &w.query);
     let equal = adaptive_out == static_out && adaptive_out == oracle;
-    AdaptiveMetric {
-        name: w.name,
-        adaptive_rows: adaptive_work.rows_examined,
-        static_rows: static_work.rows_examined,
-        replans_triggered: adaptive_work.replan.replans_triggered,
-        est_error_max: adaptive_work.replan.est_error_max,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_invalidations: 0,
-        adaptive_ms,
-        static_ms,
-        equal,
-    }
+    let (adaptive_rows, static_rows) = (adaptive_work.rows_examined, static_work.rows_examined);
+    GateEntry::new(w.name)
+        .count("adaptive_rows", adaptive_rows)
+        .count("static_rows", static_rows)
+        .count("replans_triggered", adaptive_work.replan.replans_triggered)
+        .count("est_error_max", adaptive_work.replan.est_error_max)
+        .count("cache_hits", 0)
+        .count("cache_misses", 0)
+        .count("cache_invalidations", 0)
+        .ratio("work_ratio", adaptive_rows, static_rows)
+        .ratio("hit_rate", 0, 0)
+        .ms("adaptive_ms", adaptive_ms)
+        .ms("static_ms", static_ms)
+        .flag("equal", equal)
 }
 
 /// The `plan-cache/zipf` scenario: the same closed loop `bench::service`
@@ -151,7 +152,7 @@ fn skew_metric(settings: &AdaptiveSettings, seed: u64) -> AdaptiveMetric {
 /// templates repeat under zipf skew, churn fences the cache at every
 /// publication, and re-pinned sessions re-plan at most once per template
 /// per epoch.
-fn plan_cache_metric(settings: &AdaptiveSettings) -> AdaptiveMetric {
+fn plan_cache_metric(settings: &AdaptiveSettings) -> GateEntry {
     let (mut db, _) = tpch::generate(&TpchConfig {
         lineitem_rows: settings.lineitem_rows,
         seed: settings.seed,
@@ -219,24 +220,26 @@ fn plan_cache_metric(settings: &AdaptiveSettings) -> AdaptiveMetric {
     }
 
     let stats = svc.stats();
-    AdaptiveMetric {
-        name: "plan-cache/zipf".to_owned(),
-        adaptive_rows: rows_examined,
-        static_rows: rows_examined,
-        replans_triggered: 0,
-        est_error_max: 0,
-        cache_hits: stats.plan_cache_hits,
-        cache_misses: stats.plan_cache_misses,
-        cache_invalidations: stats.plan_cache_invalidations,
-        adaptive_ms: run_ms,
-        static_ms: run_ms,
-        equal,
-    }
+    let (hits, misses) = (stats.plan_cache_hits, stats.plan_cache_misses);
+    GateEntry::new("plan-cache/zipf")
+        .count("adaptive_rows", rows_examined)
+        .count("static_rows", rows_examined)
+        .count("replans_triggered", 0)
+        .count("est_error_max", 0)
+        .count("cache_hits", hits)
+        .count("cache_misses", misses)
+        .count("cache_invalidations", stats.plan_cache_invalidations)
+        .ratio("work_ratio", rows_examined, rows_examined)
+        .ratio("hit_rate", hits, hits + misses)
+        .ms("adaptive_ms", run_ms)
+        .ms("static_ms", run_ms)
+        .flag("equal", equal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Gate};
 
     fn quick_settings() -> AdaptiveSettings {
         AdaptiveSettings {
@@ -252,25 +255,23 @@ mod tests {
     fn comparison_confirms_equality_and_savings() {
         let metrics = run_adaptive_comparison(&quick_settings());
         assert_eq!(metrics.len(), 2);
-        for m in &metrics {
-            assert!(m.equal, "{}: adaptive evaluation diverged", m.name);
-        }
-        let skew = &metrics[0];
+        let (skew, cache) = (&metrics[0], &metrics[1]);
         assert!(skew.name.starts_with("corr-skew/"));
-        assert!(skew.replans_triggered >= 1, "the trigger never fired");
-        assert!(skew.est_error_max >= 2, "the static plan was not fooled");
-        assert!(
-            skew.adaptive_rows * 2 <= skew.static_rows,
-            "{}: adaptive {} vs static {} rows — below the 2x bar",
-            skew.name,
-            skew.adaptive_rows,
-            skew.static_rows
-        );
-        let cache = &metrics[1];
         assert_eq!(cache.name, "plan-cache/zipf");
-        assert!(cache.cache_hits > cache.cache_misses);
+        // The quick loop is too short for the 0.9 hit-rate bar, so the gate
+        // rules are checked on the skew scenario alone.
+        let rules = Gate::named("adaptive").unwrap().rules;
+        let skew_only = std::slice::from_ref(skew);
+        assert_eq!(check(rules, skew_only, skew_only), Vec::<String>::new());
+        let get = |m: &GateEntry, key| m.get_count(key).unwrap();
         assert!(
-            cache.cache_invalidations > 0,
+            get(skew, "est_error_max") >= 2,
+            "the static plan was not fooled"
+        );
+        assert_eq!(cache.get_flag("equal"), Some(true), "plan cache diverged");
+        assert!(get(cache, "cache_hits") > get(cache, "cache_misses"));
+        assert!(
+            get(cache, "cache_invalidations") > 0,
             "churn publications must fence the cache"
         );
     }
@@ -282,14 +283,8 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
-            assert_eq!(x.adaptive_rows, y.adaptive_rows, "{}", x.name);
-            assert_eq!(x.static_rows, y.static_rows, "{}", x.name);
-            assert_eq!(x.replans_triggered, y.replans_triggered, "{}", x.name);
-            assert_eq!(x.est_error_max, y.est_error_max, "{}", x.name);
-            assert_eq!(x.cache_hits, y.cache_hits, "{}", x.name);
-            assert_eq!(x.cache_misses, y.cache_misses, "{}", x.name);
-            assert_eq!(x.cache_invalidations, y.cache_invalidations, "{}", x.name);
-            assert_eq!(x.equal, y.equal, "{}", x.name);
+            assert_eq!(x.counts(), y.counts(), "{}", x.name);
+            assert_eq!(x.get_flag("equal"), y.get_flag("equal"), "{}", x.name);
         }
     }
 
@@ -299,12 +294,8 @@ mod tests {
         // plus only-at-publication fencing must keep 9 of 10 lookups warm.
         let metrics = run_adaptive_comparison(&AdaptiveSettings::ci_gate());
         let cache = metrics.last().expect("plan-cache scenario present");
-        assert!(
-            cache.hit_rate() >= 0.9,
-            "hit rate {:.4} below the 0.9 gate bar ({} hits / {} misses)",
-            cache.hit_rate(),
-            cache.cache_hits,
-            cache.cache_misses
-        );
+        let rules = Gate::named("adaptive").unwrap().rules;
+        let cache = std::slice::from_ref(cache);
+        assert_eq!(check(rules, cache, cache), Vec::<String>::new());
     }
 }

@@ -1,1125 +1,102 @@
-//! The perf-regression gate: emits and checks `BENCH_*.json` baselines for
-//! the incremental update engine, the interned provenance arena, the
-//! dictionary-encoded columnar storage layer, the cost-based query
-//! planner, the durable paged storage layer, the vectorized block
-//! execution pipeline, the snapshot-isolated session service, and the
-//! adaptive execution layer (mid-join re-planning + plan cache).
+//! The perf-regression gate: emits and checks `BENCH_*.json` baselines.
 //!
 //! ```text
 //! bench_gate [--bench NAME] --emit PATH
 //! bench_gate [--bench NAME] --check BASELINE PATH
 //! ```
 //!
-//! where `NAME` is one of `updates`, `intern`, `storage`, `planner`,
-//! `durability`, `vectorized`, `service`, `adaptive`, `sched`. An unknown
-//! name exits non-zero listing the known benches.
+//! `NAME` is one of `updates` (the default, `BENCH_2.json`), `intern`,
+//! `storage`, `planner`, `durability`, `vectorized`, `service`, `adaptive`
+//! or `sched` (`BENCH_10.json`). Each runs its harness at the fixed
+//! `ci_gate()` configuration. `--emit` writes the report; `--check` also
+//! writes it, then checks it against the baseline under the bench's rule
+//! table in [`provabs_bench::GATES`] (see [`provabs_bench::gate`] for the
+//! rule vocabulary and the fail-closed protocol).
 //!
-//! `--bench updates` (the default) replays the [`UpdateSettings::ci_gate`]
-//! delta-maintenance scenarios (`BENCH_2.json`); `--bench intern` runs the
-//! [`InternSettings::ci_gate`] memoization comparison (`BENCH_3.json`);
-//! `--bench storage` runs the [`StorageSettings::ci_gate`] columnar-engine
-//! comparison (`BENCH_4.json`); `--bench planner` runs the
-//! [`PlannerSettings::ci_gate`] planned-versus-written-order comparison on
-//! adversarially-ordered workloads (`BENCH_5.json`); `--bench durability`
-//! runs the [`DurabilitySettings::ci_gate`] reopen-versus-rebuild recovery
-//! comparison (`BENCH_6.json`); `--bench vectorized` runs the
-//! [`VectorizedSettings::ci_gate`] block-versus-scalar execution
-//! comparison (`BENCH_7.json`); `--bench service` runs the
-//! [`ServiceSettings::ci_gate`] closed-loop session-service scenarios
-//! (`BENCH_8.json`); `--bench adaptive` runs the
-//! [`AdaptiveSettings::ci_gate`] adaptive-versus-static comparison on
-//! correlated-skew workloads plus the plan-cache closed loop
-//! (`BENCH_9.json`); `--bench sched` runs the [`SchedSettings::ci_gate`]
-//! schedule-enumeration sweeps over the engine's concurrency seams
-//! (`BENCH_10.json`).
-//!
-//! The diff compares only deterministic work counters (rows examined,
-//! derivations, rows re-abstracted, retained constructions, probe/moved
-//! bytes, pages/bytes read on recovery): with the fixed gate
-//! configurations they are identical across machines, so the gate is
-//! immune to CI-runner noise. Wall-clock columns are carried in the report
-//! for humans.
-//!
-//! Gate rules, per baseline entry:
-//! * the entry must still exist in the current run;
-//! * `equal` must hold (the fast path bit-for-bit matches the reference);
-//! * the fast path must beat the reference outright — for `updates`,
-//!   `delta_rows < full_rows` and `delta_derivations < full_derivations`;
-//!   for `intern`, `cached_work * 2 <= owned_work` (the ≥ 2× reduction the
-//!   arena promises); for `storage`, `id_probe_bytes * 2 <=
-//!   value_probe_bytes` **and** `id_moved_bytes * 2 <= value_moved_bytes`
-//!   (the ≥ 2× join-probe hash-work reduction the dictionary encoding
-//!   promises); for `planner`, `planned_rows * 2 <= written_rows` (the
-//!   ≥ 2× probe-work reduction the cost-based planner promises on the
-//!   adversarially-ordered suite); for `durability`, `reopen_bytes * 2 <=
-//!   rebuild_bytes` (warm reopen must at least halve the cold-rebuild
-//!   work) and `pages_read` may not grow past the baseline's page budget;
-//!   for `vectorized`, `block_probe_bytes * 2 <= scalar_probe_bytes`
-//!   **and** `block_moved_bytes * 2 <= scalar_moved_bytes` (the ≥ 2×
-//!   probe-hash and operator-boundary byte reductions the block pipeline
-//!   promises); for `service`, `max_request_work <= work_budget`
-//!   (admission + cancellation keep every request's work counters within
-//!   budget), rejection/cancellation/degradation paths that fired in the
-//!   baseline must still fire, a degraded writer must make zero progress,
-//!   and the completion ratio may not drop past the tolerance; for
-//!   `adaptive`, `adaptive_rows * 2 <= static_rows` with at least one
-//!   re-plan fired on every `corr-skew/*` scenario (the ≥ 2× probe-work
-//!   reduction mid-join re-planning promises on workloads whose planted
-//!   statistics lie), and `plan-cache/*` scenarios must hold a ≥ 0.9 hit
-//!   rate with epoch fences still retiring plans;
-//! * `work_ratio` may not regress by more than [`TOLERANCE`] (relative)
-//!   plus a small absolute slack.
-//!
-//! The gate fails closed: an empty baseline, or a current scenario absent
-//! from the baseline (i.e. ungated), is itself a failure — re-emit the
-//! baseline so every scenario is covered.
-//!
-//! Exit status: 0 clean, 1 regression, 2 usage/IO error.
+//! Exit status: 0 clean, 1 regression, 2 usage/IO error — including an
+//! unknown bench, or a baseline that does not parse or belongs to another
+//! bench.
 
-use provabs_bench::{
-    parse_adaptive_json, parse_bench_json, parse_durability_json, parse_intern_json,
-    parse_planner_json, parse_sched_json, parse_service_json, parse_storage_json,
-    parse_vectorized_json, run_adaptive_comparison, run_durability_comparison,
-    run_intern_comparison, run_planner_comparison, run_sched_sweeps, run_service_comparison,
-    run_storage_comparison, run_update_comparison, run_vectorized_comparison, write_adaptive_json,
-    write_bench_json, write_durability_json, write_intern_json, write_planner_json,
-    write_sched_json, write_service_json, write_storage_json, write_vectorized_json,
-    AdaptiveMetric, AdaptiveSettings, BenchMetric, DurabilityMetric, DurabilitySettings,
-    InternMetric, InternSettings, PlannerMetric, PlannerSettings, SchedMetric, SchedSettings,
-    ServiceMetric, ServiceSettings, StorageMetric, StorageSettings, UpdateSettings,
-    VectorizedMetric, VectorizedSettings,
-};
+use provabs_bench::{check, gate_table, write_gate_json, Gate, GATES};
 use std::path::Path;
 use std::process::ExitCode;
 
-/// Allowed relative growth of `work_ratio` over the baseline.
-const TOLERANCE: f64 = 0.15;
-/// Absolute slack on top (keeps near-zero ratios from gating on noise).
-const ABS_SLACK: f64 = 0.02;
-
-/// Every bench name the gate knows, in the order the usage line lists
-/// them — printed verbatim when an unknown `--bench` name is passed.
-const KNOWN_BENCHES: &[&str] = &[
-    "updates",
-    "intern",
-    "storage",
-    "planner",
-    "durability",
-    "vectorized",
-    "service",
-    "adaptive",
-    "sched",
-];
-
 fn usage() -> ExitCode {
+    let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
     eprintln!(
         "usage: bench_gate [--bench {}] --emit PATH | --check BASELINE PATH",
-        KNOWN_BENCHES.join("|")
+        names.join("|")
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bench = if args.first().map(String::as_str) == Some("--bench") {
+    let name = if args.first().map(String::as_str) == Some("--bench") {
         if args.len() < 2 {
             return usage();
         }
-        let which = args[1].clone();
-        args.drain(0..2);
-        which
+        args.drain(0..2).nth(1).expect("two arguments")
     } else {
-        "updates".to_owned()
+        GATES[0].name.to_owned()
     };
-    match bench.as_str() {
-        "updates" => drive_gate(&UPDATES_GATE, &args),
-        "intern" => drive_gate(&INTERN_GATE, &args),
-        "storage" => drive_gate(&STORAGE_GATE, &args),
-        "planner" => drive_gate(&PLANNER_GATE, &args),
-        "durability" => drive_gate(&DURABILITY_GATE, &args),
-        "vectorized" => drive_gate(&VECTORIZED_GATE, &args),
-        "service" => drive_gate(&SERVICE_GATE, &args),
-        "adaptive" => drive_gate(&ADAPTIVE_GATE, &args),
-        "sched" => drive_gate(&SCHED_GATE, &args),
-        other => {
-            eprintln!(
-                "bench_gate: unknown bench '{other}'; known benches: {}",
-                KNOWN_BENCHES.join(", ")
-            );
-            ExitCode::from(2)
-        }
-    }
-}
-/// The per-gate wiring: how to run the comparison, (de)serialize the
-/// report, print a human summary, and judge the current run against a
-/// baseline. Everything else — argument parsing, baseline IO, fail-closed
-/// verdicts — is shared by [`drive_gate`], so a fix to the gate protocol
-/// lands in one place for all four benches.
-type ParseFn<M> = fn(&str) -> Option<(String, Vec<M>)>;
-
-struct GateOps<M> {
-    bench: &'static str,
-    kind: &'static str,
-    run: fn() -> Vec<M>,
-    write: fn(&Path, &str, &[M]) -> std::io::Result<()>,
-    parse: ParseFn<M>,
-    print: fn(&[M]),
-    check: fn(&[M], &[M]) -> Vec<String>,
-}
-
-fn drive_gate<M>(ops: &GateOps<M>, args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("--emit") => {
-            let [_, path] = args else {
-                return usage();
-            };
-            let metrics = (ops.run)();
-            if let Err(e) = (ops.write)(Path::new(path), ops.bench, &metrics) {
-                eprintln!("bench_gate: cannot write {path}: {e}");
-                return ExitCode::from(2);
+    let Some(gate) = Gate::named(&name) else {
+        let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
+        eprintln!(
+            "bench_gate: unknown bench '{name}'; known benches: {}",
+            names.join(", ")
+        );
+        return ExitCode::from(2);
+    };
+    match args.as_slice() {
+        [flag, path] if flag == "--emit" => {
+            if let Err(code) = run_and_write(gate, path) {
+                return code;
             }
-            (ops.print)(&metrics);
             println!("bench_gate: wrote {path}");
             ExitCode::SUCCESS
         }
-        Some("--check") => {
-            let [_, baseline_path, out_path] = args else {
-                return usage();
-            };
-            let baseline_text = match std::fs::read_to_string(baseline_path) {
-                Ok(t) => t,
+        [flag, baseline_path, out_path] if flag == "--check" => {
+            let baseline = match std::fs::read_to_string(baseline_path)
+                .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))
+                .and_then(|text| {
+                    gate.read_baseline(&text)
+                        .map_err(|e| format!("baseline {baseline_path} is {e}"))
+                }) {
+                Ok(b) => b,
                 Err(e) => {
-                    eprintln!("bench_gate: cannot read baseline {baseline_path}: {e}");
+                    eprintln!("bench_gate: {e}");
                     return ExitCode::from(2);
                 }
             };
-            let Some((_, baseline)) = (ops.parse)(&baseline_text) else {
-                eprintln!(
-                    "bench_gate: baseline {baseline_path} is not {} report",
-                    ops.kind
-                );
-                return ExitCode::from(2);
+            let current = match run_and_write(gate, out_path) {
+                Ok(c) => c,
+                Err(code) => return code,
             };
-            let current = (ops.run)();
-            if let Err(e) = (ops.write)(Path::new(out_path), ops.bench, &current) {
-                eprintln!("bench_gate: cannot write {out_path}: {e}");
-                return ExitCode::from(2);
+            let failures = check(gate.rules, &baseline, &current);
+            if failures.is_empty() {
+                println!(
+                    "bench_gate: OK ({} entries within tolerance)",
+                    baseline.len()
+                );
+                return ExitCode::SUCCESS;
             }
-            (ops.print)(&current);
-            verdict((ops.check)(&baseline, &current), baseline.len())
+            for f in &failures {
+                eprintln!("bench_gate: REGRESSION: {f}");
+            }
+            ExitCode::FAILURE
         }
         _ => usage(),
     }
 }
 
-const UPDATES_GATE: GateOps<BenchMetric> = GateOps {
-    bench: "micro_updates",
-    kind: "a bench",
-    run: || run_update_comparison(&UpdateSettings::ci_gate()),
-    write: write_bench_json,
-    parse: parse_bench_json,
-    print: print_summary,
-    check,
-};
-
-const INTERN_GATE: GateOps<InternMetric> = GateOps {
-    bench: "micro_intern",
-    kind: "an intern",
-    run: || run_intern_comparison(&InternSettings::ci_gate()),
-    write: write_intern_json,
-    parse: parse_intern_json,
-    print: print_intern_summary,
-    check: check_intern,
-};
-
-const STORAGE_GATE: GateOps<StorageMetric> = GateOps {
-    bench: "micro_storage",
-    kind: "a storage",
-    run: || run_storage_comparison(&StorageSettings::ci_gate()),
-    write: write_storage_json,
-    parse: parse_storage_json,
-    print: print_storage_summary,
-    check: check_storage,
-};
-
-const PLANNER_GATE: GateOps<PlannerMetric> = GateOps {
-    bench: "micro_planner",
-    kind: "a planner",
-    run: || run_planner_comparison(&PlannerSettings::ci_gate()),
-    write: write_planner_json,
-    parse: parse_planner_json,
-    print: print_planner_summary,
-    check: check_planner,
-};
-
-const DURABILITY_GATE: GateOps<DurabilityMetric> = GateOps {
-    bench: "micro_durability",
-    kind: "a durability",
-    run: || run_durability_comparison(&DurabilitySettings::ci_gate()),
-    write: write_durability_json,
-    parse: parse_durability_json,
-    print: print_durability_summary,
-    check: check_durability,
-};
-
-const VECTORIZED_GATE: GateOps<VectorizedMetric> = GateOps {
-    bench: "micro_vectorized",
-    kind: "a vectorized",
-    run: || run_vectorized_comparison(&VectorizedSettings::ci_gate()),
-    write: write_vectorized_json,
-    parse: parse_vectorized_json,
-    print: print_vectorized_summary,
-    check: check_vectorized,
-};
-
-const SERVICE_GATE: GateOps<ServiceMetric> = GateOps {
-    bench: "micro_service",
-    kind: "a service",
-    run: || run_service_comparison(&ServiceSettings::ci_gate()),
-    write: write_service_json,
-    parse: parse_service_json,
-    print: print_service_summary,
-    check: check_service,
-};
-
-const ADAPTIVE_GATE: GateOps<AdaptiveMetric> = GateOps {
-    bench: "micro_adaptive",
-    kind: "an adaptive",
-    run: || run_adaptive_comparison(&AdaptiveSettings::ci_gate()),
-    write: write_adaptive_json,
-    parse: parse_adaptive_json,
-    print: print_adaptive_summary,
-    check: check_adaptive,
-};
-
-const SCHED_GATE: GateOps<SchedMetric> = GateOps {
-    bench: "micro_sched",
-    kind: "a sched",
-    run: || run_sched_sweeps(&SchedSettings::ci_gate()),
-    write: write_sched_json,
-    parse: parse_sched_json,
-    print: print_sched_summary,
-    check: check_sched,
-};
-
-fn verdict(failures: Vec<String>, gated: usize) -> ExitCode {
-    if failures.is_empty() {
-        println!("bench_gate: OK ({gated} entries within tolerance)");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("bench_gate: REGRESSION: {f}");
-        }
-        ExitCode::FAILURE
+/// Runs the gate's harness, writes its report to `path` and prints it.
+fn run_and_write(gate: &Gate, path: &str) -> Result<Vec<provabs_bench::GateEntry>, ExitCode> {
+    let entries = (gate.run)();
+    if let Err(e) = write_gate_json(Path::new(path), gate.bench, &entries) {
+        eprintln!("bench_gate: cannot write {path}: {e}");
+        return Err(ExitCode::from(2));
     }
-}
-
-fn print_summary(metrics: &[BenchMetric]) {
-    println!(
-        "{:<18} {:>12} {:>12} {:>7} {:>10} {:>10} {:>6}",
-        "scenario", "delta_rows", "full_rows", "ratio", "delta_ms", "full_ms", "equal"
-    );
-    for m in metrics {
-        println!(
-            "{:<18} {:>12} {:>12} {:>7.4} {:>10.2} {:>10.2} {:>6}",
-            m.name,
-            m.delta_rows,
-            m.full_rows,
-            m.work_ratio(),
-            m.delta_ms,
-            m.full_ms,
-            m.equal
-        );
-    }
-}
-
-fn print_intern_summary(metrics: &[InternMetric]) {
-    println!(
-        "{:<18} {:>12} {:>12} {:>7} {:>8} {:>10} {:>10} {:>6}",
-        "scenario",
-        "cached_work",
-        "owned_work",
-        "ratio",
-        "hit_rate",
-        "cached_ms",
-        "owned_ms",
-        "equal"
-    );
-    for m in metrics {
-        println!(
-            "{:<18} {:>12} {:>12} {:>7.4} {:>8.4} {:>10.2} {:>10.2} {:>6}",
-            m.name,
-            m.cached_work,
-            m.owned_work,
-            m.work_ratio(),
-            m.hit_rate(),
-            m.cached_ms,
-            m.owned_ms,
-            m.equal
-        );
-    }
-}
-
-fn print_storage_summary(metrics: &[StorageMetric]) {
-    println!(
-        "{:<16} {:>8} {:>12} {:>14} {:>7} {:>7} {:>10} {:>10} {:>6}",
-        "scenario",
-        "probes",
-        "id_pr_bytes",
-        "value_pr_bytes",
-        "ratio",
-        "moved",
-        "engine_ms",
-        "oracle_ms",
-        "equal"
-    );
-    for m in metrics {
-        println!(
-            "{:<16} {:>8} {:>12} {:>14} {:>7.4} {:>7.4} {:>10.2} {:>10.2} {:>6}",
-            m.name,
-            m.probes,
-            m.id_probe_bytes,
-            m.value_probe_bytes,
-            m.work_ratio(),
-            m.moved_ratio(),
-            m.engine_ms,
-            m.oracle_ms,
-            m.equal
-        );
-    }
-}
-
-fn print_planner_summary(metrics: &[PlannerMetric]) {
-    println!(
-        "{:<20} {:>12} {:>12} {:>7} {:>7} {:>9} {:>9} {:>10} {:>10} {:>6}",
-        "scenario",
-        "planned_rows",
-        "written_rows",
-        "ratio",
-        "probes",
-        "reordered",
-        "est_rows",
-        "plan_ms",
-        "written_ms",
-        "equal"
-    );
-    for m in metrics {
-        println!(
-            "{:<20} {:>12} {:>12} {:>7.4} {:>7.4} {:>9} {:>9} {:>10.2} {:>10.2} {:>6}",
-            m.name,
-            m.planned_rows,
-            m.written_rows,
-            m.work_ratio(),
-            m.probe_ratio(),
-            m.atoms_reordered,
-            m.est_rows,
-            m.planned_ms,
-            m.written_ms,
-            m.equal
-        );
-    }
-}
-
-fn print_durability_summary(metrics: &[DurabilityMetric]) {
-    println!(
-        "{:<34} {:>7} {:>12} {:>13} {:>7} {:>8} {:>7} {:>10} {:>10} {:>6}",
-        "scenario",
-        "pages",
-        "reopen_bytes",
-        "rebuild_bytes",
-        "ratio",
-        "replayed",
-        "fsyncs",
-        "reopen_ms",
-        "rebuild_ms",
-        "equal"
-    );
-    for m in metrics {
-        println!(
-            "{:<34} {:>7} {:>12} {:>13} {:>7.4} {:>8} {:>7} {:>10.2} {:>10.2} {:>6}",
-            m.name,
-            m.pages_read,
-            m.reopen_bytes,
-            m.rebuild_bytes,
-            m.work_ratio(),
-            m.wal_txns_replayed,
-            m.workload_fsyncs,
-            m.reopen_ms,
-            m.rebuild_ms,
-            m.equal
-        );
-    }
-}
-
-fn check_durability(baseline: &[DurabilityMetric], current: &[DurabilityMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        if !cur.equal {
-            failures.push(format!(
-                "{}: recovered database no longer matches the in-memory oracle",
-                cur.name
-            ));
-        }
-        if cur.reopen_bytes * 2 > cur.rebuild_bytes {
-            failures.push(format!(
-                "{}: reopen read {} bytes vs rebuild {} — warm reopen no longer halves the work",
-                cur.name, cur.reopen_bytes, cur.rebuild_bytes
-            ));
-        }
-        let allowed = base.work_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.work_ratio() > allowed {
-            failures.push(format!(
-                "{}: work_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.work_ratio(),
-                base.work_ratio(),
-                TOLERANCE * 100.0,
-                allowed
-            ));
-        }
-        let page_budget = (base.pages_read as f64) * (1.0 + TOLERANCE) + 2.0;
-        if (cur.pages_read as f64) > page_budget {
-            failures.push(format!(
-                "{}: {} pages read on reopen exceeds baseline {} (+{:.0}% & slack = {:.0})",
-                cur.name,
-                cur.pages_read,
-                base.pages_read,
-                TOLERANCE * 100.0,
-                page_budget
-            ));
-        }
-    }
-    failures
-}
-
-fn check_planner(baseline: &[PlannerMetric], current: &[PlannerMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        if !cur.equal {
-            failures.push(format!(
-                "{}: planned evaluation no longer matches written-order / oracle output",
-                cur.name
-            ));
-        }
-        if cur.planned_rows * 2 > cur.written_rows {
-            failures.push(format!(
-                "{}: planned {} vs written {} rows — the planner no longer halves the probe work",
-                cur.name, cur.planned_rows, cur.written_rows
-            ));
-        }
-        let allowed = base.work_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.work_ratio() > allowed {
-            failures.push(format!(
-                "{}: work_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.work_ratio(),
-                base.work_ratio(),
-                TOLERANCE * 100.0,
-                allowed
-            ));
-        }
-        let allowed_probe = base.probe_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.probe_ratio() > allowed_probe {
-            failures.push(format!(
-                "{}: probe_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.probe_ratio(),
-                base.probe_ratio(),
-                TOLERANCE * 100.0,
-                allowed_probe
-            ));
-        }
-    }
-    failures
-}
-
-fn check_storage(baseline: &[StorageMetric], current: &[StorageMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        if !cur.equal {
-            failures.push(format!(
-                "{}: columnar engine no longer matches the owned-value oracle",
-                cur.name
-            ));
-        }
-        if cur.id_probe_bytes * 2 > cur.value_probe_bytes {
-            failures.push(format!(
-                "{}: probe bytes {} vs owned {} — dictionary ids no longer halve the hash work",
-                cur.name, cur.id_probe_bytes, cur.value_probe_bytes
-            ));
-        }
-        if cur.id_moved_bytes * 2 > cur.value_moved_bytes {
-            failures.push(format!(
-                "{}: moved bytes {} vs owned {} — id bindings no longer halve the bytes moved",
-                cur.name, cur.id_moved_bytes, cur.value_moved_bytes
-            ));
-        }
-        let allowed = base.work_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.work_ratio() > allowed {
-            failures.push(format!(
-                "{}: work_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.work_ratio(),
-                base.work_ratio(),
-                TOLERANCE * 100.0,
-                allowed
-            ));
-        }
-        let allowed_moved = base.moved_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.moved_ratio() > allowed_moved {
-            failures.push(format!(
-                "{}: moved_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.moved_ratio(),
-                base.moved_ratio(),
-                TOLERANCE * 100.0,
-                allowed_moved
-            ));
-        }
-    }
-    failures
-}
-
-fn print_vectorized_summary(metrics: &[VectorizedMetric]) {
-    println!(
-        "{:<16} {:>11} {:>13} {:>7} {:>11} {:>13} {:>7} {:>8} {:>8} {:>6}",
-        "scenario",
-        "blk_pr_bytes",
-        "scl_pr_bytes",
-        "ratio",
-        "blk_moved",
-        "scl_moved",
-        "moved",
-        "blocks",
-        "gallops",
-        "equal"
-    );
-    for m in metrics {
-        println!(
-            "{:<16} {:>11} {:>13} {:>7.4} {:>11} {:>13} {:>7.4} {:>8} {:>8} {:>6}",
-            m.name,
-            m.block_probe_bytes,
-            m.scalar_probe_bytes,
-            m.probe_ratio(),
-            m.block_moved_bytes,
-            m.scalar_moved_bytes,
-            m.moved_ratio(),
-            m.blocks_emitted,
-            m.gallop_steps,
-            m.equal
-        );
-    }
-}
-
-fn check_vectorized(baseline: &[VectorizedMetric], current: &[VectorizedMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        if !cur.equal {
-            failures.push(format!(
-                "{}: block engine no longer matches the scalar engine / oracle",
-                cur.name
-            ));
-        }
-        if cur.block_probe_bytes * 2 > cur.scalar_probe_bytes {
-            failures.push(format!(
-                "{}: probe bytes {} vs scalar {} — the block pipeline no longer halves the hash work",
-                cur.name, cur.block_probe_bytes, cur.scalar_probe_bytes
-            ));
-        }
-        if cur.block_moved_bytes * 2 > cur.scalar_moved_bytes {
-            failures.push(format!(
-                "{}: moved bytes {} vs scalar {} — the block pipeline no longer halves the boundary traffic",
-                cur.name, cur.block_moved_bytes, cur.scalar_moved_bytes
-            ));
-        }
-        let allowed = base.probe_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.probe_ratio() > allowed {
-            failures.push(format!(
-                "{}: probe_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.probe_ratio(),
-                base.probe_ratio(),
-                TOLERANCE * 100.0,
-                allowed
-            ));
-        }
-        let allowed_moved = base.moved_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.moved_ratio() > allowed_moved {
-            failures.push(format!(
-                "{}: moved_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.moved_ratio(),
-                base.moved_ratio(),
-                TOLERANCE * 100.0,
-                allowed_moved
-            ));
-        }
-    }
-    failures
-}
-
-fn print_service_summary(metrics: &[ServiceMetric]) {
-    println!(
-        "{:<20} {:>5} {:>9} {:>8} {:>9} {:>6} {:>8} {:>6} {:>10} {:>9} {:>6}",
-        "scenario",
-        "ops",
-        "completed",
-        "rejected",
-        "cancelled",
-        "txns",
-        "degraded",
-        "epochs",
-        "max_work",
-        "budget",
-        "equal"
-    );
-    for m in metrics {
-        println!(
-            "{:<20} {:>5} {:>9} {:>8} {:>9} {:>6} {:>8} {:>6} {:>10} {:>9} {:>6}",
-            m.name,
-            m.operations,
-            m.completed,
-            m.rejected,
-            m.cancelled,
-            m.applied_txns,
-            m.degraded_writes,
-            m.epochs_published,
-            m.max_request_work,
-            m.work_budget,
-            m.equal
-        );
-    }
-}
-
-fn check_service(baseline: &[ServiceMetric], current: &[ServiceMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        if !cur.equal {
-            failures.push(format!(
-                "{}: final snapshot no longer matches the oracle replay bit-for-bit",
-                cur.name
-            ));
-        }
-        if cur.max_request_work > cur.work_budget {
-            failures.push(format!(
-                "{}: peak request work {} escaped the budget {} — cancellation no longer bounds requests",
-                cur.name, cur.max_request_work, cur.work_budget
-            ));
-        }
-        if base.rejected > 0 && cur.rejected == 0 {
-            failures.push(format!(
-                "{}: admission control no longer rejects under overload (baseline rejected {})",
-                cur.name, base.rejected
-            ));
-        }
-        if base.cancelled > 0 && cur.cancelled == 0 {
-            failures.push(format!(
-                "{}: budget cancellation no longer fires (baseline cancelled {})",
-                cur.name, base.cancelled
-            ));
-        }
-        if base.degraded_writes > 0 {
-            if cur.degraded_writes == 0 {
-                failures.push(format!(
-                    "{}: the poisoned writer no longer fails fast (baseline degraded {})",
-                    cur.name, base.degraded_writes
-                ));
-            }
-            if cur.applied_txns > base.applied_txns {
-                failures.push(format!(
-                    "{}: writer committed {} txns while degraded, baseline froze at {} — degraded mode must serve reads with zero writer progress",
-                    cur.name, cur.applied_txns, base.applied_txns
-                ));
-            }
-        }
-        if base.epochs_published > 0 && cur.epochs_published == 0 {
-            failures.push(format!(
-                "{}: writer no longer publishes epochs (baseline published {})",
-                cur.name, base.epochs_published
-            ));
-        }
-        let floor = base.completion_ratio() * (1.0 - TOLERANCE) - ABS_SLACK;
-        if cur.completion_ratio() < floor {
-            failures.push(format!(
-                "{}: completion ratio {:.4} below baseline {:.4} (-{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.completion_ratio(),
-                base.completion_ratio(),
-                TOLERANCE * 100.0,
-                floor
-            ));
-        }
-    }
-    failures
-}
-
-fn print_adaptive_summary(metrics: &[AdaptiveMetric]) {
-    println!(
-        "{:<18} {:>13} {:>12} {:>7} {:>7} {:>9} {:>8} {:>8} {:>9} {:>6}",
-        "scenario",
-        "adaptive_rows",
-        "static_rows",
-        "ratio",
-        "replans",
-        "est_error",
-        "hits",
-        "misses",
-        "hit_rate",
-        "equal"
-    );
-    for m in metrics {
-        println!(
-            "{:<18} {:>13} {:>12} {:>7.4} {:>7} {:>9} {:>8} {:>8} {:>9.4} {:>6}",
-            m.name,
-            m.adaptive_rows,
-            m.static_rows,
-            m.work_ratio(),
-            m.replans_triggered,
-            m.est_error_max,
-            m.cache_hits,
-            m.cache_misses,
-            m.hit_rate(),
-            m.equal
-        );
-    }
-}
-
-fn check_adaptive(baseline: &[AdaptiveMetric], current: &[AdaptiveMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        if !cur.equal {
-            failures.push(format!(
-                "{}: adaptive evaluation no longer matches the static plan / oracle output",
-                cur.name
-            ));
-        }
-        if cur.name.starts_with("plan-cache/") {
-            // Cache scenarios gate on the hit rate, not the row ratio
-            // (cached plans are byte-identical to cold plans, so the row
-            // columns are equal by construction).
-            if cur.hit_rate() < 0.9 {
-                failures.push(format!(
-                    "{}: plan-cache hit rate {:.4} fell below 0.9 ({} hits / {} misses)",
-                    cur.name,
-                    cur.hit_rate(),
-                    cur.cache_hits,
-                    cur.cache_misses
-                ));
-            }
-            if base.cache_invalidations > 0 && cur.cache_invalidations == 0 {
-                failures.push(format!(
-                    "{}: epoch fences no longer retire plans (baseline invalidated {})",
-                    cur.name, base.cache_invalidations
-                ));
-            }
-            continue;
-        }
-        if cur.adaptive_rows * 2 > cur.static_rows {
-            failures.push(format!(
-                "{}: adaptive {} vs static {} rows — re-planning no longer halves the probe work",
-                cur.name, cur.adaptive_rows, cur.static_rows
-            ));
-        }
-        if cur.replans_triggered == 0 {
-            failures.push(format!(
-                "{}: the mis-estimate trigger never fired on the correlated-skew workload",
-                cur.name
-            ));
-        }
-        let allowed = base.work_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.work_ratio() > allowed {
-            failures.push(format!(
-                "{}: work_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.work_ratio(),
-                base.work_ratio(),
-                TOLERANCE * 100.0,
-                allowed
-            ));
-        }
-    }
-    failures
-}
-
-fn check_intern(baseline: &[InternMetric], current: &[InternMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        if !cur.equal {
-            failures.push(format!(
-                "{}: memoized path no longer matches the owned-polynomial path",
-                cur.name
-            ));
-        }
-        if cur.cached_work * 2 > cur.owned_work {
-            failures.push(format!(
-                "{}: cached work {} vs owned {} — the arena no longer halves the work",
-                cur.name, cur.cached_work, cur.owned_work
-            ));
-        }
-        let allowed = base.work_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.work_ratio() > allowed {
-            failures.push(format!(
-                "{}: work_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.work_ratio(),
-                base.work_ratio(),
-                TOLERANCE * 100.0,
-                allowed
-            ));
-        }
-    }
-    failures
-}
-
-fn check(baseline: &[BenchMetric], current: &[BenchMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        if !cur.equal {
-            failures.push(format!(
-                "{}: delta maintenance no longer matches full re-evaluation",
-                cur.name
-            ));
-        }
-        if cur.delta_rows >= cur.full_rows {
-            failures.push(format!(
-                "{}: delta path explores {} rows, full re-eval {} — no win",
-                cur.name, cur.delta_rows, cur.full_rows
-            ));
-        }
-        if cur.delta_derivations >= cur.full_derivations {
-            failures.push(format!(
-                "{}: delta derivations {} >= full {}",
-                cur.name, cur.delta_derivations, cur.full_derivations
-            ));
-        }
-        let allowed = base.work_ratio() * (1.0 + TOLERANCE) + ABS_SLACK;
-        if cur.work_ratio() > allowed {
-            failures.push(format!(
-                "{}: work_ratio {:.4} exceeds baseline {:.4} (+{:.0}% & slack = {:.4})",
-                cur.name,
-                cur.work_ratio(),
-                base.work_ratio(),
-                TOLERANCE * 100.0,
-                allowed
-            ));
-        }
-    }
-    failures
-}
-
-fn print_sched_summary(metrics: &[SchedMetric]) {
-    println!(
-        "{:<28} {:>10} {:>8} {:>10} {:>9} {:>7} {:>7} {:>9}",
-        "scenario", "schedules", "pruned", "decisions", "complete", "mutant", "caught", "run_ms"
-    );
-    for m in metrics {
-        println!(
-            "{:<28} {:>10} {:>8} {:>10} {:>9} {:>7} {:>7} {:>9.3}",
-            m.name,
-            m.schedules,
-            m.pruned,
-            m.decisions,
-            m.complete,
-            m.expect_violation,
-            m.caught,
-            m.run_ms
-        );
-    }
-}
-
-fn check_sched(baseline: &[SchedMetric], current: &[SchedMetric]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // Fail closed: a gate that compares nothing protects nothing.
-    if baseline.is_empty() {
-        failures.push("baseline holds no entries — re-emit it with --emit".to_owned());
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.name == cur.name) {
-            failures.push(format!(
-                "{}: scenario has no baseline entry (ungated) — re-emit the baseline",
-                cur.name
-            ));
-        }
-    }
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            failures.push(format!("{}: entry missing from current run", base.name));
-            continue;
-        };
-        // The seeded-bug contract is absolute: a mutant the sweep stops
-        // catching means the harness went blind; a violation on a healthy
-        // protocol means a real publication race.
-        if cur.expect_violation != base.expect_violation {
-            failures.push(format!(
-                "{}: expect_violation flipped ({} -> {}) — scenario redefined, re-emit",
-                cur.name, base.expect_violation, cur.expect_violation
-            ));
-        }
-        if cur.caught != cur.expect_violation {
-            failures.push(if cur.expect_violation {
-                format!(
-                    "{}: the seeded bug was NOT caught — the checker went blind",
-                    cur.name
-                )
-            } else {
-                format!(
-                    "{}: violation found in a healthy protocol — a real schedule bug",
-                    cur.name
-                )
-            });
-        }
-        if !cur.expect_violation && !cur.complete {
-            failures.push(format!(
-                "{}: sweep no longer exhaustive (cap hit) — the exhaustiveness claim is void",
-                cur.name
-            ));
-        }
-        // Exact diff: these counters are pure functions of the seam's
-        // synchronization structure. Any drift means the structure
-        // changed; a human must look and re-emit.
-        if (cur.schedules, cur.pruned, cur.decisions)
-            != (base.schedules, base.pruned, base.decisions)
-        {
-            failures.push(format!(
-                "{}: schedule counters drifted (schedules {} -> {}, pruned {} -> {}, \
-                 decisions {} -> {}) — synchronization structure changed, re-emit the baseline",
-                cur.name,
-                base.schedules,
-                cur.schedules,
-                base.pruned,
-                cur.pruned,
-                base.decisions,
-                cur.decisions
-            ));
-        }
-    }
-    failures
+    print!("{}", gate_table(&entries));
+    Ok(entries)
 }

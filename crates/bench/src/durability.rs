@@ -30,7 +30,7 @@
 //! equality of the recovered database with the in-memory oracle,
 //! fail-closed.
 
-use crate::report::DurabilityMetric;
+use crate::report::GateEntry;
 use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_datagen::{recovery_stream, ChurnConfig};
 use provabs_relational::storage::{shared, DurableDatabase, DurableOptions, MemVfs, SharedVfs};
@@ -106,14 +106,14 @@ const BASE: &str = "bench";
 ///
 /// Panics on any storage error: the bench runs on a fault-free [`MemVfs`],
 /// so an error is a bug, not a measurement.
-pub fn run_durability_comparison(settings: &DurabilitySettings) -> Vec<DurabilityMetric> {
+pub fn run_durability_comparison(settings: &DurabilitySettings) -> Vec<GateEntry> {
     SCENARIOS
         .iter()
         .map(|sc| run_scenario(sc, settings))
         .collect()
 }
 
-fn run_scenario(sc: &Scenario, settings: &DurabilitySettings) -> DurabilityMetric {
+fn run_scenario(sc: &Scenario, settings: &DurabilitySettings) -> GateEntry {
     let (mut db, _) = tpch::generate(&TpchConfig {
         lineitem_rows: settings.lineitem_rows,
         seed: settings.seed,
@@ -163,17 +163,17 @@ fn run_scenario(sc: &Scenario, settings: &DurabilitySettings) -> DurabilityMetri
     // rebuild only reproduces the *logical* state (retired annotations and
     // swap-removed posting order are not re-created by fresh inserts).
     let equal = re.db().same_state(&oracle) && logically_equal(&rebuilt, &oracle);
-    DurabilityMetric {
-        name: sc.name.to_owned(),
-        pages_read,
-        reopen_bytes,
-        rebuild_bytes: rebuild_bytes(&oracle),
-        wal_txns_replayed: info.replayed_txns,
-        workload_fsyncs,
-        reopen_ms,
-        rebuild_ms,
-        equal,
-    }
+    let rebuild_bytes = rebuild_bytes(&oracle);
+    GateEntry::new(sc.name)
+        .count("pages_read", pages_read)
+        .count("reopen_bytes", reopen_bytes)
+        .count("rebuild_bytes", rebuild_bytes)
+        .count("wal_txns_replayed", info.replayed_txns)
+        .count("workload_fsyncs", workload_fsyncs)
+        .ratio("work_ratio", reopen_bytes, rebuild_bytes)
+        .ms("reopen_ms", reopen_ms)
+        .ms("rebuild_ms", rebuild_ms)
+        .flag("equal", equal)
 }
 
 /// Re-ingests `db`'s logical state into a fresh [`Database`]: same schema,
@@ -249,6 +249,7 @@ fn rebuild_bytes(db: &Database) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Gate};
 
     #[test]
     fn comparison_confirms_equality_and_savings() {
@@ -259,29 +260,24 @@ mod tests {
         };
         let metrics = run_durability_comparison(&settings);
         assert_eq!(metrics.len(), SCENARIOS.len());
+        let rules = Gate::named("durability").unwrap().rules;
+        assert_eq!(check(rules, &metrics, &metrics), Vec::<String>::new());
         for m in &metrics {
-            assert!(
-                m.equal,
-                "{}: recovered state diverged from the oracle",
+            let pages = m.get_count("pages_read");
+            assert!(pages > Some(0), "{}: no pages read on reopen", m.name);
+            // Checkpointed scenarios replay nothing; wal-tail scenarios
+            // replay the whole stream.
+            let replayed = if m.name.contains("/checkpointed/") {
+                0
+            } else {
+                settings.batches as u64
+            };
+            assert_eq!(
+                m.get_count("wal_txns_replayed"),
+                Some(replayed),
+                "{}",
                 m.name
             );
-            assert!(
-                m.reopen_bytes * 2 <= m.rebuild_bytes,
-                "{}: reopen read {} bytes, rebuild modeled at {} — not a 2x win",
-                m.name,
-                m.reopen_bytes,
-                m.rebuild_bytes
-            );
-            assert!(m.pages_read > 0, "{}: no pages read on reopen", m.name);
-        }
-        // Checkpointed scenarios replay nothing; wal-tail scenarios replay
-        // the whole stream.
-        for m in &metrics {
-            if m.name.contains("/checkpointed/") {
-                assert_eq!(m.wal_txns_replayed, 0, "{}", m.name);
-            } else {
-                assert_eq!(m.wal_txns_replayed, settings.batches as u64, "{}", m.name);
-            }
         }
     }
 
@@ -299,11 +295,7 @@ mod tests {
         });
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
-            assert_eq!(x.pages_read, y.pages_read, "{}", x.name);
-            assert_eq!(x.reopen_bytes, y.reopen_bytes, "{}", x.name);
-            assert_eq!(x.rebuild_bytes, y.rebuild_bytes, "{}", x.name);
-            assert_eq!(x.wal_txns_replayed, y.wal_txns_replayed, "{}", x.name);
-            assert_eq!(x.workload_fsyncs, y.workload_fsyncs, "{}", x.name);
+            assert_eq!(x.counts(), y.counts(), "{}", x.name);
         }
     }
 }

@@ -31,7 +31,7 @@
 //! Result equality between the two modes is asserted inside each scenario,
 //! so a run that completes with `equal: true` *is* the correctness witness.
 
-use crate::report::InternMetric;
+use crate::report::GateEntry;
 use crate::scenario::{tpch_scenarios, Scenario, ScenarioSettings};
 use provabs_core::privacy::{PrivacyCache, PrivacyConfig};
 use provabs_core::search::{find_optimal_abstraction_with_cache, SearchConfig, SearchOutcome};
@@ -110,7 +110,7 @@ impl InternSettings {
 }
 
 /// Runs every scenario of `settings`, returning one metric per scenario.
-pub fn run_intern_comparison(settings: &InternSettings) -> Vec<InternMetric> {
+pub fn run_intern_comparison(settings: &InternSettings) -> Vec<GateEntry> {
     let mut out = Vec::new();
     let scenario_settings = ScenarioSettings {
         threshold: settings.threshold,
@@ -188,7 +188,7 @@ fn outcome_key(out: &SearchOutcome) -> Option<(Vec<Vec<u32>>, usize, u32, u64)> 
 
 /// One `search/` scenario: `search_repeats` searches per mode on one bound,
 /// counting rows re-abstracted.
-fn search_metric(scenario: &Scenario, settings: &InternSettings) -> Option<InternMetric> {
+fn search_metric(scenario: &Scenario, settings: &InternSettings) -> Option<GateEntry> {
     let bound = Bound::new(&scenario.db, &scenario.tree, &scenario.example).ok()?;
     let run_mode = |memoize: bool| {
         let cfg = search_config(settings, memoize);
@@ -208,16 +208,18 @@ fn search_metric(scenario: &Scenario, settings: &InternSettings) -> Option<Inter
     };
     let (owned_work, _, owned_ms, owned_out) = run_mode(false);
     let (cached_work, memo_hits, cached_ms, cached_out) = run_mode(true);
-    Some(InternMetric {
-        name: format!("search/{}", scenario.name),
-        cached_work,
-        owned_work,
-        memo_hits,
-        memo_misses: cached_work,
-        cached_ms,
-        owned_ms,
-        equal: outcome_key(&owned_out) == outcome_key(&cached_out),
-    })
+    Some(
+        GateEntry::new(format!("search/{}", scenario.name))
+            .count("cached_work", cached_work)
+            .count("owned_work", owned_work)
+            .count("memo_hits", memo_hits)
+            .count("memo_misses", cached_work)
+            .ratio("work_ratio", cached_work, owned_work)
+            .ratio("hit_rate", memo_hits, memo_hits + cached_work)
+            .ms("cached_ms", cached_ms)
+            .ms("owned_ms", owned_ms)
+            .flag("equal", outcome_key(&owned_out) == outcome_key(&cached_out)),
+    )
 }
 
 /// One `eval/` scenario: `rounds` evaluations of the same query — fresh
@@ -229,7 +231,7 @@ fn eval_metric(
     query: &provabs_relational::Cq,
     rounds: usize,
     mode: PlanMode,
-) -> InternMetric {
+) -> GateEntry {
     let rounds = rounds.max(1);
     let mut owned_work = 0u64;
     let mut owned_ms = 0.0f64;
@@ -255,21 +257,24 @@ fn eval_metric(
         cached_results.push(out.to_krelation(&store));
     }
     let w = store.work();
-    InternMetric {
-        name: format!("eval/{qname}"),
-        cached_work: w.constructions(),
-        owned_work,
-        memo_hits: w.mono_hits + w.poly_hits + w.memo_hits,
-        memo_misses: w.constructions() + w.memo_misses,
-        cached_ms,
-        owned_ms,
-        equal: owned_results == cached_results,
-    }
+    let (cached_work, memo_hits) = (w.constructions(), w.mono_hits + w.poly_hits + w.memo_hits);
+    let memo_misses = cached_work + w.memo_misses;
+    GateEntry::new(format!("eval/{qname}"))
+        .count("cached_work", cached_work)
+        .count("owned_work", owned_work)
+        .count("memo_hits", memo_hits)
+        .count("memo_misses", memo_misses)
+        .ratio("work_ratio", cached_work, owned_work)
+        .ratio("hit_rate", memo_hits, memo_hits + memo_misses)
+        .ms("cached_ms", cached_ms)
+        .ms("owned_ms", owned_ms)
+        .flag("equal", owned_results == cached_results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Gate};
 
     fn quick_settings() -> InternSettings {
         InternSettings {
@@ -284,16 +289,8 @@ mod tests {
     fn comparison_confirms_equality_and_savings() {
         let metrics = run_intern_comparison(&quick_settings());
         assert_eq!(metrics.len(), 2);
-        for m in &metrics {
-            assert!(m.equal, "{}: memoized path diverged from owned", m.name);
-            assert!(
-                m.cached_work * 2 <= m.owned_work,
-                "{}: cached {} vs owned {} — below the 2x bar",
-                m.name,
-                m.cached_work,
-                m.owned_work
-            );
-        }
+        let rules = Gate::named("intern").unwrap().rules;
+        assert_eq!(check(rules, &metrics, &metrics), Vec::<String>::new());
     }
 
     #[test]
@@ -307,9 +304,7 @@ mod tests {
         let b = run_intern_comparison(&settings);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cached_work, y.cached_work, "{}", x.name);
-            assert_eq!(x.owned_work, y.owned_work, "{}", x.name);
-            assert_eq!(x.memo_hits, y.memo_hits, "{}", x.name);
+            assert_eq!(x.counts(), y.counts(), "{}", x.name);
         }
     }
 }

@@ -12,6 +12,7 @@
 pub mod adaptive;
 pub mod durability;
 pub mod figures;
+pub mod gate;
 pub mod intern;
 pub mod planner;
 pub mod report;
@@ -25,18 +26,12 @@ pub mod vectorized;
 
 pub use adaptive::{run_adaptive_comparison, AdaptiveSettings};
 pub use durability::{run_durability_comparison, DurabilitySettings};
+pub use gate::{check, Gate, Rule, GATES};
 pub use intern::{run_intern_comparison, InternSettings};
 pub use planner::{run_planner_comparison, PlannerSettings};
 pub use report::{
-    parse_adaptive_json, parse_bench_json, parse_durability_json, parse_intern_json,
-    parse_planner_json, parse_sched_json, parse_service_json, parse_storage_json,
-    parse_vectorized_json, print_table, render_adaptive_json, render_bench_json,
-    render_durability_json, render_intern_json, render_planner_json, render_sched_json,
-    render_service_json, render_storage_json, render_vectorized_json, write_adaptive_json,
-    write_bench_json, write_csv, write_durability_json, write_intern_json, write_planner_json,
-    write_sched_json, write_service_json, write_storage_json, write_vectorized_json,
-    AdaptiveMetric, BenchMetric, DurabilityMetric, InternMetric, Measurement, PlannerMetric,
-    SchedMetric, ServiceMetric, StorageMetric, VectorizedMetric,
+    gate_table, parse_gate_json, print_table, write_csv, write_gate_json, Field, GateEntry,
+    Measurement,
 };
 pub use scenario::{
     imdb_scenarios, run_search, tpch_scenarios, HarnessCaps, Scenario, ScenarioSettings,

@@ -26,7 +26,7 @@
 //! noise. The acceptance bar is a ≥ 2× probe-work reduction
 //! (`planned_rows * 2 <= written_rows`) on every scenario, fail-closed.
 
-use crate::report::PlannerMetric;
+use crate::report::GateEntry;
 use provabs_datagen::imdb::{self, ImdbConfig};
 use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_datagen::{adversarial_order, ChurnConfig, ChurnGenerator};
@@ -89,7 +89,7 @@ impl PlannerSettings {
 }
 
 /// Runs every scenario of `settings`, returning one metric per scenario.
-pub fn run_planner_comparison(settings: &PlannerSettings) -> Vec<PlannerMetric> {
+pub fn run_planner_comparison(settings: &PlannerSettings) -> Vec<GateEntry> {
     let mut out = Vec::new();
     let (tpch_db, _) = tpch::generate(&TpchConfig {
         lineitem_rows: settings.lineitem_rows,
@@ -136,24 +136,24 @@ fn metric_from(
     planned_ms: f64,
     written_ms: f64,
     equal: bool,
-) -> PlannerMetric {
-    PlannerMetric {
-        name: name.to_owned(),
-        planned_rows: planned.rows_examined,
-        written_rows: written.rows_examined,
-        planned_probes: planned.probes,
-        written_probes: written.probes,
-        atoms_reordered: planned.plan.atoms_reordered,
-        est_rows: planned.plan.est_rows,
-        planned_ms,
-        written_ms,
-        equal,
-    }
+) -> GateEntry {
+    GateEntry::new(name)
+        .count("planned_rows", planned.rows_examined)
+        .count("written_rows", written.rows_examined)
+        .count("planned_probes", planned.probes)
+        .count("written_probes", written.probes)
+        .count("atoms_reordered", planned.plan.atoms_reordered)
+        .count("est_rows", planned.plan.est_rows)
+        .ratio("work_ratio", planned.rows_examined, written.rows_examined)
+        .ratio("probe_ratio", planned.probes, written.probes)
+        .ms("planned_ms", planned_ms)
+        .ms("written_ms", written_ms)
+        .flag("equal", equal)
 }
 
 /// One `tpch/`/`imdb/` scenario: full evaluation of the adversarial query
 /// both ways, plus the oracle as the independent correctness witness.
-fn eval_metric(db_proto: &Database, name: &str, adv: &Cq) -> PlannerMetric {
+fn eval_metric(db_proto: &Database, name: &str, adv: &Cq) -> GateEntry {
     let mut db = db_proto.clone();
     db.build_indexes();
     let t0 = Instant::now();
@@ -184,7 +184,7 @@ fn churn_metric(
     name: &str,
     adv: &Cq,
     settings: &PlannerSettings,
-) -> PlannerMetric {
+) -> GateEntry {
     let run = |mode: PlanMode| -> (KRelation, EvalWork, f64, bool, Database) {
         let mut db = db_proto.clone();
         db.build_indexes();
@@ -231,6 +231,7 @@ fn churn_metric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Gate};
 
     fn quick_settings() -> PlannerSettings {
         PlannerSettings {
@@ -247,16 +248,11 @@ mod tests {
     fn comparison_confirms_equality_and_savings() {
         let metrics = run_planner_comparison(&quick_settings());
         assert_eq!(metrics.len(), 3);
+        let rules = Gate::named("planner").unwrap().rules;
+        assert_eq!(check(rules, &metrics, &metrics), Vec::<String>::new());
         for m in &metrics {
-            assert!(m.equal, "{}: planned eval diverged", m.name);
-            assert!(
-                m.planned_rows * 2 <= m.written_rows,
-                "{}: planned {} vs written {} rows — below the 2x bar",
-                m.name,
-                m.planned_rows,
-                m.written_rows
-            );
-            assert!(m.atoms_reordered > 0, "{}: planner did nothing", m.name);
+            let reordered = m.get_count("atoms_reordered");
+            assert!(reordered > Some(0), "{}: planner did nothing", m.name);
         }
     }
 
@@ -272,12 +268,7 @@ mod tests {
         let b = run_planner_comparison(&settings);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.planned_rows, y.planned_rows, "{}", x.name);
-            assert_eq!(x.written_rows, y.written_rows, "{}", x.name);
-            assert_eq!(x.planned_probes, y.planned_probes, "{}", x.name);
-            assert_eq!(x.written_probes, y.written_probes, "{}", x.name);
-            assert_eq!(x.atoms_reordered, y.atoms_reordered, "{}", x.name);
-            assert_eq!(x.est_rows, y.est_rows, "{}", x.name);
+            assert_eq!(x.counts(), y.counts(), "{}", x.name);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Measurement records, table printing, CSV output, and the `BENCH_*.json`
-//! machine-readable report the perf-regression CI gate diffs.
+//! gate report ([`GateEntry`]) the perf-regression CI gate diffs.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::Path;
 
@@ -91,1326 +91,225 @@ pub fn write_csv(dir: &Path, name: &str, rows: &[Measurement]) -> std::io::Resul
     fs::write(dir.join(format!("{name}.csv")), body)
 }
 
-/// One entry of a `BENCH_*.json` report: the deterministic work counters of
-/// a delta-maintenance step next to the full re-evaluation it replaces.
-///
-/// Wall-clock times are carried for humans; the CI gate compares only the
-/// counter-derived ratios, which are machine-independent (same database,
-/// same query, same plan ⇒ same counters).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchMetric {
-    /// Scenario name as the harness emits it: `{query}/ins{percent}`,
-    /// e.g. `TPCH-Q3/ins50` for a 50% insert / 50% delete mix.
-    pub name: String,
-    /// Rows examined by the delta path (retractions + additions + merge).
-    pub delta_rows: u64,
-    /// Rows examined by full re-evaluation of the same batches.
-    pub full_rows: u64,
-    /// Derivations the delta path emitted.
-    pub delta_derivations: u64,
-    /// Derivations full re-evaluation emitted.
-    pub full_derivations: u64,
-    /// Wall time of the delta path, milliseconds (informational).
-    pub delta_ms: f64,
-    /// Wall time of full re-evaluation, milliseconds (informational).
-    pub full_ms: f64,
-    /// Whether the merged cache stayed bit-for-bit equal to re-evaluation.
-    pub equal: bool,
+/// One value of a [`GateEntry`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Field {
+    /// A deterministic work counter: what the gate rules read.
+    Count(u64),
+    /// A counter-derived ratio, rendered `{:.6}`. Carried for humans: the
+    /// rules recompute every ratio from the counts.
+    Ratio(f64),
+    /// Wall time in milliseconds, rendered `{:.3}`; never gated.
+    Ms(f64),
+    /// A yes/no outcome such as `equal`.
+    Flag(bool),
 }
 
-impl BenchMetric {
-    /// Delta work as a fraction of full-re-evaluation work (lower is
-    /// better; `>= 1` means the delta path stopped paying for itself).
-    pub fn work_ratio(&self) -> f64 {
-        self.delta_rows as f64 / self.full_rows.max(1) as f64
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::Count(v) => write!(f, "{v}"),
+            Field::Ratio(v) => write!(f, "{v:.6}"),
+            Field::Ms(v) => write!(f, "{v:.3}"),
+            Field::Flag(v) => write!(f, "{v}"),
+        }
     }
 }
 
-/// Serializes a bench report. Hand-rolled (the vendored serde stub does not
+/// `num / den`, with an empty denominator counted as 1 — the one ratio every
+/// gate report carries and every gate rule recomputes.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
+    num as f64 / den.max(1) as f64
+}
+
+/// One entry of a `BENCH_*.json` report: a scenario name and its named
+/// fields, in the order the report carries them.
+///
+/// The counters are deterministic (same code, same configuration ⇒ same
+/// counts on every machine); the gate rules in [`crate::gate`] read only
+/// them. Wall-clock fields ride along for humans.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateEntry {
+    /// Scenario name, e.g. `TPCH-Q3/ins50` or `corr-skew/s9`.
+    pub name: String,
+    /// `(key, value)` pairs in report order.
+    pub fields: Vec<(String, Field)>,
+}
+
+impl GateEntry {
+    /// An entry with no fields yet.
+    pub fn new(name: impl Into<String>) -> Self {
+        Self {
+            name: name.into(),
+            fields: Vec::new(),
+        }
+    }
+
+    /// Appends a counter.
+    pub fn count(self, key: &str, value: u64) -> Self {
+        self.with(key, Field::Count(value))
+    }
+
+    /// Appends the ratio `num / den` (an empty `den` counts as 1).
+    pub fn ratio(self, key: &str, num: u64, den: u64) -> Self {
+        self.with(key, Field::Ratio(ratio(num, den)))
+    }
+
+    /// Appends a wall time in milliseconds.
+    pub fn ms(self, key: &str, value: f64) -> Self {
+        self.with(key, Field::Ms(value))
+    }
+
+    /// Appends a flag.
+    pub fn flag(self, key: &str, value: bool) -> Self {
+        self.with(key, Field::Flag(value))
+    }
+
+    fn with(mut self, key: &str, value: Field) -> Self {
+        self.fields.push((key.to_owned(), value));
+        self
+    }
+
+    fn get(&self, key: &str) -> Option<Field> {
+        self.fields.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+
+    /// The counter named `key`; `None` if absent or not a counter.
+    pub fn get_count(&self, key: &str) -> Option<u64> {
+        match self.get(key)? {
+            Field::Count(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The flag named `key`; `None` if absent or not a flag.
+    pub fn get_flag(&self, key: &str) -> Option<bool> {
+        match self.get(key)? {
+            Field::Flag(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Every counter, in report order.
+    pub fn counts(&self) -> Vec<(&str, u64)> {
+        self.fields
+            .iter()
+            .filter_map(|(k, v)| match *v {
+                Field::Count(c) => Some((k.as_str(), c)),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// Serializes a gate report. Hand-rolled (the vendored serde stub does not
 /// serialize): one scalar per line, stable key order — the exact shape
-/// [`parse_bench_json`] reads back.
-pub fn render_bench_json(bench: &str, metrics: &[BenchMetric]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"delta_rows\": {},", m.delta_rows);
-        let _ = writeln!(out, "      \"full_rows\": {},", m.full_rows);
-        let _ = writeln!(out, "      \"delta_derivations\": {},", m.delta_derivations);
-        let _ = writeln!(out, "      \"full_derivations\": {},", m.full_derivations);
-        let _ = writeln!(out, "      \"work_ratio\": {:.6},", m.work_ratio());
-        let _ = writeln!(out, "      \"delta_ms\": {:.3},", m.delta_ms);
-        let _ = writeln!(out, "      \"full_ms\": {:.3},", m.full_ms);
-        let _ = writeln!(out, "      \"equal\": {}", m.equal);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
+/// [`parse_gate_json`] reads back.
+pub fn render_gate_json(bench: &str, entries: &[GateEntry]) -> String {
+    let mut out = format!("{{\n  \"schema\": 1,\n  \"bench\": \"{bench}\",\n  \"entries\": [\n");
+    for (i, e) in entries.iter().enumerate() {
+        let _ = write!(out, "    {{\n      \"name\": \"{}\"", e.name);
+        for (key, value) in &e.fields {
+            let _ = write!(out, ",\n      \"{key}\": {value}");
+        }
+        out.push_str(if i + 1 < entries.len() {
+            "\n    },\n"
         } else {
-            "    }\n"
+            "\n    }\n"
         });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Writes a bench report to `path` (creating parent directories).
-pub fn write_bench_json(path: &Path, bench: &str, metrics: &[BenchMetric]) -> std::io::Result<()> {
+/// Writes a gate report to `path` (creating parent directories).
+pub fn write_gate_json(path: &Path, bench: &str, entries: &[GateEntry]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
-    fs::write(path, render_bench_json(bench, metrics))
+    fs::write(path, render_gate_json(bench, entries))
 }
 
-/// One entry of the `BENCH_3.json` report: deterministic work counters of a
-/// memoized-interned path next to the owned-polynomial path it replaces,
-/// plus the memo hit/miss split behind the cached numbers.
-///
-/// `cached_work` / `owned_work` count the same unit per scenario — rows
-/// re-abstracted for `search/*` scenarios, polynomial constructions for
-/// `eval/*` scenarios — so their ratio is the machine-independent speedup
-/// proxy the CI gate diffs. Wall-clock columns are carried for humans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InternMetric {
-    /// Scenario name, e.g. `search/TPCH-Q3` or `eval/TPCH-Q4`.
-    pub name: String,
-    /// Work units the memoized interned path actually performed.
-    pub cached_work: u64,
-    /// Work units the owned-polynomial path performed on the same trace.
-    pub owned_work: u64,
-    /// Memoized lookups answered in O(1).
-    pub memo_hits: u64,
-    /// Memoized lookups that had to compute (equals `cached_work` when the
-    /// counter is construction-based).
-    pub memo_misses: u64,
-    /// Wall time of the interned path, milliseconds (informational).
-    pub cached_ms: f64,
-    /// Wall time of the owned path, milliseconds (informational).
-    pub owned_ms: f64,
-    /// Whether both paths produced identical results.
-    pub equal: bool,
-}
-
-impl InternMetric {
-    /// Cached work as a fraction of owned work (lower is better; the
-    /// acceptance bar is ≤ 0.5, i.e. at least a 2× reduction).
-    pub fn work_ratio(&self) -> f64 {
-        self.cached_work as f64 / self.owned_work.max(1) as f64
-    }
-
-    /// Fraction of memoized lookups answered without computing.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.memo_hits + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.memo_hits as f64 / total as f64
-        }
-    }
-}
-
-/// Serializes an intern-comparison report in the same hand-rolled
-/// line-oriented shape as [`render_bench_json`].
-pub fn render_intern_json(bench: &str, metrics: &[InternMetric]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"cached_work\": {},", m.cached_work);
-        let _ = writeln!(out, "      \"owned_work\": {},", m.owned_work);
-        let _ = writeln!(out, "      \"memo_hits\": {},", m.memo_hits);
-        let _ = writeln!(out, "      \"memo_misses\": {},", m.memo_misses);
-        let _ = writeln!(out, "      \"work_ratio\": {:.6},", m.work_ratio());
-        let _ = writeln!(out, "      \"hit_rate\": {:.6},", m.hit_rate());
-        let _ = writeln!(out, "      \"cached_ms\": {:.3},", m.cached_ms);
-        let _ = writeln!(out, "      \"owned_ms\": {:.3},", m.owned_ms);
-        let _ = writeln!(out, "      \"equal\": {}", m.equal);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes an intern-comparison report to `path` (creating parent
-/// directories).
-pub fn write_intern_json(
-    path: &Path,
-    bench: &str,
-    metrics: &[InternMetric],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, render_intern_json(bench, metrics))
-}
-
-/// One entry of the `BENCH_4.json` report: deterministic storage-layer work
-/// counters of the dictionary-encoded columnar engine next to what the
-/// row-oriented owned-`Value` engine it replaced would have spent on the
-/// identical evaluation — join-probe hash bytes and binding/output
-/// bytes-moved, counted per probe and per move by the engine itself
-/// ([`EvalWork`](provabs_relational::EvalWork)).
-///
-/// `id_probe_bytes / value_probe_bytes` is the machine-independent
-/// join-probe hash-work ratio the CI gate diffs (acceptance bar: ≤ 0.5,
-/// i.e. at least a 2× reduction); the moved-bytes pair tracks binding and
-/// output materialization the same way. Wall-clock columns are for humans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StorageMetric {
-    /// Scenario name, e.g. `eval/TPCH-Q3` or `churn/TPCH-Q4`.
-    pub name: String,
-    /// Index probes the engine issued.
-    pub probes: u64,
-    /// Bytes those probes fed the hasher (4 per probe — a `ValueId`).
-    pub id_probe_bytes: u64,
-    /// Bytes the same probes would have hashed as owned `Value`s.
-    pub value_probe_bytes: u64,
-    /// Bytes moved into bindings and output accumulation as ids.
-    pub id_moved_bytes: u64,
-    /// Bytes the same moves would have cloned as owned `Value`s.
-    pub value_moved_bytes: u64,
-    /// Wall time of the engine run, milliseconds (informational).
-    pub engine_ms: f64,
-    /// Wall time of the owned-value oracle, milliseconds (informational).
-    pub oracle_ms: f64,
-    /// Whether the engine output matched the owned-value oracle
-    /// bit-for-bit.
-    pub equal: bool,
-}
-
-impl StorageMetric {
-    /// Id probe-hash bytes as a fraction of owned probe-hash bytes (lower
-    /// is better; the acceptance bar is ≤ 0.5).
-    pub fn work_ratio(&self) -> f64 {
-        self.id_probe_bytes as f64 / self.value_probe_bytes.max(1) as f64
-    }
-
-    /// Id moved bytes as a fraction of owned moved bytes.
-    pub fn moved_ratio(&self) -> f64 {
-        self.id_moved_bytes as f64 / self.value_moved_bytes.max(1) as f64
-    }
-}
-
-/// Serializes a storage-comparison report in the same hand-rolled
-/// line-oriented shape as [`render_bench_json`].
-pub fn render_storage_json(bench: &str, metrics: &[StorageMetric]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"probes\": {},", m.probes);
-        let _ = writeln!(out, "      \"id_probe_bytes\": {},", m.id_probe_bytes);
-        let _ = writeln!(out, "      \"value_probe_bytes\": {},", m.value_probe_bytes);
-        let _ = writeln!(out, "      \"id_moved_bytes\": {},", m.id_moved_bytes);
-        let _ = writeln!(out, "      \"value_moved_bytes\": {},", m.value_moved_bytes);
-        let _ = writeln!(out, "      \"work_ratio\": {:.6},", m.work_ratio());
-        let _ = writeln!(out, "      \"moved_ratio\": {:.6},", m.moved_ratio());
-        let _ = writeln!(out, "      \"engine_ms\": {:.3},", m.engine_ms);
-        let _ = writeln!(out, "      \"oracle_ms\": {:.3},", m.oracle_ms);
-        let _ = writeln!(out, "      \"equal\": {}", m.equal);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes a storage-comparison report to `path` (creating parent
-/// directories).
-pub fn write_storage_json(
-    path: &Path,
-    bench: &str,
-    metrics: &[StorageMetric],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, render_storage_json(bench, metrics))
-}
-
-/// One entry of the `BENCH_5.json` report: deterministic work counters of a
-/// cost-based-planned evaluation next to the written-order execution of the
-/// *same adversarially-ordered query* — candidate rows examined and index
-/// probes issued, counted by the engine itself
-/// ([`EvalWork`](provabs_relational::EvalWork)), plus the planner's own
-/// counters (atoms it moved, rows it predicted).
-///
-/// `planned_rows / written_rows` is the machine-independent probe-work
-/// ratio the CI gate diffs (acceptance bar: ≤ 0.5, i.e. the planner must
-/// at least halve the join work the pessimal written order pays).
-/// Wall-clock columns are carried for humans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannerMetric {
-    /// Scenario name, e.g. `tpch/TPCH-Q3/adv` or `churn/TPCH-Q10/adv`.
-    pub name: String,
-    /// Candidate rows the cost-based plan examined.
-    pub planned_rows: u64,
-    /// Candidate rows written-order execution examined.
-    pub written_rows: u64,
-    /// Index probes the cost-based plan issued.
-    pub planned_probes: u64,
-    /// Index probes written-order execution issued.
-    pub written_probes: u64,
-    /// Atoms the planner placed at a different position than written.
-    pub atoms_reordered: u64,
-    /// The planner's summed per-step row estimates (its own prediction of
-    /// `planned_rows`).
-    pub est_rows: u64,
-    /// Wall time of the planned run, milliseconds (informational).
-    pub planned_ms: f64,
-    /// Wall time of the written-order run, milliseconds (informational).
-    pub written_ms: f64,
-    /// Whether both executions (and the naive oracle) produced bit-for-bit
-    /// identical K-relations.
-    pub equal: bool,
-}
-
-impl PlannerMetric {
-    /// Planned probe work as a fraction of written-order probe work (lower
-    /// is better; the acceptance bar is ≤ 0.5).
-    pub fn work_ratio(&self) -> f64 {
-        self.planned_rows as f64 / self.written_rows.max(1) as f64
-    }
-
-    /// Planned index probes as a fraction of written-order probes.
-    pub fn probe_ratio(&self) -> f64 {
-        self.planned_probes as f64 / self.written_probes.max(1) as f64
-    }
-}
-
-/// Serializes a planner-comparison report in the same hand-rolled
-/// line-oriented shape as [`render_bench_json`].
-pub fn render_planner_json(bench: &str, metrics: &[PlannerMetric]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"planned_rows\": {},", m.planned_rows);
-        let _ = writeln!(out, "      \"written_rows\": {},", m.written_rows);
-        let _ = writeln!(out, "      \"planned_probes\": {},", m.planned_probes);
-        let _ = writeln!(out, "      \"written_probes\": {},", m.written_probes);
-        let _ = writeln!(out, "      \"atoms_reordered\": {},", m.atoms_reordered);
-        let _ = writeln!(out, "      \"est_rows\": {},", m.est_rows);
-        let _ = writeln!(out, "      \"work_ratio\": {:.6},", m.work_ratio());
-        let _ = writeln!(out, "      \"probe_ratio\": {:.6},", m.probe_ratio());
-        let _ = writeln!(out, "      \"planned_ms\": {:.3},", m.planned_ms);
-        let _ = writeln!(out, "      \"written_ms\": {:.3},", m.written_ms);
-        let _ = writeln!(out, "      \"equal\": {}", m.equal);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes a planner-comparison report to `path` (creating parent
-/// directories).
-pub fn write_planner_json(
-    path: &Path,
-    bench: &str,
-    metrics: &[PlannerMetric],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, render_planner_json(bench, metrics))
-}
-
-/// Parses a report produced by [`render_planner_json`]. Returns
-/// `(bench name, entries)`; `None` on any malformed line.
-pub fn parse_planner_json(text: &str) -> Option<(String, Vec<PlannerMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<PlannerMetric> = None;
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
-            continue;
-        }
-        let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(PlannerMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    planned_rows: 0,
-                    written_rows: 0,
-                    planned_probes: 0,
-                    written_probes: 0,
-                    atoms_reordered: 0,
-                    est_rows: 0,
-                    planned_ms: 0.0,
-                    written_ms: 0.0,
-                    equal: false,
-                });
-            }
-            "planned_rows" => cur.as_mut()?.planned_rows = value.parse().ok()?,
-            "written_rows" => cur.as_mut()?.written_rows = value.parse().ok()?,
-            "planned_probes" => cur.as_mut()?.planned_probes = value.parse().ok()?,
-            "written_probes" => cur.as_mut()?.written_probes = value.parse().ok()?,
-            "atoms_reordered" => cur.as_mut()?.atoms_reordered = value.parse().ok()?,
-            "est_rows" => cur.as_mut()?.est_rows = value.parse().ok()?,
-            "work_ratio" | "probe_ratio" => {} // derived; recomputed
-            "planned_ms" => cur.as_mut()?.planned_ms = value.parse().ok()?,
-            "written_ms" => cur.as_mut()?.written_ms = value.parse().ok()?,
-            "equal" => cur.as_mut()?.equal = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
-}
-
-/// One entry of the `BENCH_9.json` report: deterministic work counters of
-/// an adaptive (mid-join re-planning + sideways statistics) evaluation
-/// next to the static cost-based plan on the same correlated-skew
-/// workload, plus the epoch-keyed plan-cache counters of a closed-loop
-/// service scenario.
-///
-/// Two scenario families share the record:
-///
-/// * `corr-skew/*` — `adaptive_rows / static_rows` is the
-///   machine-independent probe-work ratio the CI gate diffs (acceptance
-///   bar: ≤ 0.5, i.e. adaptivity must at least halve the join work the
-///   confidently-wrong static plan pays); the cache columns are zero.
-/// * `plan-cache/*` — the row columns carry the closed loop's total
-///   examined rows (equal by construction: cached plans are bit-identical
-///   to cold plans) and the gate bar is `hit_rate() ≥ 0.9`.
-///
-/// Wall-clock columns are carried for humans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveMetric {
-    /// Scenario name, e.g. `corr-skew/s9` or `plan-cache/zipf`.
-    pub name: String,
-    /// Candidate rows the adaptive evaluation examined.
-    pub adaptive_rows: u64,
-    /// Candidate rows the static cost-based plan examined.
-    pub static_rows: u64,
-    /// Times the mis-estimate trigger fired during the adaptive run.
-    pub replans_triggered: u64,
-    /// Worst observed estimation error of the *initial* plan
-    /// (`actual_rows / cumulative_estimate`, maximized over depths).
-    pub est_error_max: u64,
-    /// Plan-cache lookups answered from a cached version.
-    pub cache_hits: u64,
-    /// Plan-cache lookups that planned cold.
-    pub cache_misses: u64,
-    /// Plan versions retired by epoch fences at publication.
-    pub cache_invalidations: u64,
-    /// Wall time of the adaptive run, milliseconds (informational).
-    pub adaptive_ms: f64,
-    /// Wall time of the static run, milliseconds (informational).
-    pub static_ms: f64,
-    /// Whether adaptive, static, and oracle outputs were bit-for-bit
-    /// identical (for `plan-cache/*`: snapshot matches the oracle replay).
-    pub equal: bool,
-}
-
-impl AdaptiveMetric {
-    /// Adaptive probe work as a fraction of static probe work (lower is
-    /// better; the acceptance bar on `corr-skew/*` scenarios is ≤ 0.5).
-    pub fn work_ratio(&self) -> f64 {
-        self.adaptive_rows as f64 / self.static_rows.max(1) as f64
-    }
-
-    /// Plan-cache hit ratio (the acceptance bar on `plan-cache/*`
-    /// scenarios is ≥ 0.9; 0 when the scenario issued no lookups).
-    pub fn hit_rate(&self) -> f64 {
-        self.cache_hits as f64 / (self.cache_hits + self.cache_misses).max(1) as f64
-    }
-}
-
-/// Serializes an adaptive-execution report in the same hand-rolled
-/// line-oriented shape as [`render_bench_json`].
-pub fn render_adaptive_json(bench: &str, metrics: &[AdaptiveMetric]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"adaptive_rows\": {},", m.adaptive_rows);
-        let _ = writeln!(out, "      \"static_rows\": {},", m.static_rows);
-        let _ = writeln!(out, "      \"replans_triggered\": {},", m.replans_triggered);
-        let _ = writeln!(out, "      \"est_error_max\": {},", m.est_error_max);
-        let _ = writeln!(out, "      \"cache_hits\": {},", m.cache_hits);
-        let _ = writeln!(out, "      \"cache_misses\": {},", m.cache_misses);
-        let _ = writeln!(
-            out,
-            "      \"cache_invalidations\": {},",
-            m.cache_invalidations
-        );
-        let _ = writeln!(out, "      \"work_ratio\": {:.6},", m.work_ratio());
-        let _ = writeln!(out, "      \"hit_rate\": {:.6},", m.hit_rate());
-        let _ = writeln!(out, "      \"adaptive_ms\": {:.3},", m.adaptive_ms);
-        let _ = writeln!(out, "      \"static_ms\": {:.3},", m.static_ms);
-        let _ = writeln!(out, "      \"equal\": {}", m.equal);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes an adaptive-execution report to `path` (creating parent
-/// directories).
-pub fn write_adaptive_json(
-    path: &Path,
-    bench: &str,
-    metrics: &[AdaptiveMetric],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, render_adaptive_json(bench, metrics))
-}
-
-/// Parses a report produced by [`render_adaptive_json`]. Returns
-/// `(bench name, entries)`; `None` on any malformed line.
-pub fn parse_adaptive_json(text: &str) -> Option<(String, Vec<AdaptiveMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<AdaptiveMetric> = None;
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
-            continue;
-        }
-        let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(AdaptiveMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    adaptive_rows: 0,
-                    static_rows: 0,
-                    replans_triggered: 0,
-                    est_error_max: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    cache_invalidations: 0,
-                    adaptive_ms: 0.0,
-                    static_ms: 0.0,
-                    equal: false,
-                });
-            }
-            "adaptive_rows" => cur.as_mut()?.adaptive_rows = value.parse().ok()?,
-            "static_rows" => cur.as_mut()?.static_rows = value.parse().ok()?,
-            "replans_triggered" => cur.as_mut()?.replans_triggered = value.parse().ok()?,
-            "est_error_max" => cur.as_mut()?.est_error_max = value.parse().ok()?,
-            "cache_hits" => cur.as_mut()?.cache_hits = value.parse().ok()?,
-            "cache_misses" => cur.as_mut()?.cache_misses = value.parse().ok()?,
-            "cache_invalidations" => cur.as_mut()?.cache_invalidations = value.parse().ok()?,
-            "work_ratio" | "hit_rate" => {} // derived; recomputed
-            "adaptive_ms" => cur.as_mut()?.adaptive_ms = value.parse().ok()?,
-            "static_ms" => cur.as_mut()?.static_ms = value.parse().ok()?,
-            "equal" => cur.as_mut()?.equal = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
-}
-
-/// One entry of the `BENCH_10.json` report: the counters of one
-/// schedule-enumeration sweep over a fixed concurrency scenario (see
-/// `provabs_bench::sched`).
-///
-/// Unlike the perf gates, the diff here is **exact**: `schedules`,
-/// `pruned` and `decisions` are pure functions of the scenario's
-/// synchronization structure (deterministic shard routing, single-key
-/// touched sets, pinned explorer config), so any drift means the
-/// concurrency seam itself changed and a human must re-emit the baseline.
-/// `mutant/*` scenarios seed a publication-ordering bug and must report
-/// `caught == true`; healthy scenarios must report `complete == true`
-/// (the sweep was exhaustive, not truncated by a cap).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedMetric {
-    /// Scenario name, e.g. `session/publish-2r1w` or
-    /// `mutant/plan-fence-dropped`.
-    pub name: String,
-    /// Schedules the explorer ran to completion or violation.
-    pub schedules: u64,
-    /// Schedules abandoned by the sleep-set / preemption-bound reduction.
-    pub pruned: u64,
-    /// Total scheduling decisions across all schedules.
-    pub decisions: u64,
-    /// Whether the sweep enumerated every schedule (no cap hit).
-    pub complete: bool,
-    /// Whether the scenario seeds a bug the sweep is supposed to find.
-    pub expect_violation: bool,
-    /// Whether the sweep reported a violation.
-    pub caught: bool,
-    /// Wall time of the sweep, milliseconds (informational).
-    pub run_ms: f64,
-}
-
-/// Serializes a schedule-sweep report in the same hand-rolled
-/// line-oriented shape as [`render_bench_json`].
-pub fn render_sched_json(bench: &str, metrics: &[SchedMetric]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"schedules\": {},", m.schedules);
-        let _ = writeln!(out, "      \"pruned\": {},", m.pruned);
-        let _ = writeln!(out, "      \"decisions\": {},", m.decisions);
-        let _ = writeln!(out, "      \"complete\": {},", m.complete);
-        let _ = writeln!(out, "      \"expect_violation\": {},", m.expect_violation);
-        let _ = writeln!(out, "      \"caught\": {},", m.caught);
-        let _ = writeln!(out, "      \"run_ms\": {:.3}", m.run_ms);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes a schedule-sweep report to `path` (creating parent directories).
-pub fn write_sched_json(path: &Path, bench: &str, metrics: &[SchedMetric]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, render_sched_json(bench, metrics))
-}
-
-/// Parses a report produced by [`render_sched_json`]. Returns
-/// `(bench name, entries)`; `None` on any malformed line.
-pub fn parse_sched_json(text: &str) -> Option<(String, Vec<SchedMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<SchedMetric> = None;
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
-            continue;
-        }
-        let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(SchedMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    schedules: 0,
-                    pruned: 0,
-                    decisions: 0,
-                    complete: false,
-                    expect_violation: false,
-                    caught: false,
-                    run_ms: 0.0,
-                });
-            }
-            "schedules" => cur.as_mut()?.schedules = value.parse().ok()?,
-            "pruned" => cur.as_mut()?.pruned = value.parse().ok()?,
-            "decisions" => cur.as_mut()?.decisions = value.parse().ok()?,
-            "complete" => cur.as_mut()?.complete = value.parse().ok()?,
-            "expect_violation" => cur.as_mut()?.expect_violation = value.parse().ok()?,
-            "caught" => cur.as_mut()?.caught = value.parse().ok()?,
-            "run_ms" => cur.as_mut()?.run_ms = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
-}
-
-/// Parses a report produced by [`render_storage_json`]. Returns
-/// `(bench name, entries)`; `None` on any malformed line.
-pub fn parse_storage_json(text: &str) -> Option<(String, Vec<StorageMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<StorageMetric> = None;
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
-            continue;
-        }
-        let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(StorageMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    probes: 0,
-                    id_probe_bytes: 0,
-                    value_probe_bytes: 0,
-                    id_moved_bytes: 0,
-                    value_moved_bytes: 0,
-                    engine_ms: 0.0,
-                    oracle_ms: 0.0,
-                    equal: false,
-                });
-            }
-            "probes" => cur.as_mut()?.probes = value.parse().ok()?,
-            "id_probe_bytes" => cur.as_mut()?.id_probe_bytes = value.parse().ok()?,
-            "value_probe_bytes" => cur.as_mut()?.value_probe_bytes = value.parse().ok()?,
-            "id_moved_bytes" => cur.as_mut()?.id_moved_bytes = value.parse().ok()?,
-            "value_moved_bytes" => cur.as_mut()?.value_moved_bytes = value.parse().ok()?,
-            "work_ratio" | "moved_ratio" => {} // derived; recomputed
-            "engine_ms" => cur.as_mut()?.engine_ms = value.parse().ok()?,
-            "oracle_ms" => cur.as_mut()?.oracle_ms = value.parse().ok()?,
-            "equal" => cur.as_mut()?.equal = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
-}
-
-/// Parses a report produced by [`render_intern_json`]. Returns
-/// `(bench name, entries)`; `None` on any malformed line.
-pub fn parse_intern_json(text: &str) -> Option<(String, Vec<InternMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<InternMetric> = None;
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
-            continue;
-        }
-        let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(InternMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    cached_work: 0,
-                    owned_work: 0,
-                    memo_hits: 0,
-                    memo_misses: 0,
-                    cached_ms: 0.0,
-                    owned_ms: 0.0,
-                    equal: false,
-                });
-            }
-            "cached_work" => cur.as_mut()?.cached_work = value.parse().ok()?,
-            "owned_work" => cur.as_mut()?.owned_work = value.parse().ok()?,
-            "memo_hits" => cur.as_mut()?.memo_hits = value.parse().ok()?,
-            "memo_misses" => cur.as_mut()?.memo_misses = value.parse().ok()?,
-            "work_ratio" | "hit_rate" => {} // derived; recomputed
-            "cached_ms" => cur.as_mut()?.cached_ms = value.parse().ok()?,
-            "owned_ms" => cur.as_mut()?.owned_ms = value.parse().ok()?,
-            "equal" => cur.as_mut()?.equal = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
-}
-
-/// Parses a report produced by [`render_bench_json`] (line-oriented: one
+/// Parses a report produced by [`render_gate_json`] (line-oriented: one
 /// `"key": value` pair per line). Returns `(bench name, entries)`; `None`
-/// on any malformed line. Not a general JSON parser — exactly the shape the
-/// writer emits, which is all the CI gate needs offline.
-pub fn parse_bench_json(text: &str) -> Option<(String, Vec<BenchMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<BenchMetric> = None;
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
-            continue;
-        }
-        let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(BenchMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    delta_rows: 0,
-                    full_rows: 0,
-                    delta_derivations: 0,
-                    full_derivations: 0,
-                    delta_ms: 0.0,
-                    full_ms: 0.0,
-                    equal: false,
-                });
-            }
-            "delta_rows" => cur.as_mut()?.delta_rows = value.parse().ok()?,
-            "full_rows" => cur.as_mut()?.full_rows = value.parse().ok()?,
-            "delta_derivations" => cur.as_mut()?.delta_derivations = value.parse().ok()?,
-            "full_derivations" => cur.as_mut()?.full_derivations = value.parse().ok()?,
-            "work_ratio" => {} // derived; recomputed from the counters
-            "delta_ms" => cur.as_mut()?.delta_ms = value.parse().ok()?,
-            "full_ms" => cur.as_mut()?.full_ms = value.parse().ok()?,
-            "equal" => cur.as_mut()?.equal = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
-}
-
-/// One entry of the `BENCH_6.json` report: the page I/O the durable storage
-/// layer pays to *reopen* a persisted database next to the analytic byte
-/// cost of *rebuilding* the same logical state from scratch, counted by the
-/// VFS and the pager themselves.
+/// on any malformed line or a missing `bench`. Not a general JSON parser —
+/// exactly the shape the writer emits, which is all the gate needs offline.
 ///
-/// `reopen_bytes / rebuild_bytes` is the machine-independent read-work
-/// ratio the CI gate diffs (acceptance bar: ≤ 0.5, i.e. warm reopen must at
-/// least halve the work of a cold rebuild). Both counters depend only on
-/// database content, page size, and the deterministic churn stream — never
-/// on the runner. Wall-clock columns are carried for humans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DurabilityMetric {
-    /// Scenario name, e.g. `reopen/checkpointed/insert-heavy`.
-    pub name: String,
-    /// Pages physically read from the VFS during `open` (header +
-    /// snapshot decode; WAL bytes are counted in `reopen_bytes` only).
-    pub pages_read: u64,
-    /// Bytes physically read from the VFS during `open` (pages + WAL).
-    pub reopen_bytes: u64,
-    /// Analytic byte cost of re-ingesting the same logical state tuple by
-    /// tuple (value moves + interning hashes + column slots + postings +
-    /// labels).
-    pub rebuild_bytes: u64,
-    /// WAL transactions replayed on top of the snapshot during `open`.
-    pub wal_txns_replayed: u64,
-    /// Fsyncs the persisted workload issued (create + batches +
-    /// checkpoints) — the durability price of the write path.
-    pub workload_fsyncs: u64,
-    /// Wall time of the reopen, milliseconds (informational).
-    pub reopen_ms: f64,
-    /// Wall time of the in-memory rebuild, milliseconds (informational).
-    pub rebuild_ms: f64,
-    /// Whether the recovered database (and the rebuilt one) matched the
-    /// in-memory oracle bit for bit (`Database::same_state`).
-    pub equal: bool,
-}
-
-impl DurabilityMetric {
-    /// Reopen read work as a fraction of the rebuild cost (lower is
-    /// better; the acceptance bar is ≤ 0.5).
-    pub fn work_ratio(&self) -> f64 {
-        self.reopen_bytes as f64 / self.rebuild_bytes.max(1) as f64
-    }
-}
-
-/// Serializes a durability report in the same hand-rolled line-oriented
-/// shape as [`render_bench_json`].
-pub fn render_durability_json(bench: &str, metrics: &[DurabilityMetric]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"pages_read\": {},", m.pages_read);
-        let _ = writeln!(out, "      \"reopen_bytes\": {},", m.reopen_bytes);
-        let _ = writeln!(out, "      \"rebuild_bytes\": {},", m.rebuild_bytes);
-        let _ = writeln!(out, "      \"wal_txns_replayed\": {},", m.wal_txns_replayed);
-        let _ = writeln!(out, "      \"workload_fsyncs\": {},", m.workload_fsyncs);
-        let _ = writeln!(out, "      \"work_ratio\": {:.6},", m.work_ratio());
-        let _ = writeln!(out, "      \"reopen_ms\": {:.3},", m.reopen_ms);
-        let _ = writeln!(out, "      \"rebuild_ms\": {:.3},", m.rebuild_ms);
-        let _ = writeln!(out, "      \"equal\": {}", m.equal);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes a durability report to `path` (creating parent directories).
-pub fn write_durability_json(
-    path: &Path,
-    bench: &str,
-    metrics: &[DurabilityMetric],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, render_durability_json(bench, metrics))
-}
-
-/// Parses a report produced by [`render_durability_json`]. Returns
-/// `(bench name, entries)`; `None` on any malformed line.
-pub fn parse_durability_json(text: &str) -> Option<(String, Vec<DurabilityMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<DurabilityMetric> = None;
+/// A value's kind is read off its text: `true`/`false` is a flag, an
+/// integer is a counter, a decimal under a `*_ms` key is a wall time and
+/// any other decimal a ratio.
+pub fn parse_gate_json(text: &str) -> Option<(String, Vec<GateEntry>)> {
+    let mut bench = None;
+    let mut entries: Vec<GateEntry> = Vec::new();
     for raw in text.lines() {
         let line = raw.trim().trim_end_matches(',');
         if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
             continue;
         }
         let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
+        let (key, value) = (key.trim().trim_matches('"'), value.trim());
         match key {
             "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(DurabilityMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    pages_read: 0,
-                    reopen_bytes: 0,
-                    rebuild_bytes: 0,
-                    wal_txns_replayed: 0,
-                    workload_fsyncs: 0,
-                    reopen_ms: 0.0,
-                    rebuild_ms: 0.0,
-                    equal: false,
-                });
+            "bench" => bench = Some(value.trim_matches('"').to_owned()),
+            "name" => entries.push(GateEntry::new(value.trim_matches('"'))),
+            _ => {
+                let field = match value {
+                    "true" => Field::Flag(true),
+                    "false" => Field::Flag(false),
+                    v if !v.contains('.') => Field::Count(v.parse().ok()?),
+                    v if key.ends_with("_ms") => Field::Ms(v.parse().ok()?),
+                    v => Field::Ratio(v.parse().ok()?),
+                };
+                entries.last_mut()?.fields.push((key.to_owned(), field));
             }
-            "pages_read" => cur.as_mut()?.pages_read = value.parse().ok()?,
-            "reopen_bytes" => cur.as_mut()?.reopen_bytes = value.parse().ok()?,
-            "rebuild_bytes" => cur.as_mut()?.rebuild_bytes = value.parse().ok()?,
-            "wal_txns_replayed" => cur.as_mut()?.wal_txns_replayed = value.parse().ok()?,
-            "workload_fsyncs" => cur.as_mut()?.workload_fsyncs = value.parse().ok()?,
-            "work_ratio" => {} // derived; recomputed
-            "reopen_ms" => cur.as_mut()?.reopen_ms = value.parse().ok()?,
-            "rebuild_ms" => cur.as_mut()?.rebuild_ms = value.parse().ok()?,
-            "equal" => cur.as_mut()?.equal = value.parse().ok()?,
-            _ => return None,
         }
     }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
+    Some((bench?, entries))
 }
 
-/// One entry of the `BENCH_7.json` report: deterministic work counters of
-/// a vectorized block-at-a-time evaluation next to the scalar execution of
-/// the *same query under the same plan* — probe-hash bytes fed to hash
-/// lookups and id bytes moved through bindings/outputs, counted by the
-/// engine itself ([`EvalWork`](provabs_relational::EvalWork)), plus the
-/// block engine's own counters (blocks emitted, selection-vector
-/// survivors, gallop steps).
-///
-/// `block_probe_bytes / scalar_probe_bytes` and `block_moved_bytes /
-/// scalar_moved_bytes` are the machine-independent ratios the CI gate
-/// diffs (acceptance bar: ≤ 0.5 each — the block pipeline must at least
-/// halve both the per-binding hash work and the bytes moved). Wall-clock
-/// columns are carried for humans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VectorizedMetric {
-    /// Scenario name, e.g. `eval/TPCH-Q3` or `eval/IMDB-Q2`.
-    pub name: String,
-    /// Index probes the block engine issued (sorted-index lookups).
-    pub block_probes: u64,
-    /// Hash probes the scalar engine issued for the same evaluation.
-    pub scalar_probes: u64,
-    /// Bytes the block engine fed to hash probes (constants only — the
-    /// per-binding work moved into sorted merges).
-    pub block_probe_bytes: u64,
-    /// Bytes the scalar engine fed to hash probes (4 per binding probe).
-    pub scalar_probe_bytes: u64,
-    /// Id bytes the block engine moved (8 per selection survivor, 4 per
-    /// output key column).
-    pub block_moved_bytes: u64,
-    /// Id bytes the scalar engine moved into bindings and outputs.
-    pub scalar_moved_bytes: u64,
-    /// Blocks the pipeline emitted.
-    pub blocks_emitted: u64,
-    /// Rows that survived selection vectors across all blocks.
-    pub selection_survivors: u64,
-    /// Galloping-search steps spent in sorted merges.
-    pub gallop_steps: u64,
-    /// Wall time of the block run, milliseconds (informational).
-    pub block_ms: f64,
-    /// Wall time of the scalar run, milliseconds (informational).
-    pub scalar_ms: f64,
-    /// Whether block, scalar and the naive owned-value oracle agreed
-    /// bit-for-bit.
-    pub equal: bool,
-}
-
-impl VectorizedMetric {
-    /// Block probe-hash bytes as a fraction of scalar probe-hash bytes
-    /// (lower is better; the acceptance bar is ≤ 0.5).
-    pub fn probe_ratio(&self) -> f64 {
-        self.block_probe_bytes as f64 / self.scalar_probe_bytes.max(1) as f64
-    }
-
-    /// Block moved bytes as a fraction of scalar moved bytes.
-    pub fn moved_ratio(&self) -> f64 {
-        self.block_moved_bytes as f64 / self.scalar_moved_bytes.max(1) as f64
-    }
-}
-
-/// Serializes a vectorized-comparison report in the same hand-rolled
-/// line-oriented shape as [`render_bench_json`].
-pub fn render_vectorized_json(bench: &str, metrics: &[VectorizedMetric]) -> String {
+/// Renders entries as an aligned text table: one row per scenario, one
+/// column per field (headed by the first entry's keys).
+pub fn gate_table(entries: &[GateEntry]) -> String {
+    let Some(first) = entries.first() else {
+        return String::new();
+    };
+    let row = |name: &str, cells: Vec<String>| {
+        std::iter::once(name.to_owned())
+            .chain(cells)
+            .collect::<Vec<_>>()
+    };
+    let mut rows = vec![row(
+        "scenario",
+        first.fields.iter().map(|(k, _)| k.clone()).collect(),
+    )];
+    rows.extend(entries.iter().map(|e| {
+        row(
+            &e.name,
+            e.fields.iter().map(|(_, v)| v.to_string()).collect(),
+        )
+    }));
+    let cols = rows.iter().map(Vec::len).max().unwrap_or(0);
+    let widths: Vec<usize> = (0..cols)
+        .map(|i| {
+            rows.iter()
+                .filter_map(|r| r.get(i))
+                .map(String::len)
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
     let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"block_probes\": {},", m.block_probes);
-        let _ = writeln!(out, "      \"scalar_probes\": {},", m.scalar_probes);
-        let _ = writeln!(out, "      \"block_probe_bytes\": {},", m.block_probe_bytes);
-        let _ = writeln!(
-            out,
-            "      \"scalar_probe_bytes\": {},",
-            m.scalar_probe_bytes
-        );
-        let _ = writeln!(out, "      \"block_moved_bytes\": {},", m.block_moved_bytes);
-        let _ = writeln!(
-            out,
-            "      \"scalar_moved_bytes\": {},",
-            m.scalar_moved_bytes
-        );
-        let _ = writeln!(out, "      \"blocks_emitted\": {},", m.blocks_emitted);
-        let _ = writeln!(
-            out,
-            "      \"selection_survivors\": {},",
-            m.selection_survivors
-        );
-        let _ = writeln!(out, "      \"gallop_steps\": {},", m.gallop_steps);
-        let _ = writeln!(out, "      \"probe_ratio\": {:.6},", m.probe_ratio());
-        let _ = writeln!(out, "      \"moved_ratio\": {:.6},", m.moved_ratio());
-        let _ = writeln!(out, "      \"block_ms\": {:.3},", m.block_ms);
-        let _ = writeln!(out, "      \"scalar_ms\": {:.3},", m.scalar_ms);
-        let _ = writeln!(out, "      \"equal\": {}", m.equal);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+    for r in &rows {
+        for (i, (cell, w)) in r.iter().zip(&widths).enumerate() {
+            let _ = if i == 0 {
+                write!(out, "{cell:<w$}")
+            } else {
+                write!(out, " {cell:>w$}")
+            };
+        }
+        out.push('\n');
     }
-    out.push_str("  ]\n}\n");
     out
-}
-
-/// Writes a vectorized-comparison report to `path` (creating parent
-/// directories).
-pub fn write_vectorized_json(
-    path: &Path,
-    bench: &str,
-    metrics: &[VectorizedMetric],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, render_vectorized_json(bench, metrics))
-}
-
-/// Parses a report produced by [`render_vectorized_json`]. Returns
-/// `(bench name, entries)`; `None` on any malformed line.
-pub fn parse_vectorized_json(text: &str) -> Option<(String, Vec<VectorizedMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<VectorizedMetric> = None;
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
-            continue;
-        }
-        let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(VectorizedMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    block_probes: 0,
-                    scalar_probes: 0,
-                    block_probe_bytes: 0,
-                    scalar_probe_bytes: 0,
-                    block_moved_bytes: 0,
-                    scalar_moved_bytes: 0,
-                    blocks_emitted: 0,
-                    selection_survivors: 0,
-                    gallop_steps: 0,
-                    block_ms: 0.0,
-                    scalar_ms: 0.0,
-                    equal: false,
-                });
-            }
-            "block_probes" => cur.as_mut()?.block_probes = value.parse().ok()?,
-            "scalar_probes" => cur.as_mut()?.scalar_probes = value.parse().ok()?,
-            "block_probe_bytes" => cur.as_mut()?.block_probe_bytes = value.parse().ok()?,
-            "scalar_probe_bytes" => cur.as_mut()?.scalar_probe_bytes = value.parse().ok()?,
-            "block_moved_bytes" => cur.as_mut()?.block_moved_bytes = value.parse().ok()?,
-            "scalar_moved_bytes" => cur.as_mut()?.scalar_moved_bytes = value.parse().ok()?,
-            "blocks_emitted" => cur.as_mut()?.blocks_emitted = value.parse().ok()?,
-            "selection_survivors" => cur.as_mut()?.selection_survivors = value.parse().ok()?,
-            "gallop_steps" => cur.as_mut()?.gallop_steps = value.parse().ok()?,
-            "probe_ratio" | "moved_ratio" => {} // derived; recomputed
-            "block_ms" => cur.as_mut()?.block_ms = value.parse().ok()?,
-            "scalar_ms" => cur.as_mut()?.scalar_ms = value.parse().ok()?,
-            "equal" => cur.as_mut()?.equal = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
-}
-
-/// One entry of the `BENCH_8.json` report: deterministic counters of a
-/// closed-loop run against the `provabsd` session service — requests
-/// admitted/rejected/cancelled, writer transactions applied, epochs
-/// published — next to the invariants the service promises (per-request
-/// work stays within the budget, degraded mode serves reads with zero
-/// writer progress, the final snapshot replays an oracle bit-for-bit).
-///
-/// Every counter is a pure function of the scenario seed and the service
-/// configuration: the workload schedule, the churn stream, the injected
-/// faults, and the budget cancellation point are all op-sequence driven,
-/// never wall-clock driven — so the gate is immune to CI-runner noise.
-/// `run_ms` is carried for humans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceMetric {
-    /// Scenario name, e.g. `closed-loop/zipf` or `degraded/readonly`.
-    pub name: String,
-    /// Operations the schedule issued (queries + update slots).
-    pub operations: u64,
-    /// Queries that completed within budget.
-    pub completed: u64,
-    /// Queries rejected by admission control (fail-fast `Overloaded`).
-    pub rejected: u64,
-    /// Queries cancelled by the deterministic work budget.
-    pub cancelled: u64,
-    /// Answer rows the completed queries returned.
-    pub answer_rows: u64,
-    /// Writer transactions durably committed.
-    pub applied_txns: u64,
-    /// Write attempts that failed fast because the writer was degraded.
-    pub degraded_writes: u64,
-    /// Snapshot epochs the writer published.
-    pub epochs_published: u64,
-    /// Bounded writer retries spent on transient storage faults.
-    pub writer_retries: u64,
-    /// Largest per-request derivation count any query actually performed.
-    pub max_request_work: u64,
-    /// The per-request work budget the scenario ran with.
-    pub work_budget: u64,
-    /// Wall time of the closed loop, milliseconds (informational).
-    pub run_ms: f64,
-    /// Whether the final pinned snapshot matched the oracle replay
-    /// bit-for-bit (state and per-query answers + work counters).
-    pub equal: bool,
-}
-
-impl ServiceMetric {
-    /// Completed queries as a fraction of scheduled operations (higher is
-    /// better; overload scenarios legitimately sit at 0).
-    pub fn completion_ratio(&self) -> f64 {
-        self.completed as f64 / self.operations.max(1) as f64
-    }
-
-    /// Peak per-request work as a fraction of the budget (must be ≤ 1:
-    /// cancellation stops a request exactly at the cap, never past it).
-    pub fn budget_ratio(&self) -> f64 {
-        self.max_request_work as f64 / self.work_budget.max(1) as f64
-    }
-}
-
-/// Serializes a service report in the same hand-rolled line-oriented shape
-/// as [`render_bench_json`].
-pub fn render_service_json(bench: &str, metrics: &[ServiceMetric]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-    out.push_str("  \"entries\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"operations\": {},", m.operations);
-        let _ = writeln!(out, "      \"completed\": {},", m.completed);
-        let _ = writeln!(out, "      \"rejected\": {},", m.rejected);
-        let _ = writeln!(out, "      \"cancelled\": {},", m.cancelled);
-        let _ = writeln!(out, "      \"answer_rows\": {},", m.answer_rows);
-        let _ = writeln!(out, "      \"applied_txns\": {},", m.applied_txns);
-        let _ = writeln!(out, "      \"degraded_writes\": {},", m.degraded_writes);
-        let _ = writeln!(out, "      \"epochs_published\": {},", m.epochs_published);
-        let _ = writeln!(out, "      \"writer_retries\": {},", m.writer_retries);
-        let _ = writeln!(out, "      \"max_request_work\": {},", m.max_request_work);
-        let _ = writeln!(out, "      \"work_budget\": {},", m.work_budget);
-        let _ = writeln!(
-            out,
-            "      \"completion_ratio\": {:.6},",
-            m.completion_ratio()
-        );
-        let _ = writeln!(out, "      \"budget_ratio\": {:.6},", m.budget_ratio());
-        let _ = writeln!(out, "      \"run_ms\": {:.3},", m.run_ms);
-        let _ = writeln!(out, "      \"equal\": {}", m.equal);
-        out.push_str(if i + 1 < metrics.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes a service report to `path` (creating parent directories).
-pub fn write_service_json(
-    path: &Path,
-    bench: &str,
-    metrics: &[ServiceMetric],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, render_service_json(bench, metrics))
-}
-
-/// Parses a report produced by [`render_service_json`]. Returns
-/// `(bench name, entries)`; `None` on any malformed line.
-pub fn parse_service_json(text: &str) -> Option<(String, Vec<ServiceMetric>)> {
-    let mut bench = String::new();
-    let mut entries = Vec::new();
-    let mut cur: Option<ServiceMetric> = None;
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || matches!(line, "{" | "}" | "[" | "]" | "\"entries\": [") {
-            continue;
-        }
-        let (key, value) = line.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "schema" => {}
-            "bench" => bench = value.trim_matches('"').to_owned(),
-            "name" => {
-                if let Some(done) = cur.take() {
-                    entries.push(done);
-                }
-                cur = Some(ServiceMetric {
-                    name: value.trim_matches('"').to_owned(),
-                    operations: 0,
-                    completed: 0,
-                    rejected: 0,
-                    cancelled: 0,
-                    answer_rows: 0,
-                    applied_txns: 0,
-                    degraded_writes: 0,
-                    epochs_published: 0,
-                    writer_retries: 0,
-                    max_request_work: 0,
-                    work_budget: 0,
-                    run_ms: 0.0,
-                    equal: false,
-                });
-            }
-            "operations" => cur.as_mut()?.operations = value.parse().ok()?,
-            "completed" => cur.as_mut()?.completed = value.parse().ok()?,
-            "rejected" => cur.as_mut()?.rejected = value.parse().ok()?,
-            "cancelled" => cur.as_mut()?.cancelled = value.parse().ok()?,
-            "answer_rows" => cur.as_mut()?.answer_rows = value.parse().ok()?,
-            "applied_txns" => cur.as_mut()?.applied_txns = value.parse().ok()?,
-            "degraded_writes" => cur.as_mut()?.degraded_writes = value.parse().ok()?,
-            "epochs_published" => cur.as_mut()?.epochs_published = value.parse().ok()?,
-            "writer_retries" => cur.as_mut()?.writer_retries = value.parse().ok()?,
-            "max_request_work" => cur.as_mut()?.max_request_work = value.parse().ok()?,
-            "work_budget" => cur.as_mut()?.work_budget = value.parse().ok()?,
-            "completion_ratio" | "budget_ratio" => {} // derived; recomputed
-            "run_ms" => cur.as_mut()?.run_ms = value.parse().ok()?,
-            "equal" => cur.as_mut()?.equal = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        entries.push(done);
-    }
-    Some((bench, entries))
 }
 
 #[cfg(test)]
@@ -1439,337 +338,6 @@ mod tests {
         assert!(t.contains("TPCH-Q3"));
         assert!(t.contains("12.50"));
         assert!(t.contains("2.708"));
-    }
-
-    #[test]
-    fn bench_json_roundtrips() {
-        let metrics = vec![
-            BenchMetric {
-                name: "TPCH-Q3/ins50".into(),
-                delta_rows: 120,
-                full_rows: 4800,
-                delta_derivations: 6,
-                full_derivations: 300,
-                delta_ms: 0.42,
-                full_ms: 3.5,
-                equal: true,
-            },
-            BenchMetric {
-                name: "TPCH-Q4/ins100".into(),
-                delta_rows: 44,
-                full_rows: 900,
-                delta_derivations: 2,
-                full_derivations: 80,
-                delta_ms: 0.1,
-                full_ms: 0.9,
-                equal: true,
-            },
-        ];
-        let text = render_bench_json("micro_updates", &metrics);
-        let (bench, parsed) = parse_bench_json(&text).expect("parses");
-        assert_eq!(bench, "micro_updates");
-        assert_eq!(parsed, metrics);
-        assert!(metrics[0].work_ratio() < 0.1);
-        assert_eq!(parse_bench_json("not json"), None);
-    }
-
-    #[test]
-    fn intern_json_roundtrips() {
-        let metrics = vec![
-            InternMetric {
-                name: "search/TPCH-Q3".into(),
-                cached_work: 14,
-                owned_work: 120,
-                memo_hits: 106,
-                memo_misses: 14,
-                cached_ms: 3.5,
-                owned_ms: 9.1,
-                equal: true,
-            },
-            InternMetric {
-                name: "eval/TPCH-Q4".into(),
-                cached_work: 40,
-                owned_work: 240,
-                memo_hits: 200,
-                memo_misses: 40,
-                cached_ms: 0.4,
-                owned_ms: 1.2,
-                equal: true,
-            },
-        ];
-        let text = render_intern_json("micro_intern", &metrics);
-        let (bench, parsed) = parse_intern_json(&text).expect("parses");
-        assert_eq!(bench, "micro_intern");
-        assert_eq!(parsed, metrics);
-        assert!(metrics[0].work_ratio() < 0.5);
-        assert!(metrics[0].hit_rate() > 0.8);
-        assert_eq!(parse_intern_json("not json"), None);
-    }
-
-    #[test]
-    fn storage_json_roundtrips() {
-        let metrics = vec![
-            StorageMetric {
-                name: "eval/TPCH-Q3".into(),
-                probes: 1200,
-                id_probe_bytes: 4800,
-                value_probe_bytes: 19200,
-                id_moved_bytes: 2400,
-                value_moved_bytes: 14400,
-                engine_ms: 0.8,
-                oracle_ms: 40.2,
-                equal: true,
-            },
-            StorageMetric {
-                name: "churn/TPCH-Q4".into(),
-                probes: 90,
-                id_probe_bytes: 360,
-                value_probe_bytes: 1440,
-                id_moved_bytes: 100,
-                value_moved_bytes: 600,
-                engine_ms: 0.1,
-                oracle_ms: 2.0,
-                equal: true,
-            },
-        ];
-        let text = render_storage_json("micro_storage", &metrics);
-        let (bench, parsed) = parse_storage_json(&text).expect("parses");
-        assert_eq!(bench, "micro_storage");
-        assert_eq!(parsed, metrics);
-        assert!(metrics[0].work_ratio() <= 0.5);
-        assert!(metrics[0].moved_ratio() <= 0.5);
-        assert_eq!(parse_storage_json("not json"), None);
-    }
-
-    #[test]
-    fn vectorized_json_roundtrips() {
-        let metrics = vec![
-            VectorizedMetric {
-                name: "eval/TPCH-Q3".into(),
-                block_probes: 400,
-                scalar_probes: 1200,
-                block_probe_bytes: 16,
-                scalar_probe_bytes: 4800,
-                block_moved_bytes: 900,
-                scalar_moved_bytes: 2400,
-                blocks_emitted: 5,
-                selection_survivors: 80,
-                gallop_steps: 300,
-                block_ms: 0.5,
-                scalar_ms: 0.8,
-                equal: true,
-            },
-            VectorizedMetric {
-                name: "eval/IMDB-Q2".into(),
-                block_probes: 30,
-                scalar_probes: 90,
-                block_probe_bytes: 8,
-                scalar_probe_bytes: 360,
-                block_moved_bytes: 40,
-                scalar_moved_bytes: 100,
-                blocks_emitted: 2,
-                selection_survivors: 10,
-                gallop_steps: 25,
-                block_ms: 0.1,
-                scalar_ms: 0.2,
-                equal: true,
-            },
-        ];
-        let text = render_vectorized_json("micro_vectorized", &metrics);
-        let (bench, parsed) = parse_vectorized_json(&text).expect("parses");
-        assert_eq!(bench, "micro_vectorized");
-        assert_eq!(parsed, metrics);
-        assert!(metrics[0].probe_ratio() <= 0.5);
-        assert!(metrics[0].moved_ratio() <= 0.5);
-        assert_eq!(parse_vectorized_json("not json"), None);
-    }
-
-    #[test]
-    fn planner_json_roundtrips() {
-        let metrics = vec![
-            PlannerMetric {
-                name: "tpch/TPCH-Q3/adv".into(),
-                planned_rows: 210,
-                written_rows: 4100,
-                planned_probes: 300,
-                written_probes: 2500,
-                atoms_reordered: 3,
-                est_rows: 190,
-                planned_ms: 0.4,
-                written_ms: 5.0,
-                equal: true,
-            },
-            PlannerMetric {
-                name: "churn/TPCH-Q10/adv".into(),
-                planned_rows: 44,
-                written_rows: 900,
-                planned_probes: 66,
-                written_probes: 700,
-                atoms_reordered: 2,
-                est_rows: 40,
-                planned_ms: 0.1,
-                written_ms: 0.9,
-                equal: true,
-            },
-        ];
-        let text = render_planner_json("micro_planner", &metrics);
-        let (bench, parsed) = parse_planner_json(&text).expect("parses");
-        assert_eq!(bench, "micro_planner");
-        assert_eq!(parsed, metrics);
-        assert!(metrics[0].work_ratio() <= 0.5);
-        assert!(metrics[0].probe_ratio() <= 0.5);
-        assert_eq!(parse_planner_json("not json"), None);
-    }
-
-    #[test]
-    fn adaptive_json_roundtrips() {
-        let metrics = vec![
-            AdaptiveMetric {
-                name: "corr-skew/s9".into(),
-                adaptive_rows: 5_900,
-                static_rows: 18_000,
-                replans_triggered: 1,
-                est_error_max: 16,
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_invalidations: 0,
-                adaptive_ms: 0.8,
-                static_ms: 2.4,
-                equal: true,
-            },
-            AdaptiveMetric {
-                name: "plan-cache/zipf".into(),
-                adaptive_rows: 40_000,
-                static_rows: 40_000,
-                replans_triggered: 0,
-                est_error_max: 0,
-                cache_hits: 370,
-                cache_misses: 20,
-                cache_invalidations: 14,
-                adaptive_ms: 30.0,
-                static_ms: 30.0,
-                equal: true,
-            },
-        ];
-        let text = render_adaptive_json("micro_adaptive", &metrics);
-        let (bench, parsed) = parse_adaptive_json(&text).expect("parses");
-        assert_eq!(bench, "micro_adaptive");
-        assert_eq!(parsed, metrics);
-        assert!(metrics[0].work_ratio() <= 0.5);
-        assert_eq!(metrics[0].hit_rate(), 0.0);
-        assert!(metrics[1].hit_rate() >= 0.9);
-        assert_eq!(parse_adaptive_json("not json"), None);
-    }
-
-    #[test]
-    fn durability_json_roundtrips() {
-        let metrics = vec![
-            DurabilityMetric {
-                name: "reopen/checkpointed/insert-heavy".into(),
-                pages_read: 120,
-                reopen_bytes: 490_000,
-                rebuild_bytes: 2_100_000,
-                wal_txns_replayed: 0,
-                workload_fsyncs: 14,
-                reopen_ms: 1.8,
-                rebuild_ms: 9.5,
-                equal: true,
-            },
-            DurabilityMetric {
-                name: "reopen/wal-tail/delete-heavy".into(),
-                pages_read: 110,
-                reopen_bytes: 460_000,
-                rebuild_bytes: 1_900_000,
-                wal_txns_replayed: 4,
-                workload_fsyncs: 10,
-                reopen_ms: 1.6,
-                rebuild_ms: 8.8,
-                equal: true,
-            },
-        ];
-        let text = render_durability_json("micro_durability", &metrics);
-        let (bench, parsed) = parse_durability_json(&text).expect("parses");
-        assert_eq!(bench, "micro_durability");
-        assert_eq!(parsed, metrics);
-        assert!(metrics[0].work_ratio() <= 0.5);
-        assert_eq!(parse_durability_json("not json"), None);
-    }
-
-    #[test]
-    fn service_json_roundtrips() {
-        let metrics = vec![
-            ServiceMetric {
-                name: "closed-loop/zipf".into(),
-                operations: 48,
-                completed: 40,
-                rejected: 0,
-                cancelled: 0,
-                answer_rows: 9000,
-                applied_txns: 6,
-                degraded_writes: 0,
-                epochs_published: 6,
-                writer_retries: 0,
-                max_request_work: 5000,
-                work_budget: 1 << 20,
-                run_ms: 12.0,
-                equal: true,
-            },
-            ServiceMetric {
-                name: "overload/admission".into(),
-                operations: 48,
-                completed: 0,
-                rejected: 42,
-                cancelled: 0,
-                answer_rows: 0,
-                applied_txns: 6,
-                degraded_writes: 0,
-                epochs_published: 6,
-                writer_retries: 0,
-                max_request_work: 0,
-                work_budget: 1 << 20,
-                run_ms: 3.0,
-                equal: true,
-            },
-        ];
-        let text = render_service_json("micro_service", &metrics);
-        let (bench, parsed) = parse_service_json(&text).expect("parses");
-        assert_eq!(bench, "micro_service");
-        assert_eq!(parsed, metrics);
-        assert!(metrics[0].budget_ratio() <= 1.0);
-        assert!(metrics[0].completion_ratio() > 0.8);
-        assert_eq!(metrics[1].completion_ratio(), 0.0);
-        assert_eq!(parse_service_json("not json"), None);
-    }
-
-    #[test]
-    fn sched_json_roundtrips() {
-        let metrics = vec![
-            SchedMetric {
-                name: "session/publish-2r1w".into(),
-                schedules: 9,
-                pruned: 19,
-                decisions: 235,
-                complete: true,
-                expect_violation: false,
-                caught: false,
-                run_ms: 7.5,
-            },
-            SchedMetric {
-                name: "mutant/plan-fence-dropped".into(),
-                schedules: 4,
-                pruned: 31,
-                decisions: 742,
-                complete: false,
-                expect_violation: true,
-                caught: true,
-                run_ms: 11.0,
-            },
-        ];
-        let text = render_sched_json("micro_sched", &metrics);
-        let (bench, parsed) = parse_sched_json(&text).expect("parses");
-        assert_eq!(bench, "micro_sched");
-        assert_eq!(parsed, metrics);
-        assert_eq!(parse_sched_json("not json"), None);
     }
 
     #[test]

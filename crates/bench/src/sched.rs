@@ -28,7 +28,7 @@
 //! the explorer configs are pinned here — the `PROVABS_SCHED_BUDGET` env
 //! knob deepens the *test-suite* sweeps, never the gate's.
 
-use crate::report::SchedMetric;
+use crate::report::GateEntry;
 use provabs_core::privacy::PrivacyCache;
 use provabs_relational::storage::{FaultyVfs, SharedVfs};
 use provabs_relational::{parse_cq, Database, PlanMode, SessionRegistry, Tuple};
@@ -240,24 +240,22 @@ fn admission_body() {
     assert_eq!((h.queue_depth, h.inflight_work), (0, 0));
 }
 
-fn sweep(name: &str, cfg: Config, expect_violation: bool, body: fn()) -> SchedMetric {
+fn sweep(name: &str, cfg: Config, expect_violation: bool, body: fn()) -> GateEntry {
     let start = Instant::now();
     let outcome = sched::explore_with(cfg, body);
     let run_ms = start.elapsed().as_secs_f64() * 1e3;
-    SchedMetric {
-        name: name.to_owned(),
-        schedules: outcome.schedules,
-        pruned: outcome.pruned,
-        decisions: outcome.decisions,
-        complete: outcome.complete,
-        expect_violation,
-        caught: outcome.violation.is_some(),
-        run_ms,
-    }
+    GateEntry::new(name)
+        .count("schedules", outcome.schedules)
+        .count("pruned", outcome.pruned)
+        .count("decisions", outcome.decisions)
+        .flag("complete", outcome.complete)
+        .flag("expect_violation", expect_violation)
+        .flag("caught", outcome.violation.is_some())
+        .ms("run_ms", run_ms)
 }
 
-/// Runs every gate scenario and returns one [`SchedMetric`] per sweep.
-pub fn run_sched_sweeps(settings: &SchedSettings) -> Vec<SchedMetric> {
+/// Runs every gate scenario and returns one [`GateEntry`] per sweep.
+pub fn run_sched_sweeps(settings: &SchedSettings) -> Vec<GateEntry> {
     let cfg = || settings.config();
     vec![
         sweep("session/publish-2r1w", cfg(), false, session_publish_body),

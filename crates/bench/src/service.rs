@@ -27,7 +27,7 @@
 //! database with exactly the acknowledged churn prefix applied —
 //! bit-for-bit, answers and work counters alike.
 
-use crate::report::ServiceMetric;
+use crate::report::GateEntry;
 use provabs_datagen::tpch::{self, tpch_queries, TpchConfig};
 use provabs_datagen::{
     service_schedule, ChurnConfig, ChurnGenerator, ServiceOp, ServiceWorkloadConfig, Workload,
@@ -97,7 +97,7 @@ const BASE: &str = "bench-svc";
 
 /// Runs the full service comparison: the four fixed scenarios under
 /// `settings`, returning one metric per scenario.
-pub fn run_service_comparison(settings: &ServiceSettings) -> Vec<ServiceMetric> {
+pub fn run_service_comparison(settings: &ServiceSettings) -> Vec<GateEntry> {
     let scenarios = [
         Scenario {
             name: "closed-loop/zipf",
@@ -177,7 +177,7 @@ fn degrade_boundary(settings: &ServiceSettings) -> u64 {
     count
 }
 
-fn run_scenario(sc: &Scenario, settings: &ServiceSettings) -> ServiceMetric {
+fn run_scenario(sc: &Scenario, settings: &ServiceSettings) -> GateEntry {
     let (db, templates) = seed_db(settings);
     let mut oracle = db.clone();
     let vfs: SharedVfs = Arc::new(Mutex::new(FaultyVfs::with_faults(sc.faults.clone())));
@@ -261,27 +261,29 @@ fn run_scenario(sc: &Scenario, settings: &ServiceSettings) -> ServiceMetric {
     }
 
     let stats = svc.stats();
-    ServiceMetric {
-        name: sc.name.to_owned(),
-        operations: schedule.len() as u64,
-        completed,
-        rejected,
-        cancelled,
-        answer_rows,
-        applied_txns: applied,
-        degraded_writes,
-        epochs_published: stats.epochs_published,
-        writer_retries: stats.writer_retries,
-        max_request_work: stats.max_request_work,
-        work_budget: sc.work_budget,
-        run_ms,
-        equal,
-    }
+    let operations = schedule.len() as u64;
+    GateEntry::new(sc.name)
+        .count("operations", operations)
+        .count("completed", completed)
+        .count("rejected", rejected)
+        .count("cancelled", cancelled)
+        .count("answer_rows", answer_rows)
+        .count("applied_txns", applied)
+        .count("degraded_writes", degraded_writes)
+        .count("epochs_published", stats.epochs_published)
+        .count("writer_retries", stats.writer_retries)
+        .count("max_request_work", stats.max_request_work)
+        .count("work_budget", sc.work_budget)
+        .ratio("completion_ratio", completed, operations)
+        .ratio("budget_ratio", stats.max_request_work, sc.work_budget)
+        .ms("run_ms", run_ms)
+        .flag("equal", equal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Gate};
 
     fn small() -> ServiceSettings {
         ServiceSettings {
@@ -295,55 +297,64 @@ mod tests {
     fn scenarios_uphold_their_contracts() {
         let metrics = run_service_comparison(&small());
         assert_eq!(metrics.len(), 4);
-        for m in &metrics {
-            assert!(
-                m.equal,
-                "{}: snapshot diverged from the oracle replay",
-                m.name
-            );
-            assert!(
-                m.max_request_work <= m.work_budget,
-                "{}: request work {} escaped the budget {}",
-                m.name,
-                m.max_request_work,
-                m.work_budget
-            );
-        }
-        let by_name = |n: &str| metrics.iter().find(|m| m.name == n).unwrap();
+        let rules = Gate::named("service").unwrap().rules;
+        assert_eq!(check(rules, &metrics, &metrics), Vec::<String>::new());
+        let get = |scenario: &str, key: &str| {
+            let m = metrics.iter().find(|m| m.name == scenario).unwrap();
+            m.get_count(key).unwrap()
+        };
 
-        let healthy = by_name("closed-loop/zipf");
-        assert!(healthy.completed > 0 && healthy.rejected == 0 && healthy.cancelled == 0);
-        assert!(healthy.applied_txns > 0);
-        assert_eq!(healthy.epochs_published, healthy.applied_txns);
+        let healthy = |key| get("closed-loop/zipf", key);
+        assert!(healthy("completed") > 0 && healthy("rejected") == 0 && healthy("cancelled") == 0);
+        assert!(healthy("applied_txns") > 0);
+        assert_eq!(healthy("epochs_published"), healthy("applied_txns"));
 
-        let overload = by_name("overload/admission");
-        assert_eq!(overload.completed, 0, "held queue must reject every query");
-        assert!(overload.rejected > 0);
-        assert_eq!(overload.max_request_work, 0, "rejection must precede work");
+        let overload = |key| get("overload/admission", key);
         assert_eq!(
-            overload.applied_txns, healthy.applied_txns,
+            overload("completed"),
+            0,
+            "held queue must reject every query"
+        );
+        assert!(overload("rejected") > 0);
+        assert_eq!(
+            overload("max_request_work"),
+            0,
+            "rejection must precede work"
+        );
+        assert_eq!(
+            overload("applied_txns"),
+            healthy("applied_txns"),
             "writer bypasses admission"
         );
 
-        let budget = by_name("budget/cancellation");
+        let budget = |key| get("budget/cancellation", key);
         assert!(
-            budget.cancelled > 0,
+            budget("cancelled") > 0,
             "the tight budget must cancel something"
         );
         assert_eq!(
-            budget.max_request_work, budget.work_budget,
+            budget("max_request_work"),
+            budget("work_budget"),
             "cancellation stops exactly at the cap"
         );
 
-        let degraded = by_name("degraded/readonly");
-        assert_eq!(degraded.applied_txns, 2, "the crash fires in transaction 3");
-        assert!(degraded.degraded_writes > 0, "later writes must fail fast");
+        let degraded = |key| get("degraded/readonly", key);
+        assert_eq!(
+            degraded("applied_txns"),
+            2,
+            "the crash fires in transaction 3"
+        );
         assert!(
-            degraded.completed > 0,
+            degraded("degraded_writes") > 0,
+            "later writes must fail fast"
+        );
+        assert!(
+            degraded("completed") > 0,
             "reads keep completing while degraded"
         );
         assert_eq!(
-            degraded.epochs_published, 2,
+            degraded("epochs_published"),
+            2,
             "zero writer progress after the crash"
         );
     }
@@ -354,16 +365,7 @@ mod tests {
         let b = run_service_comparison(&small());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
-            assert_eq!(x.operations, y.operations, "{}", x.name);
-            assert_eq!(x.completed, y.completed, "{}", x.name);
-            assert_eq!(x.rejected, y.rejected, "{}", x.name);
-            assert_eq!(x.cancelled, y.cancelled, "{}", x.name);
-            assert_eq!(x.answer_rows, y.answer_rows, "{}", x.name);
-            assert_eq!(x.applied_txns, y.applied_txns, "{}", x.name);
-            assert_eq!(x.degraded_writes, y.degraded_writes, "{}", x.name);
-            assert_eq!(x.epochs_published, y.epochs_published, "{}", x.name);
-            assert_eq!(x.writer_retries, y.writer_retries, "{}", x.name);
-            assert_eq!(x.max_request_work, y.max_request_work, "{}", x.name);
+            assert_eq!(x.counts(), y.counts(), "{}", x.name);
         }
     }
 }

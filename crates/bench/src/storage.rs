@@ -26,7 +26,7 @@
 //! plan ⇒ same bytes), so the gate is immune to runner noise; wall-clock
 //! columns are carried for humans.
 
-use crate::report::StorageMetric;
+use crate::report::GateEntry;
 use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_datagen::{ChurnConfig, ChurnGenerator};
 use provabs_relational::oracle::oracle_eval_cq;
@@ -83,7 +83,7 @@ impl StorageSettings {
 }
 
 /// Runs every scenario of `settings`, returning one metric per scenario.
-pub fn run_storage_comparison(settings: &StorageSettings) -> Vec<StorageMetric> {
+pub fn run_storage_comparison(settings: &StorageSettings) -> Vec<GateEntry> {
     let mut out = Vec::new();
     let (db_proto, _) = tpch::generate(&TpchConfig {
         lineitem_rows: settings.lineitem_rows,
@@ -110,23 +110,23 @@ fn metric_from(
     engine_ms: f64,
     oracle_ms: f64,
     equal: bool,
-) -> StorageMetric {
-    StorageMetric {
-        name,
-        probes: work.probes,
-        id_probe_bytes: work.probe_bytes_id,
-        value_probe_bytes: work.probe_bytes_value,
-        id_moved_bytes: work.moved_bytes_id,
-        value_moved_bytes: work.moved_bytes_value,
-        engine_ms,
-        oracle_ms,
-        equal,
-    }
+) -> GateEntry {
+    GateEntry::new(name)
+        .count("probes", work.probes)
+        .count("id_probe_bytes", work.probe_bytes_id)
+        .count("value_probe_bytes", work.probe_bytes_value)
+        .count("id_moved_bytes", work.moved_bytes_id)
+        .count("value_moved_bytes", work.moved_bytes_value)
+        .ratio("work_ratio", work.probe_bytes_id, work.probe_bytes_value)
+        .ratio("moved_ratio", work.moved_bytes_id, work.moved_bytes_value)
+        .ms("engine_ms", engine_ms)
+        .ms("oracle_ms", oracle_ms)
+        .flag("equal", equal)
 }
 
 /// One `eval/` scenario: a full evaluation, counters from the engine,
 /// equality against the owned-value oracle.
-fn eval_metric(db_proto: &Database, qname: &str, query: &Cq, mode: PlanMode) -> StorageMetric {
+fn eval_metric(db_proto: &Database, qname: &str, query: &Cq, mode: PlanMode) -> GateEntry {
     let mut db = db_proto.clone();
     db.build_indexes();
     let t0 = Instant::now();
@@ -156,7 +156,7 @@ fn churn_metric(
     qname: &str,
     query: &Cq,
     settings: &StorageSettings,
-) -> StorageMetric {
+) -> GateEntry {
     let mut db = db_proto.clone();
     db.build_indexes();
     let mut cached = Evaluator::new(&db)
@@ -198,6 +198,7 @@ fn churn_metric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Gate};
 
     fn quick_settings() -> StorageSettings {
         StorageSettings {
@@ -213,23 +214,8 @@ mod tests {
     fn comparison_confirms_equality_and_savings() {
         let metrics = run_storage_comparison(&quick_settings());
         assert_eq!(metrics.len(), 2);
-        for m in &metrics {
-            assert!(m.equal, "{}: engine diverged from the owned oracle", m.name);
-            assert!(
-                m.id_probe_bytes * 2 <= m.value_probe_bytes,
-                "{}: probe bytes {} vs owned {} — below the 2x bar",
-                m.name,
-                m.id_probe_bytes,
-                m.value_probe_bytes
-            );
-            assert!(
-                m.id_moved_bytes * 2 <= m.value_moved_bytes,
-                "{}: moved bytes {} vs owned {} — below the 2x bar",
-                m.name,
-                m.id_moved_bytes,
-                m.value_moved_bytes
-            );
-        }
+        let rules = Gate::named("storage").unwrap().rules;
+        assert_eq!(check(rules, &metrics, &metrics), Vec::<String>::new());
     }
 
     #[test]
@@ -243,11 +229,7 @@ mod tests {
         let b = run_storage_comparison(&settings);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.probes, y.probes, "{}", x.name);
-            assert_eq!(x.id_probe_bytes, y.id_probe_bytes, "{}", x.name);
-            assert_eq!(x.value_probe_bytes, y.value_probe_bytes, "{}", x.name);
-            assert_eq!(x.id_moved_bytes, y.id_moved_bytes, "{}", x.name);
-            assert_eq!(x.value_moved_bytes, y.value_moved_bytes, "{}", x.name);
+            assert_eq!(x.counts(), y.counts(), "{}", x.name);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! run that completes *is* the correctness witness; the counters quantify
 //! the savings with machine-independent numbers the CI gate can diff.
 
-use crate::report::BenchMetric;
+use crate::report::GateEntry;
 use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_datagen::{ChurnConfig, ChurnGenerator};
 use provabs_relational::{Cq, EvalWork, Evaluator, Execution, PlanMode, Updater};
@@ -67,7 +67,7 @@ impl UpdateSettings {
 }
 
 /// The outcome of one scenario (already flattened into report metrics).
-pub fn run_update_comparison(settings: &UpdateSettings) -> Vec<BenchMetric> {
+pub fn run_update_comparison(settings: &UpdateSettings) -> Vec<GateEntry> {
     let mut out = Vec::new();
     let (db_proto, _) = tpch::generate(&TpchConfig {
         lineitem_rows: settings.lineitem_rows,
@@ -93,7 +93,7 @@ fn replay(
     query: &Cq,
     insert_ratio: f64,
     settings: &UpdateSettings,
-) -> BenchMetric {
+) -> GateEntry {
     let mut db = db_proto.clone();
     db.build_indexes();
     // BENCH_2 replays counters recorded on the scalar engine.
@@ -131,21 +131,25 @@ fn replay(
         full_work.absorb(&w);
         equal &= merged && cached == full;
     }
-    BenchMetric {
-        name: format!("{qname}/ins{}", (insert_ratio * 100.0).round() as u32),
-        delta_rows: delta_work.rows_examined,
-        full_rows: full_work.rows_examined,
-        delta_derivations: delta_work.derivations,
-        full_derivations: full_work.derivations,
-        delta_ms,
-        full_ms,
-        equal,
-    }
+    let (delta_rows, full_rows) = (delta_work.rows_examined, full_work.rows_examined);
+    GateEntry::new(format!(
+        "{qname}/ins{}",
+        (insert_ratio * 100.0).round() as u32
+    ))
+    .count("delta_rows", delta_rows)
+    .count("full_rows", full_rows)
+    .count("delta_derivations", delta_work.derivations)
+    .count("full_derivations", full_work.derivations)
+    .ratio("work_ratio", delta_rows, full_rows)
+    .ms("delta_ms", delta_ms)
+    .ms("full_ms", full_ms)
+    .flag("equal", equal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Gate};
 
     #[test]
     fn comparison_confirms_equality_and_savings() {
@@ -159,15 +163,8 @@ mod tests {
         };
         let metrics = run_update_comparison(&settings);
         assert_eq!(metrics.len(), 1);
-        let m = &metrics[0];
-        assert!(m.equal, "delta maintenance diverged from re-evaluation");
-        assert!(
-            m.delta_rows < m.full_rows,
-            "delta path explored {} rows, full re-eval {}",
-            m.delta_rows,
-            m.full_rows
-        );
-        assert!(m.delta_derivations < m.full_derivations);
+        let rules = Gate::named("updates").unwrap().rules;
+        assert_eq!(check(rules, &metrics, &metrics), Vec::<String>::new());
     }
 
     #[test]
@@ -182,8 +179,6 @@ mod tests {
             insert_ratios: vec![1.0],
             ..UpdateSettings::ci_gate()
         });
-        assert_eq!(a[0].delta_rows, b[0].delta_rows);
-        assert_eq!(a[0].full_rows, b[0].full_rows);
-        assert_eq!(a[0].delta_derivations, b[0].delta_derivations);
+        assert_eq!(a[0].counts(), b[0].counts());
     }
 }

@@ -25,7 +25,7 @@
 //! owned-value oracle ([`provabs_relational::oracle`]) — a metric with
 //! `equal: true` *is* the correctness witness.
 
-use crate::report::VectorizedMetric;
+use crate::report::GateEntry;
 use provabs_datagen::imdb::{self, ImdbConfig};
 use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_relational::oracle::oracle_eval_cq;
@@ -81,7 +81,7 @@ impl VectorizedSettings {
 }
 
 /// Runs every scenario of `settings`, returning one metric per scenario.
-pub fn run_vectorized_comparison(settings: &VectorizedSettings) -> Vec<VectorizedMetric> {
+pub fn run_vectorized_comparison(settings: &VectorizedSettings) -> Vec<GateEntry> {
     let mut out = Vec::new();
     let (tpch_db, _) = tpch::generate(&TpchConfig {
         lineitem_rows: settings.lineitem_rows,
@@ -116,7 +116,7 @@ fn eval_metric(
     qname: &str,
     query: &Cq,
     settings: &VectorizedSettings,
-) -> VectorizedMetric {
+) -> GateEntry {
     let mut db = db_proto.clone();
     db.build_indexes();
     let t0 = Instant::now();
@@ -134,26 +134,28 @@ fn eval_metric(
         .eval_cq(query);
     let scalar_ms = t1.elapsed().as_secs_f64() * 1e3;
     let oracle = oracle_eval_cq(&db, query);
-    VectorizedMetric {
-        name: format!("eval/{qname}"),
-        block_probes: block_work.probes,
-        scalar_probes: scalar_work.probes,
-        block_probe_bytes: block_work.probe_bytes_id,
-        scalar_probe_bytes: scalar_work.probe_bytes_id,
-        block_moved_bytes: block_work.boundary_bytes,
-        scalar_moved_bytes: scalar_work.boundary_bytes,
-        blocks_emitted: block_work.blocks_emitted,
-        selection_survivors: block_work.selection_survivors,
-        gallop_steps: block_work.gallop_steps,
-        block_ms,
-        scalar_ms,
-        equal: block_out == scalar_out && block_out == oracle,
-    }
+    let (b, s) = (&block_work, &scalar_work);
+    GateEntry::new(format!("eval/{qname}"))
+        .count("block_probes", b.probes)
+        .count("scalar_probes", s.probes)
+        .count("block_probe_bytes", b.probe_bytes_id)
+        .count("scalar_probe_bytes", s.probe_bytes_id)
+        .count("block_moved_bytes", b.boundary_bytes)
+        .count("scalar_moved_bytes", s.boundary_bytes)
+        .count("blocks_emitted", b.blocks_emitted)
+        .count("selection_survivors", b.selection_survivors)
+        .count("gallop_steps", b.gallop_steps)
+        .ratio("probe_ratio", b.probe_bytes_id, s.probe_bytes_id)
+        .ratio("moved_ratio", b.boundary_bytes, s.boundary_bytes)
+        .ms("block_ms", block_ms)
+        .ms("scalar_ms", scalar_ms)
+        .flag("equal", block_out == scalar_out && block_out == oracle)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Gate};
 
     fn quick_settings() -> VectorizedSettings {
         VectorizedSettings {
@@ -168,27 +170,11 @@ mod tests {
     fn comparison_confirms_equality_and_savings() {
         let metrics = run_vectorized_comparison(&quick_settings());
         assert_eq!(metrics.len(), 2);
+        let rules = Gate::named("vectorized").unwrap().rules;
+        assert_eq!(check(rules, &metrics, &metrics), Vec::<String>::new());
         for m in &metrics {
-            assert!(
-                m.equal,
-                "{}: block engine diverged from scalar/oracle",
-                m.name
-            );
-            assert!(
-                m.block_probe_bytes * 2 <= m.scalar_probe_bytes,
-                "{}: probe bytes {} vs scalar {} — below the 2x bar",
-                m.name,
-                m.block_probe_bytes,
-                m.scalar_probe_bytes
-            );
-            assert!(
-                m.block_moved_bytes * 2 <= m.scalar_moved_bytes,
-                "{}: moved bytes {} vs scalar {} — below the 2x bar",
-                m.name,
-                m.block_moved_bytes,
-                m.scalar_moved_bytes
-            );
-            assert!(m.blocks_emitted > 0, "{}: no blocks emitted", m.name);
+            let blocks = m.get_count("blocks_emitted");
+            assert!(blocks > Some(0), "{}: no blocks emitted", m.name);
         }
     }
 
@@ -203,13 +189,7 @@ mod tests {
         let b = run_vectorized_comparison(&settings);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.block_probes, y.block_probes, "{}", x.name);
-            assert_eq!(x.block_probe_bytes, y.block_probe_bytes, "{}", x.name);
-            assert_eq!(x.scalar_probe_bytes, y.scalar_probe_bytes, "{}", x.name);
-            assert_eq!(x.block_moved_bytes, y.block_moved_bytes, "{}", x.name);
-            assert_eq!(x.scalar_moved_bytes, y.scalar_moved_bytes, "{}", x.name);
-            assert_eq!(x.blocks_emitted, y.blocks_emitted, "{}", x.name);
-            assert_eq!(x.gallop_steps, y.gallop_steps, "{}", x.name);
+            assert_eq!(x.counts(), y.counts(), "{}", x.name);
         }
     }
 }

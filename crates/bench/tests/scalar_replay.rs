@@ -11,104 +11,52 @@
 //! pre-vectorization engine, which breaks the migration story for every
 //! downstream baseline.
 //!
-//! Wall-clock columns (`*_ms`) are machine noise and are the only fields
-//! excluded from the diff.
+//! Every count field of every entry is diffed, so a counter added later is
+//! covered without editing this test; wall-clock fields (`*_ms`) are the
+//! only ones excluded.
 
 use provabs_bench::{
-    parse_planner_json, parse_storage_json, run_planner_comparison, run_storage_comparison,
-    PlannerSettings, StorageSettings,
+    parse_gate_json, run_planner_comparison, run_storage_comparison, GateEntry, PlannerSettings,
+    StorageSettings,
 };
 
-fn read_baseline(name: &str) -> String {
-    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+fn replay_exactly(baseline_file: &str, current: Vec<GateEntry>) {
+    let path = format!("{}/../../{baseline_file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let (_, baseline) = parse_gate_json(&text).unwrap_or_else(|| panic!("parse {baseline_file}"));
+    assert!(!baseline.is_empty(), "{baseline_file} is empty");
+    for base in &baseline {
+        let cur = current
+            .iter()
+            .find(|m| m.name == base.name)
+            .unwrap_or_else(|| panic!("{}: scenario vanished from the sweep", base.name));
+        assert_eq!(
+            cur.counts(),
+            base.counts(),
+            "{}: counters drifted",
+            base.name
+        );
+        assert_eq!(
+            cur.get_flag("equal"),
+            Some(true),
+            "{}: outputs diverged from the oracle",
+            base.name
+        );
+    }
 }
 
 #[test]
 fn storage_counters_replay_bench_4_exactly() {
-    let (_, baseline) =
-        parse_storage_json(&read_baseline("BENCH_4.json")).expect("parse BENCH_4.json");
-    assert!(!baseline.is_empty(), "BENCH_4.json is empty");
-    let current = run_storage_comparison(&StorageSettings::ci_gate());
-    for base in &baseline {
-        let cur = current
-            .iter()
-            .find(|m| m.name == base.name)
-            .unwrap_or_else(|| panic!("{}: scenario vanished from the storage sweep", base.name));
-        assert_eq!(cur.probes, base.probes, "{}: probes drifted", base.name);
-        assert_eq!(
-            cur.id_probe_bytes, base.id_probe_bytes,
-            "{}: id_probe_bytes drifted",
-            base.name
-        );
-        assert_eq!(
-            cur.value_probe_bytes, base.value_probe_bytes,
-            "{}: value_probe_bytes drifted",
-            base.name
-        );
-        assert_eq!(
-            cur.id_moved_bytes, base.id_moved_bytes,
-            "{}: id_moved_bytes drifted",
-            base.name
-        );
-        assert_eq!(
-            cur.value_moved_bytes, base.value_moved_bytes,
-            "{}: value_moved_bytes drifted",
-            base.name
-        );
-        assert!(
-            cur.equal,
-            "{}: engine no longer matches the oracle",
-            base.name
-        );
-    }
+    replay_exactly(
+        "BENCH_4.json",
+        run_storage_comparison(&StorageSettings::ci_gate()),
+    );
 }
 
 #[test]
 fn planner_counters_replay_bench_5_exactly() {
-    let (_, baseline) =
-        parse_planner_json(&read_baseline("BENCH_5.json")).expect("parse BENCH_5.json");
-    assert!(!baseline.is_empty(), "BENCH_5.json is empty");
-    let current = run_planner_comparison(&PlannerSettings::ci_gate());
-    for base in &baseline {
-        let cur = current
-            .iter()
-            .find(|m| m.name == base.name)
-            .unwrap_or_else(|| panic!("{}: scenario vanished from the planner sweep", base.name));
-        assert_eq!(
-            cur.planned_rows, base.planned_rows,
-            "{}: planned_rows drifted",
-            base.name
-        );
-        assert_eq!(
-            cur.written_rows, base.written_rows,
-            "{}: written_rows drifted",
-            base.name
-        );
-        assert_eq!(
-            cur.planned_probes, base.planned_probes,
-            "{}: planned_probes drifted",
-            base.name
-        );
-        assert_eq!(
-            cur.written_probes, base.written_probes,
-            "{}: written_probes drifted",
-            base.name
-        );
-        assert_eq!(
-            cur.atoms_reordered, base.atoms_reordered,
-            "{}: atoms_reordered drifted",
-            base.name
-        );
-        assert_eq!(
-            cur.est_rows, base.est_rows,
-            "{}: est_rows drifted",
-            base.name
-        );
-        assert!(
-            cur.equal,
-            "{}: planned/written/oracle outputs diverged",
-            base.name
-        );
-    }
+    replay_exactly(
+        "BENCH_5.json",
+        run_planner_comparison(&PlannerSettings::ci_gate()),
+    );
 }

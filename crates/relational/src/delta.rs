@@ -302,19 +302,6 @@ pub fn eval_cq_retractions_interned(
     )
 }
 
-/// [`eval_cq_retractions_interned`] under an explicit [`PlanMode`] (each
-/// pivot pass plans the body with the pivot leading).
-#[deprecated(note = "use Evaluator::new(db).plan(mode).interned(store).retractions_cq(q, deletes)")]
-pub fn eval_cq_retractions_interned_mode(
-    db: &Database,
-    q: &Cq,
-    deletes: &HashSet<AnnotId>,
-    store: &mut ProvStore,
-    mode: PlanMode,
-) -> (IKRelation, EvalWork) {
-    eval_delta_side(db, q, deletes, store, mode, Execution::Scalar)
-}
-
 /// [`eval_cq_additions`] trafficking in interned ids against a persistent
 /// store (the maintained-cache fast path).
 pub fn eval_cq_additions_interned(
@@ -331,18 +318,6 @@ pub fn eval_cq_additions_interned(
         PlanMode::default(),
         Execution::Scalar,
     )
-}
-
-/// [`eval_cq_additions_interned`] under an explicit [`PlanMode`].
-#[deprecated(note = "use Evaluator::new(db).plan(mode).interned(store).additions_cq(q, inserts)")]
-pub fn eval_cq_additions_interned_mode(
-    db: &Database,
-    q: &Cq,
-    inserts: &HashSet<AnnotId>,
-    store: &mut ProvStore,
-    mode: PlanMode,
-) -> (IKRelation, EvalWork) {
-    eval_delta_side(db, q, inserts, store, mode, Execution::Scalar)
 }
 
 /// UCQ retractions: the sum of the disjuncts' retractions.
@@ -363,19 +338,6 @@ pub fn eval_ucq_retractions(
     (out.to_krelation(&store), work)
 }
 
-/// [`eval_ucq_retractions`] under an explicit [`PlanMode`].
-#[deprecated(note = "use Evaluator::new(db).plan(mode).retractions_ucq(u, deletes)")]
-pub fn eval_ucq_retractions_mode(
-    db: &Database,
-    u: &Ucq,
-    deletes: &HashSet<AnnotId>,
-    mode: PlanMode,
-) -> (KRelation, EvalWork) {
-    let mut store = ProvStore::new();
-    let (out, work) = sum_disjuncts(db, u, deletes, &mut store, mode, Execution::Scalar);
-    (out.to_krelation(&store), work)
-}
-
 /// UCQ additions: the sum of the disjuncts' additions.
 pub fn eval_ucq_additions(
     db: &Database,
@@ -391,19 +353,6 @@ pub fn eval_ucq_additions(
         PlanMode::default(),
         Execution::Scalar,
     );
-    (out.to_krelation(&store), work)
-}
-
-/// [`eval_ucq_additions`] under an explicit [`PlanMode`].
-#[deprecated(note = "use Evaluator::new(db).plan(mode).additions_ucq(u, inserts)")]
-pub fn eval_ucq_additions_mode(
-    db: &Database,
-    u: &Ucq,
-    inserts: &HashSet<AnnotId>,
-    mode: PlanMode,
-) -> (KRelation, EvalWork) {
-    let mut store = ProvStore::new();
-    let (out, work) = sum_disjuncts(db, u, inserts, &mut store, mode, Execution::Scalar);
     (out.to_krelation(&store), work)
 }
 
@@ -456,8 +405,8 @@ pub fn apply_delta_with_queries(
     apply_delta_owned_impl(db, delta, queries, PlanMode::default(), Execution::Scalar)
 }
 
-/// Owned-boundary implementation behind [`apply_delta_with_queries`], its
-/// deprecated `_mode` shim, and [`Updater`](crate::Updater).
+/// Owned-boundary implementation behind [`apply_delta_with_queries`] and
+/// [`Updater`](crate::Updater).
 pub(crate) fn apply_delta_owned_impl(
     db: &mut Database,
     delta: &Delta,
@@ -476,20 +425,6 @@ pub(crate) fn apply_delta_owned_impl(
         applied: out.applied,
         work: out.work,
     }
-}
-
-/// [`apply_delta_with_queries`] under an explicit [`PlanMode`] — every
-/// retraction and addition pass plans its pivot-restricted body with `mode`
-/// (harnesses replaying checked-in counter baselines pass
-/// [`PlanMode::Greedy`]).
-#[deprecated(note = "use Updater::new().plan(mode).apply(db, delta, queries)")]
-pub fn apply_delta_with_queries_mode(
-    db: &mut Database,
-    delta: &Delta,
-    queries: &[Cq],
-    mode: PlanMode,
-) -> DeltaEvalOutcome {
-    apply_delta_owned_impl(db, delta, queries, mode, Execution::Scalar)
 }
 
 /// The interned full incremental-maintenance cycle (see
@@ -523,19 +458,7 @@ pub fn apply_delta_with_queries_interned(
     )
 }
 
-/// [`apply_delta_with_queries_interned`] under an explicit [`PlanMode`].
-#[deprecated(note = "use Updater::new().plan(mode).apply_interned(db, delta, queries, store)")]
-pub fn apply_delta_with_queries_interned_mode(
-    db: &mut Database,
-    delta: &Delta,
-    queries: &[Cq],
-    store: &mut ProvStore,
-    mode: PlanMode,
-) -> IDeltaEvalOutcome {
-    apply_delta_impl(db, delta, queries, store, mode, Execution::Scalar)
-}
-
-/// The interned full-cycle implementation every shim and
+/// The interned full-cycle implementation every free function and
 /// [`Updater`](crate::Updater) routes through.
 pub(crate) fn apply_delta_impl(
     db: &mut Database,

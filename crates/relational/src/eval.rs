@@ -16,9 +16,7 @@
 //! The pipeline dispatches on [`Execution`]: the vectorized block engine
 //! ([`crate::exec`]) by default, or the scalar backtracking engine in this
 //! module — the replay mode whose counters the PR 2–6 gates pin. Prefer the
-//! [`Evaluator`](crate::Evaluator) builder over the free functions below;
-//! the `*_mode` matrix survives only as `#[deprecated]` shims (all pinned to
-//! [`Execution::Scalar`], matching their historical behavior).
+//! [`Evaluator`](crate::Evaluator) builder over the free functions below.
 
 use crate::exec::Execution;
 use crate::interned::IKRelation;
@@ -250,8 +248,8 @@ pub fn eval_cq_counted(db: &Database, q: &Cq, limits: EvalLimits) -> (KRelation,
     )
 }
 
-/// Owned-boundary implementation behind [`eval_cq_counted`], the deprecated
-/// `_mode` shim, and [`Evaluator`](crate::Evaluator). `adaptive` arms the
+/// Owned-boundary implementation behind [`eval_cq_counted`] and
+/// [`Evaluator`](crate::Evaluator). `adaptive` arms the
 /// mid-join re-planning trigger; `plan_override` executes a caller-supplied
 /// plan (a plan-cache hit) instead of planning — the caller guarantees it
 /// was produced for this exact database content, query, mode and pivot.
@@ -277,23 +275,6 @@ pub(crate) fn eval_cq_owned_impl(
         plan_override,
     );
     (out.to_krelation(&store), work)
-}
-
-/// [`eval_cq_counted`] under an explicit [`PlanMode`].
-///
-/// The output K-relation of an **unlimited** evaluation is identical for
-/// every mode (the join is order-independent); only the work counters move.
-/// Under [`EvalLimits`] truncation, *which* outputs survive the cap depends
-/// on enumeration order and therefore on the plan — callers replaying
-/// checked-in counter baselines pass [`PlanMode::Greedy`].
-#[deprecated(note = "use Evaluator::new(db).plan(mode).limits(limits).eval_cq(q)")]
-pub fn eval_cq_counted_mode(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    mode: PlanMode,
-) -> (KRelation, EvalWork) {
-    eval_cq_owned_impl(db, q, limits, mode, Execution::Scalar, None, None)
 }
 
 /// [`eval_cq_counted`] under an explicit [`PlanMode`], also returning the
@@ -385,28 +366,6 @@ pub fn eval_cq_counted_interned(
     )
 }
 
-/// [`eval_cq_counted_interned`] under an explicit [`PlanMode`].
-#[deprecated(note = "use Evaluator::new(db).plan(mode).limits(limits).interned(store).eval_cq(q)")]
-pub fn eval_cq_counted_interned_mode(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    store: &mut ProvStore,
-    mode: PlanMode,
-) -> (IKRelation, EvalWork) {
-    run_engine(
-        db,
-        q,
-        limits,
-        None,
-        store,
-        mode,
-        Execution::Scalar,
-        None,
-        None,
-    )
-}
-
 /// Restriction of an evaluation to derivations through a *pivot* atom
 /// (semi-naive delta evaluation): the pivot body atom may only match rows
 /// whose annotation is in `set`, body atoms *before* the pivot (in the
@@ -448,7 +407,7 @@ pub(crate) fn eval_cq_restricted(
     )
 }
 
-/// Interned implementation behind the deprecated `_mode` shims and
+/// Interned implementation behind
 /// [`InternedEvaluator`](crate::InternedEvaluator).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_cq_interned_impl(
@@ -749,19 +708,7 @@ pub fn eval_ucq_interned(db: &Database, u: &Ucq, store: &mut ProvStore) -> IKRel
     eval_ucq_interned_impl(db, u, store, PlanMode::default(), Execution::Scalar, None).0
 }
 
-/// [`eval_ucq_interned`] under an explicit [`PlanMode`] (each disjunct is
-/// planned independently).
-#[deprecated(note = "use Evaluator::new(db).plan(mode).interned(store).eval_ucq(u)")]
-pub fn eval_ucq_interned_mode(
-    db: &Database,
-    u: &Ucq,
-    store: &mut ProvStore,
-    mode: PlanMode,
-) -> IKRelation {
-    eval_ucq_interned_impl(db, u, store, mode, Execution::Scalar, None).0
-}
-
-/// UCQ implementation behind the shims and
+/// UCQ implementation behind [`eval_ucq_interned`] and
 /// [`InternedEvaluator`](crate::InternedEvaluator): sums the disjuncts'
 /// outputs and work.
 pub(crate) fn eval_ucq_interned_impl(

@@ -2,9 +2,8 @@
 //!
 //! Historically each combination of {CQ, UCQ} × {owned, interned} ×
 //! {plain, limited, counted, delta-restricted} × {default, explicit
-//! [`PlanMode`]} grew its own free function, ending in a
-//! `eval_cq_counted_interned_mode`-style matrix. The builder collapses the
-//! matrix into configuration:
+//! [`PlanMode`]} would need its own free function. The builder collapses
+//! that matrix into configuration:
 //!
 //! ```
 //! use provabs_relational::{parse_cq, Database, Evaluator, Execution, PlanMode};

@@ -52,18 +52,10 @@ pub use delta::{
     eval_ucq_additions, eval_ucq_retractions, AppliedDelta, Delta, DeltaEvalOutcome, DeltaInsert,
     IDeltaEvalOutcome, KRelationDelta,
 };
-#[allow(deprecated)]
-pub use delta::{
-    apply_delta_with_queries_interned_mode, apply_delta_with_queries_mode,
-    eval_cq_additions_interned_mode, eval_cq_retractions_interned_mode, eval_ucq_additions_mode,
-    eval_ucq_retractions_mode,
-};
 pub use eval::{
     eval_cq, eval_cq_counted, eval_cq_counted_interned, eval_cq_limited, eval_cq_traced,
     eval_cqs_parallel, eval_ucq, eval_ucq_interned, EvalLimits, EvalWork, KRelation,
 };
-#[allow(deprecated)]
-pub use eval::{eval_cq_counted_interned_mode, eval_cq_counted_mode, eval_ucq_interned_mode};
 pub use evaluator::{Evaluator, InternedEvaluator, Updater};
 pub use exec::{Execution, DEFAULT_BLOCK_SIZE};
 pub use interned::{IKRelation, IKRelationDelta};
