@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrate hot paths: polynomial arithmetic,
-//! provenance-tracking evaluation, canonicalization, containment, row
-//! connectivity, privacy.
+//! provenance-tracking evaluation, canonicalization, containment, the
+//! consistent-query frontier, row connectivity, privacy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use provabs_bench::scenario::{imdb_scenarios, ScenarioSettings};
@@ -106,6 +106,20 @@ fn bench(c: &mut Criterion) {
         }
     }
     let q4_row = q4_abs.apply(&q4).rows.swap_remove(0);
+
+    // The consistent-query frontier of IMDB-Q4's two concrete rows, as
+    // Algorithm 1 asks for it (connected queries only): Directs, Genre and
+    // Movie each appear twice per row, so 2 * 2 * 2 = 8 alignments, and
+    // most of their most-specific queries are disconnected.
+    let q4_rows = imdb_q4.example.resolve(&imdb_q4.db).unwrap();
+    assert_eq!(q4_rows.len(), 2, "IMDB-Q4's K-example has two rows");
+    let connected_only = RevOptions {
+        connected_only: true,
+        ..RevOptions::default()
+    };
+    group.bench_function("find_consistent_queries/self_join_2row", |b| {
+        b.iter(|| find_consistent_queries(&q4_rows, &connected_only));
+    });
     let q4_cap = 20_000;
     group.bench_function("connected_row_concretizations", |b| {
         b.iter(|| connected_row_concretizations(&q4, &q4_row, q4_cap, true));

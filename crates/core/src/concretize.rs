@@ -90,10 +90,12 @@ impl RowConcretizations {
 /// order of [`for_each_row_concretization`], from an enumeration capped at
 /// `max` concretizations. Equal to that enumerator followed by
 /// [`monomial_connected`] on every occurrence list (every list is kept when
-/// `connectivity_filter` is off), but each candidate leaf's sorted value-id
-/// set is resolved once per call and a verdict is a bitmask search over
-/// those sets that allocates nothing. Rows of more than 64 symbols fall
-/// back to [`monomial_connected`].
+/// `connectivity_filter` is off), but a candidate leaf's sorted value-id
+/// set is resolved once per call, on the first verdict that reads it, and a
+/// verdict is a bitmask search over those sets that allocates nothing. The
+/// odometer turns the last symbol fastest, so a capped enumeration never
+/// resolves most leaves of the other symbols. Rows of more than 64 symbols
+/// fall back to [`monomial_connected`].
 pub fn connected_row_concretizations(
     bound: &Bound<'_>,
     row: &AbsRow,
@@ -118,7 +120,7 @@ pub fn connected_row_concretizations(
     };
     // One- and zero-symbol rows are connected by definition.
     let check = connectivity_filter && width > 1;
-    let sets = (check && width <= 64).then(|| ValueSets::resolve(bound.db, &choices));
+    let mut sets = (check && width <= 64).then(|| ValueSets::new(bound.db, &choices));
     let mut idx = vec![0usize; width];
     let mut current: Vec<AnnotId> = choices.iter().map(|c| c[0]).collect();
     loop {
@@ -127,7 +129,7 @@ pub fn connected_row_concretizations(
             return out;
         }
         out.produced += 1;
-        let keep = match &sets {
+        let keep = match &mut sets {
             Some(sets) => sets.connected(&idx),
             None => !check || monomial_connected(bound.db, &current),
         };
@@ -153,45 +155,73 @@ pub fn connected_row_concretizations(
     }
 }
 
-/// The sorted distinct value ids of every candidate leaf of a row, per
-/// symbol position, in one flat buffer.
-struct ValueSets {
+/// The sorted distinct value ids of the candidate leaves of a row, per
+/// symbol position, in one flat buffer, each resolved on first use.
+struct ValueSets<'a> {
+    db: &'a Database,
+    choices: &'a [&'a [AnnotId]],
     ids: Vec<ValueId>,
-    /// Per `(position, choice)`: the `ids` range of its set, or `None` when
-    /// the annotation tags no tuple.
-    spans: Vec<Option<(u32, u32)>>,
+    /// Per `(position, choice)`: the state of its set.
+    spans: Vec<Span>,
     /// Per position: the index of its first choice in `spans`.
     base: Vec<usize>,
 }
 
-impl ValueSets {
-    fn resolve(db: &Database, choices: &[&[AnnotId]]) -> Self {
-        let mut sets = Self {
-            ids: Vec::new(),
-            spans: Vec::new(),
-            base: Vec::with_capacity(choices.len()),
-        };
+/// Where a candidate leaf's value-id set lives in [`ValueSets::ids`].
+#[derive(Clone, Copy)]
+enum Span {
+    /// Not read yet.
+    Unresolved,
+    /// The annotation tags no tuple.
+    Missing,
+    /// The `ids` range of its set.
+    At(u32, u32),
+}
+
+impl<'a> ValueSets<'a> {
+    fn new(db: &'a Database, choices: &'a [&'a [AnnotId]]) -> Self {
+        let mut base = Vec::with_capacity(choices.len());
+        let mut n = 0;
         for c in choices {
-            sets.base.push(sets.spans.len());
-            for &a in *c {
-                let span = db.locate(a).map(|loc| {
-                    let start = sets.ids.len() as u32;
-                    sets.ids.extend(db.row_value_ids(loc));
-                    (start, sets.ids.len() as u32)
-                });
-                sets.spans.push(span);
-            }
+            base.push(n);
+            n += c.len();
         }
-        sets
+        Self {
+            db,
+            choices,
+            ids: Vec::new(),
+            spans: vec![Span::Unresolved; n],
+            base,
+        }
+    }
+
+    /// The value-id range of choice `c` at position `p`, resolving it on
+    /// first use; `None` when the annotation tags no tuple.
+    fn span(&mut self, p: usize, c: usize) -> Option<(u32, u32)> {
+        let slot = self.base[p] + c;
+        if let Span::Unresolved = self.spans[slot] {
+            self.spans[slot] = match self.db.locate(self.choices[p][c]) {
+                Some(loc) => {
+                    let start = self.ids.len() as u32;
+                    self.ids.extend(self.db.row_value_ids(loc));
+                    Span::At(start, self.ids.len() as u32)
+                }
+                None => Span::Missing,
+            };
+        }
+        match self.spans[slot] {
+            Span::At(start, end) => Some((start, end)),
+            _ => None,
+        }
     }
 
     /// Whether the concretization choosing `idx[p]` at every position `p`
     /// is connected: every occurrence resolves and the share-a-value graph
     /// over the occurrences is connected (`idx.len()` is 2..=64).
-    fn connected(&self, idx: &[usize]) -> bool {
+    fn connected(&mut self, idx: &[usize]) -> bool {
         let mut spans = [(0u32, 0u32); 64];
         for (p, &c) in idx.iter().enumerate() {
-            match self.spans[self.base[p] + c] {
+            match self.span(p, c) {
                 Some(span) => spans[p] = span,
                 None => return false,
             }

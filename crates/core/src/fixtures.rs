@@ -167,13 +167,17 @@ mod tests {
                 }
             }
         }
-        // Resolution through the owned boundary agrees with the decode.
+        // Resolved rows read the same ids and decode the same tuples.
         let resolved = ex.resolve(&fx.db).expect("resolvable");
         for row in &resolved {
-            for (a, rel, t) in &row.occurrences {
-                let loc = fx.db.locate(*a).unwrap();
-                assert_eq!(loc.rel, *rel);
-                assert_eq!(&fx.db.decode_row(loc.rel, loc.row), t);
+            for (i, &(a, loc)) in row.occurrences.iter().enumerate() {
+                assert_eq!(fx.db.locate(a), Some(loc));
+                let (rel, t) = fx.db.tuple_by_annot(a).unwrap();
+                assert_eq!(row.rel(i), rel);
+                assert_eq!(row.arity(i), t.arity());
+                for col in 0..t.arity() {
+                    assert_eq!(row.value(i, col), &t[col]);
+                }
             }
         }
     }

@@ -394,7 +394,7 @@ impl PrivacyCache {
         let mut key = ConcKey::with_capacity(conc.len());
         for (output, occs) in conc {
             let id = self.occs.ids.get_borrowed(sorted(occs).as_slice())?;
-            key.push((output.clone(), id));
+            key.push((Arc::new(output.clone()), id));
         }
         self.consistent_at(&key, epoch)
     }
@@ -411,7 +411,7 @@ impl PrivacyCache {
     ) -> Arc<Frontier> {
         let key = conc
             .iter()
-            .map(|(output, occs)| (output.clone(), self.occs.intern(sorted(occs))))
+            .map(|(output, occs)| (Arc::new(output.clone()), self.occs.intern(sorted(occs))))
             .collect();
         self.store_consistent(key, epoch, Arc::new(frontier))
     }
@@ -436,7 +436,13 @@ impl PrivacyCache {
 }
 
 /// Cache key: the concrete rows (output + interned sorted occurrence list).
-type ConcKey = Vec<(Tuple, OccId)>;
+///
+/// An evaluation shares each row's output among all its keys, so building
+/// a key copies no tuple. `Arc<Tuple>` hashes as the `Tuple` it holds, so
+/// a key lands in the shard its owned-tuple form would: the lock sequence
+/// the schedule-enumeration harness sees is a function of the key's
+/// content alone.
+type ConcKey = Vec<(Arc<Tuple>, OccId)>;
 
 /// A sorted copy of an occurrence list (the interner's key form).
 fn sorted(occs: &[AnnotId]) -> Vec<AnnotId> {
@@ -472,6 +478,7 @@ pub fn compute_privacy(
         cache,
         stats: PrivacyStats::default(),
         sorted: Vec::new(),
+        outputs: Vec::new(),
     };
     match cfg.query_class {
         QueryClass::Cq => {
@@ -506,6 +513,8 @@ struct Eval<'e, 'db> {
     stats: PrivacyStats,
     /// Reused buffer for sorting an occurrence list before a cache probe.
     sorted: Vec<AnnotId>,
+    /// The shared output of each abstracted row, filled on first probe.
+    outputs: Vec<Arc<Tuple>>,
 }
 
 impl Eval<'_, '_> {
@@ -535,6 +544,16 @@ impl Eval<'_, '_> {
             Some(id) => id,
             None => self.cache.occs.intern(self.sorted.clone()),
         }
+    }
+
+    /// The shared output of row `r` of the evaluation's abstracted rows,
+    /// copied once per evaluation.
+    fn output(&mut self, abs_rows: &[AbsRow], r: usize) -> Arc<Tuple> {
+        while self.outputs.len() <= r {
+            let output = abs_rows[self.outputs.len()].output.clone();
+            self.outputs.push(Arc::new(output));
+        }
+        Arc::clone(&self.outputs[r])
     }
 
     /// Row connectivity of one concretization of the direct path
@@ -576,7 +595,7 @@ impl Eval<'_, '_> {
         let key: Option<ConcKey> = self.cfg.caching.then(|| {
             conc.iter()
                 .enumerate()
-                .map(|(r, occs)| (abs_rows[r].output.clone(), self.occ_id(occs)))
+                .map(|(r, occs)| (self.output(abs_rows, r), self.occ_id(occs)))
                 .collect()
         });
         let cached = key

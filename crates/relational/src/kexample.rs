@@ -1,8 +1,9 @@
 //! K-examples (Def. 2.4): output examples together with their provenance.
 
-use crate::{Database, KRelation, RelId, Tuple};
+use crate::{Database, KRelation, RelId, Tuple, TupleRef, Value, ValueId};
 use provabs_semiring::{AnnotId, AnnotRegistry, Monomial};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One row of a K-example: an output tuple and one provenance monomial.
 ///
@@ -84,7 +85,7 @@ impl KExample {
     /// Resolves every occurrence against `db`, yielding [`ConcreteRow`]s.
     ///
     /// Returns `None` if some annotation does not tag a tuple of `db`.
-    pub fn resolve(&self, db: &Database) -> Option<Vec<ConcreteRow>> {
+    pub fn resolve<'db>(&self, db: &'db Database) -> Option<Vec<ConcreteRow<'db>>> {
         self.rows
             .iter()
             .map(|r| ConcreteRow::resolve(db, &r.output, &r.monomial.occurrences()))
@@ -101,55 +102,79 @@ impl KExample {
     }
 }
 
-/// A K-example row with every annotation occurrence resolved to its tuple.
+/// A K-example row with every annotation occurrence located in its
+/// database.
 ///
 /// This is the input shape of the reverse-engineering algorithms: the query
-/// atoms must map bijectively onto `occurrences`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConcreteRow {
+/// atoms must map bijectively onto `occurrences`. Occurrences are read in
+/// place as dictionary ids ([`ConcreteRow::value_id`]); nothing is decoded
+/// when a row is resolved, and an owned [`Value`] is materialized only
+/// where a caller asks for one ([`ConcreteRow::value`]).
+#[derive(Clone)]
+pub struct ConcreteRow<'db> {
+    /// The database the occurrences live in.
+    pub db: &'db Database,
     /// The output tuple.
     pub output: Tuple,
-    /// The resolved occurrences: annotation, owning relation, tuple values.
-    pub occurrences: Vec<(AnnotId, RelId, Tuple)>,
+    /// The located occurrences: annotation and tuple location.
+    pub occurrences: Vec<(AnnotId, TupleRef)>,
 }
 
-impl ConcreteRow {
-    /// Resolves an occurrence list against `db` (the decode boundary:
-    /// columnar rows materialize into owned tuples here).
-    pub fn resolve(db: &Database, output: &Tuple, occs: &[AnnotId]) -> Option<ConcreteRow> {
+impl fmt::Debug for ConcreteRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConcreteRow")
+            .field("output", &self.output)
+            .field("occurrences", &self.occurrences)
+            .finish()
+    }
+}
+
+impl<'db> ConcreteRow<'db> {
+    /// Locates an occurrence list in `db`; `None` if some annotation tags
+    /// no tuple. Reads no column and decodes nothing.
+    pub fn resolve(db: &'db Database, output: &Tuple, occs: &[AnnotId]) -> Option<Self> {
         let occurrences = occs
             .iter()
-            .map(|&a| db.tuple_by_annot(a).map(|(rel, t)| (a, rel, t)))
+            .map(|&a| db.locate(a).map(|loc| (a, loc)))
             .collect::<Option<Vec<_>>>()?;
         Some(ConcreteRow {
+            db,
             output: output.clone(),
             occurrences,
         })
     }
 
+    /// The relation of occurrence `i`.
+    pub fn rel(&self, i: usize) -> RelId {
+        self.occurrences[i].1.rel
+    }
+
+    /// The arity of occurrence `i`'s relation.
+    pub fn arity(&self, i: usize) -> usize {
+        self.db.schema().arity(self.rel(i))
+    }
+
+    /// The dictionary id in column `col` of occurrence `i`'s tuple.
+    pub fn value_id(&self, i: usize, col: usize) -> ValueId {
+        let loc = self.occurrences[i].1;
+        self.db.column(loc.rel, col)[loc.row]
+    }
+
+    /// The value in column `col` of occurrence `i`'s tuple.
+    pub fn value(&self, i: usize, col: usize) -> &'db Value {
+        self.db.value(self.value_id(i, col))
+    }
+
     /// Whether the row's tuples form a connected graph under the
-    /// shares-a-constant relation (§4.1, "Concretizations connectivity").
+    /// shares-a-constant relation (§4.1, "Concretizations connectivity"),
+    /// decided on the tuples' value ids like [`monomial_connected`].
     pub fn is_connected(&self) -> bool {
-        let n = self.occurrences.len();
-        if n <= 1 {
-            return true;
-        }
-        let mut reached = vec![false; n];
-        let mut stack = vec![0usize];
-        reached[0] = true;
-        while let Some(i) = stack.pop() {
-            for (j, r) in reached.iter_mut().enumerate() {
-                if !*r
-                    && self.occurrences[i]
-                        .2
-                        .shares_constant(&self.occurrences[j].2)
-                {
-                    *r = true;
-                    stack.push(j);
-                }
-            }
-        }
-        reached.into_iter().all(|r| r)
+        ids_connected(
+            self.occurrences
+                .iter()
+                .map(|&(_, loc)| self.db.row_value_ids(loc))
+                .collect(),
+        )
     }
 }
 
@@ -160,12 +185,11 @@ impl ConcreteRow {
 /// (they cannot join anything), unless it is a single occurrence.
 ///
 /// Runs entirely on interned storage: each occurrence's row collapses to its
-/// sorted distinct [`ValueId`](crate::ValueId) set once, and the edge test
-/// is a merge probe of two sorted id lists — no tuple is decoded and no
-/// `Value` is compared, unlike the owned
-/// [`Tuple::shares_constant`] scan ([`ConcreteRow::is_connected`] keeps the
-/// owned path for already-resolved rows; a regression test pins both to the
-/// same connectivity graph).
+/// sorted distinct [`ValueId`] set once, and the edge test is a merge probe
+/// of two sorted id lists — no tuple is decoded and no `Value` is compared,
+/// unlike the owned [`Tuple::shares_constant`] scan (a regression test pins
+/// both to the same connectivity graph). [`ConcreteRow::is_connected`] runs
+/// the same test on an already-located row.
 pub fn monomial_connected(db: &Database, occs: &[AnnotId]) -> bool {
     if occs.len() <= 1 {
         return true;
@@ -177,9 +201,13 @@ pub fn monomial_connected(db: &Database, occs: &[AnnotId]) -> bool {
     else {
         return false;
     };
-    // Sorted distinct value-id sets per occurrence; edges via merge probe.
-    let id_sets: Vec<Vec<crate::ValueId>> = locs.iter().map(|&loc| db.row_value_ids(loc)).collect();
-    let share = |a: &[crate::ValueId], b: &[crate::ValueId]| -> bool {
+    ids_connected(locs.iter().map(|&loc| db.row_value_ids(loc)).collect())
+}
+
+/// Whether the graph over sorted distinct value-id sets, with an edge
+/// between two sets that intersect (a merge probe), is connected.
+fn ids_connected(id_sets: Vec<Vec<ValueId>>) -> bool {
+    let share = |a: &[ValueId], b: &[ValueId]| -> bool {
         let (mut i, mut j) = (0usize, 0usize);
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
@@ -191,6 +219,9 @@ pub fn monomial_connected(db: &Database, occs: &[AnnotId]) -> bool {
         false
     };
     let n = id_sets.len();
+    if n <= 1 {
+        return true;
+    }
     let mut reached = vec![false; n];
     let mut stack = vec![0usize];
     reached[0] = true;
@@ -277,8 +308,8 @@ mod tests {
     fn interned_connectivity_graph_matches_value_scan() {
         // Regression for the ValueId fast path: for every pair and a sweep
         // of triples of annotations, the interned merge-probe connectivity
-        // must agree with the owned value-scan connectivity
-        // (ConcreteRow::is_connected over decoded tuples).
+        // (free and on a located row) must agree with the owned value-scan
+        // connectivity over decoded tuples.
         let db = figure1_db();
         let annots: Vec<_> = [
             "i1", "i2", "i3", "i4", "i5", "i6", "h1", "h2", "h3", "h4", "h5", "h6", "p1", "p2",
@@ -287,9 +318,25 @@ mod tests {
         .map(|n| db.annotations().get(n).unwrap())
         .collect();
         let value_based = |occs: &[provabs_semiring::AnnotId]| -> bool {
-            ConcreteRow::resolve(&db, &Tuple::new([]), occs)
-                .map(|r| r.is_connected())
-                .unwrap_or(false)
+            let tuples: Vec<Tuple> = occs
+                .iter()
+                .map(|&a| db.tuple_by_annot(a).unwrap().1)
+                .collect();
+            let mut reached = vec![false; tuples.len()];
+            let mut stack = vec![0usize];
+            reached[0] = true;
+            while let Some(i) = stack.pop() {
+                for j in 0..tuples.len() {
+                    if !reached[j] && tuples[i].shares_constant(&tuples[j]) {
+                        reached[j] = true;
+                        stack.push(j);
+                    }
+                }
+            }
+            let connected = reached.into_iter().all(|r| r);
+            let row = ConcreteRow::resolve(&db, &Tuple::new([]), occs).unwrap();
+            assert_eq!(row.is_connected(), connected, "located row diverged");
+            connected
         };
         for (i, &a) in annots.iter().enumerate() {
             for &b in &annots[i + 1..] {

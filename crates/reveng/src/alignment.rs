@@ -8,149 +8,112 @@
 //! bipartite matchings between the first two rows to `n` rows.
 
 use provabs_relational::{ConcreteRow, RelId};
-use std::collections::HashMap;
 
-/// An alignment: for every row, `per_row[j][slot]` is the index of the
-/// occurrence of row `j` assigned to atom slot `slot`. Row 0 is the
-/// identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Alignment {
-    /// Per-row slot assignments.
-    pub per_row: Vec<Vec<usize>>,
-}
-
-/// Groups occurrence indexes by relation.
-fn relation_groups(row: &ConcreteRow) -> HashMap<RelId, Vec<usize>> {
-    let mut m: HashMap<RelId, Vec<usize>> = HashMap::new();
-    for (i, (_, rel, _)) in row.occurrences.iter().enumerate() {
-        m.entry(*rel).or_default().push(i);
+/// Per relation of the rows' common signature, in `RelId` order: each row's
+/// occurrence indexes of that relation, in occurrence order. `None` when the
+/// rows do not share one relation-occurrence signature (same relations with
+/// the same multiplicities) — a necessary condition for any alignment, and
+/// hence any consistent CQ, to exist.
+fn relation_groups(rows: &[ConcreteRow<'_>]) -> Option<Vec<Vec<Vec<usize>>>> {
+    let first = rows.first()?;
+    let mut rels: Vec<RelId> = (0..first.occurrences.len()).map(|i| first.rel(i)).collect();
+    rels.sort_unstable();
+    rels.dedup();
+    let mut groups = vec![vec![Vec::new(); rows.len()]; rels.len()];
+    for (j, row) in rows.iter().enumerate() {
+        for i in 0..row.occurrences.len() {
+            let g = rels.binary_search(&row.rel(i)).ok()?;
+            groups[g][j].push(i);
+        }
     }
-    m
-}
-
-/// Whether all rows have the same relation-occurrence signature (same
-/// relations with the same multiplicities). A necessary condition for any
-/// alignment — and hence any consistent CQ — to exist.
-pub fn rows_alignable(rows: &[ConcreteRow]) -> bool {
-    let Some(first) = rows.first() else {
-        return false;
-    };
-    let sig0 = relation_groups(first);
-    rows.iter().skip(1).all(|r| {
-        let sig = relation_groups(r);
-        sig.len() == sig0.len()
-            && sig0
-                .iter()
-                .all(|(rel, g)| sig.get(rel).is_some_and(|h| h.len() == g.len()))
-    })
+    groups
+        .iter()
+        .all(|g| g.iter().all(|occs| occs.len() == g[0].len()))
+        .then_some(groups)
 }
 
 /// Enumerates every alignment of `rows`, invoking `visit` for each, up to
-/// `max_alignments` total. Returns the number of alignments visited, or
-/// `None` if the cap was hit (enumeration incomplete).
+/// `max_alignments` total. An alignment is given as `per_row`:
+/// `per_row[j][slot]` is the index of the occurrence of row `j` assigned to
+/// atom slot `slot`, and row 0 is the identity. Returns the number of
+/// alignments visited, or `None` if the cap was hit (enumeration
+/// incomplete).
+///
+/// Rows are fixed in order; within a row, relations in `RelId` order, and
+/// each relation's bijections in swap-permutation order.
 pub fn for_each_alignment(
-    rows: &[ConcreteRow],
+    rows: &[ConcreteRow<'_>],
     max_alignments: usize,
-    mut visit: impl FnMut(&Alignment),
+    visit: impl FnMut(&[Vec<usize>]),
 ) -> Option<usize> {
-    if rows.is_empty() || !rows_alignable(rows) {
+    let Some(groups) = relation_groups(rows) else {
         return Some(0);
-    }
+    };
     let n_slots = rows[0].occurrences.len();
     let mut per_row: Vec<Vec<usize>> = vec![vec![0; n_slots]; rows.len()];
     per_row[0] = (0..n_slots).collect();
-    // Per row > 0, the per-relation permutation choices.
-    let groups0 = relation_groups(&rows[0]);
-    let mut count = 0usize;
-    let complete = assign_row(
-        rows,
-        &groups0,
-        1,
-        &mut per_row,
-        &mut count,
-        max_alignments,
-        &mut visit,
-    );
-    complete.then_some(count)
-}
-
-/// Recursively fixes the alignment of `row_idx..`; returns false once the
-/// cap is exceeded.
-fn assign_row(
-    rows: &[ConcreteRow],
-    groups0: &HashMap<RelId, Vec<usize>>,
-    row_idx: usize,
-    per_row: &mut Vec<Vec<usize>>,
-    count: &mut usize,
-    max: usize,
-    visit: &mut impl FnMut(&Alignment),
-) -> bool {
-    if row_idx == rows.len() {
-        if *count >= max {
-            return false;
-        }
-        *count += 1;
-        visit(&Alignment {
-            per_row: per_row.clone(),
-        });
-        return true;
-    }
-    let groups_j = relation_groups(&rows[row_idx]);
-    // Deterministic relation order.
-    let mut rels: Vec<RelId> = groups0.keys().copied().collect();
-    rels.sort_unstable();
-    let slot_groups: Vec<&Vec<usize>> = rels.iter().map(|r| &groups0[r]).collect();
-    let occ_groups: Vec<&Vec<usize>> = rels.iter().map(|r| &groups_j[r]).collect();
-    permute_relations(
-        rows,
-        groups0,
-        row_idx,
-        &slot_groups,
-        &occ_groups,
-        0,
+    // One stage per (row > 0, relation): its permutation buffer, which
+    // `permute_rec` leaves as it found it.
+    let mut stages: Vec<Stage> = (1..rows.len())
+        .flat_map(|j| {
+            groups.iter().enumerate().map(move |(g, by_row)| Stage {
+                row: j,
+                group: g,
+                perm: by_row[j].clone(),
+            })
+        })
+        .collect();
+    let mut walk = Walk {
+        slots: groups
+            .into_iter()
+            .map(|mut by_row| by_row.swap_remove(0))
+            .collect(),
         per_row,
-        count,
-        max,
+        count: 0,
+        max: max_alignments,
         visit,
-    )
+    };
+    walk.stage(&mut stages).then_some(walk.count)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn permute_relations(
-    rows: &[ConcreteRow],
-    groups0: &HashMap<RelId, Vec<usize>>,
-    row_idx: usize,
-    slot_groups: &[&Vec<usize>],
-    occ_groups: &[&Vec<usize>],
-    g: usize,
-    per_row: &mut Vec<Vec<usize>>,
-    count: &mut usize,
+/// One level of the alignment recursion: the bijection of one relation's
+/// occurrences in one row.
+struct Stage {
+    row: usize,
+    group: usize,
+    perm: Vec<usize>,
+}
+
+/// The alignment recursion's state, shared by every stage.
+struct Walk<F> {
+    /// Per relation: row 0's occurrence indexes, i.e. the atom slots.
+    slots: Vec<Vec<usize>>,
+    per_row: Vec<Vec<usize>>,
+    count: usize,
     max: usize,
-    visit: &mut impl FnMut(&Alignment),
-) -> bool {
-    if g == slot_groups.len() {
-        return assign_row(rows, groups0, row_idx + 1, per_row, count, max, visit);
+    visit: F,
+}
+
+impl<F: FnMut(&[Vec<usize>])> Walk<F> {
+    /// Fixes the bijections of `stages` in turn, visiting each complete
+    /// alignment; returns false once the cap is exceeded.
+    fn stage(&mut self, stages: &mut [Stage]) -> bool {
+        let Some((stage, rest)) = stages.split_first_mut() else {
+            if self.count >= self.max {
+                return false;
+            }
+            self.count += 1;
+            (self.visit)(&self.per_row);
+            return true;
+        };
+        let (row, group) = (stage.row, stage.group);
+        permute_rec(&mut stage.perm, 0, &mut |p| {
+            for (&slot, &occ) in self.slots[group].iter().zip(p) {
+                self.per_row[row][slot] = occ;
+            }
+            self.stage(rest)
+        })
     }
-    let slots = slot_groups[g];
-    let occs = occ_groups[g];
-    let mut perm: Vec<usize> = occs.clone();
-    permute_rec(&mut perm, 0, &mut |p| {
-        for (si, &slot) in slots.iter().enumerate() {
-            per_row[row_idx][slot] = p[si];
-        }
-        permute_relations(
-            rows,
-            groups0,
-            row_idx,
-            slot_groups,
-            occ_groups,
-            g + 1,
-            per_row,
-            count,
-            max,
-            visit,
-        )
-    })
 }
 
 fn permute_rec(v: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize]) -> bool) -> bool {
@@ -174,7 +137,7 @@ fn permute_rec(v: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize]) -> boo
 /// semirings (`Why(X)`, `Trio(X)`, `PosBool(X)`), where a query atom may map
 /// repeatedly onto the same tuple (Table 4, red cell: "expanding the
 /// provenance as much as needed").
-pub fn expansions_of_row(row: &ConcreteRow, d: usize) -> Vec<ConcreteRow> {
+pub fn expansions_of_row<'db>(row: &ConcreteRow<'db>, d: usize) -> Vec<ConcreteRow<'db>> {
     let s = row.occurrences.len();
     if d < s || s == 0 {
         return Vec::new();
@@ -185,10 +148,11 @@ pub fn expansions_of_row(row: &ConcreteRow, d: usize) -> Vec<ConcreteRow> {
         let mut occs = Vec::with_capacity(d);
         for (i, &mult) in m.iter().enumerate() {
             for _ in 0..mult {
-                occs.push(row.occurrences[i].clone());
+                occs.push(row.occurrences[i]);
             }
         }
         out.push(ConcreteRow {
+            db: row.db,
             output: row.output.clone(),
             occurrences: occs,
         });
@@ -213,32 +177,49 @@ fn distribute(extra: usize, i: usize, mults: &mut Vec<usize>, f: &mut impl FnMut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use provabs_relational::Tuple;
-    use provabs_semiring::AnnotId;
+    use provabs_relational::{Database, Tuple};
 
-    fn row(rels: &[u16]) -> ConcreteRow {
-        ConcreteRow {
-            output: Tuple::parse(&["1"]),
-            occurrences: rels
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| (AnnotId(i as u32), RelId(r), Tuple::parse(&[&i.to_string()])))
-                .collect(),
+    /// Three relations of arity one, each holding eight tuples.
+    fn db() -> Database {
+        let mut db = Database::new();
+        for rel in ["R0", "R1", "R2"] {
+            let r = db.add_relation(rel, &["a"]);
+            for t in 0..8 {
+                db.insert_str(r, &format!("{rel}_{t}"), &[&t.to_string()]);
+            }
         }
+        db.build_indexes();
+        db
+    }
+
+    /// A row whose `i`-th occurrence is a distinct tuple of `R{rels[i]}`.
+    fn row<'db>(db: &'db Database, rels: &[u16]) -> ConcreteRow<'db> {
+        let occs: Vec<_> = rels
+            .iter()
+            .enumerate()
+            .map(|(i, r)| db.annotations().get(&format!("R{r}_{i}")).unwrap())
+            .collect();
+        ConcreteRow::resolve(db, &Tuple::parse(&["1"]), &occs).unwrap()
+    }
+
+    fn alignable(rows: &[ConcreteRow<'_>]) -> bool {
+        relation_groups(rows).is_some()
     }
 
     #[test]
     fn alignable_checks_signature() {
-        assert!(rows_alignable(&[row(&[0, 1, 2]), row(&[0, 1, 2])]));
-        assert!(rows_alignable(&[row(&[0, 0, 1]), row(&[1, 0, 0])]));
-        assert!(!rows_alignable(&[row(&[0, 1]), row(&[0, 0])]));
-        assert!(!rows_alignable(&[row(&[0]), row(&[0, 0])]));
-        assert!(!rows_alignable(&[]));
+        let db = db();
+        assert!(alignable(&[row(&db, &[0, 1, 2]), row(&db, &[0, 1, 2])]));
+        assert!(alignable(&[row(&db, &[0, 0, 1]), row(&db, &[1, 0, 0])]));
+        assert!(!alignable(&[row(&db, &[0, 1]), row(&db, &[0, 0])]));
+        assert!(!alignable(&[row(&db, &[0]), row(&db, &[0, 0])]));
+        assert!(!alignable(&[]));
     }
 
     #[test]
     fn distinct_relations_have_unique_alignment() {
-        let rows = vec![row(&[0, 1, 2]), row(&[0, 1, 2])];
+        let db = db();
+        let rows = vec![row(&db, &[0, 1, 2]), row(&db, &[0, 1, 2])];
         let mut seen = 0;
         let n = for_each_alignment(&rows, 100, |_| seen += 1).unwrap();
         assert_eq!(n, 1);
@@ -247,19 +228,44 @@ mod tests {
 
     #[test]
     fn self_joins_multiply_alignments() {
+        let db = db();
         // Two rows, each with 3 occurrences of the same relation: 3! = 6.
-        let rows = vec![row(&[7, 7, 7]), row(&[7, 7, 7])];
+        let rows = vec![row(&db, &[2, 2, 2]), row(&db, &[2, 2, 2])];
         let n = for_each_alignment(&rows, 100, |_| {}).unwrap();
         assert_eq!(n, 6);
         // Three rows: 6 * 6 = 36.
-        let rows3 = vec![row(&[7, 7, 7]), row(&[7, 7, 7]), row(&[7, 7, 7])];
+        let rows3 = vec![
+            row(&db, &[2, 2, 2]),
+            row(&db, &[2, 2, 2]),
+            row(&db, &[2, 2, 2]),
+        ];
         let n3 = for_each_alignment(&rows3, 1000, |_| {}).unwrap();
         assert_eq!(n3, 36);
     }
 
     #[test]
+    fn visit_order_is_row_then_relation_then_swap_permutation() {
+        let db = db();
+        // Row 1 has two R0 and two R1 occurrences: relation R0 varies
+        // slowest, each in swap-permutation order.
+        let rows = vec![row(&db, &[0, 1, 0, 1]), row(&db, &[1, 0, 1, 0])];
+        let mut seen = Vec::new();
+        for_each_alignment(&rows, 100, |per_row| seen.push(per_row[1].clone())).unwrap();
+        assert_eq!(
+            seen,
+            vec![
+                vec![1, 0, 3, 2],
+                vec![1, 2, 3, 0],
+                vec![3, 0, 1, 2],
+                vec![3, 2, 1, 0],
+            ]
+        );
+    }
+
+    #[test]
     fn cap_stops_enumeration() {
-        let rows = vec![row(&[7, 7, 7]), row(&[7, 7, 7])];
+        let db = db();
+        let rows = vec![row(&db, &[2, 2, 2]), row(&db, &[2, 2, 2])];
         let mut seen = 0;
         let n = for_each_alignment(&rows, 2, |_| seen += 1);
         assert_eq!(n, None);
@@ -268,18 +274,20 @@ mod tests {
 
     #[test]
     fn alignment_row0_is_identity() {
-        let rows = vec![row(&[0, 1]), row(&[1, 0])];
+        let db = db();
+        let rows = vec![row(&db, &[0, 1]), row(&db, &[1, 0])];
         let mut alignments = Vec::new();
-        for_each_alignment(&rows, 10, |a| alignments.push(a.clone())).unwrap();
+        for_each_alignment(&rows, 10, |per_row| alignments.push(per_row.to_vec())).unwrap();
         assert_eq!(alignments.len(), 1);
-        assert_eq!(alignments[0].per_row[0], vec![0, 1]);
+        assert_eq!(alignments[0][0], vec![0, 1]);
         // Row 1's occurrence of relation 0 is at index 1.
-        assert_eq!(alignments[0].per_row[1], vec![1, 0]);
+        assert_eq!(alignments[0][1], vec![1, 0]);
     }
 
     #[test]
     fn expansions_enumerate_compositions() {
-        let r = row(&[0, 1]);
+        let db = db();
+        let r = row(&db, &[0, 1]);
         // degree 2 = support: single expansion.
         assert_eq!(expansions_of_row(&r, 2).len(), 1);
         // degree 3: one extra unit on either occurrence: 2 expansions.

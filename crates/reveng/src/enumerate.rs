@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, HashMap};
 /// lower approximation). Only supports exponent-keeping semirings
 /// (`N[X]`/`B[X]`); the alignment cap comes from `opts`.
 pub fn enumerate_consistent_queries(
-    rows: &[ConcreteRow],
+    rows: &[ConcreteRow<'_>],
     opts: &RevOptions,
     max_queries: usize,
 ) -> Vec<Cq> {
@@ -38,11 +38,11 @@ pub fn enumerate_consistent_queries(
     {
         return Vec::new();
     }
-    for_each_alignment(rows, opts.max_alignments, |alignment| {
+    for_each_alignment(rows, opts.max_alignments, |per_row| {
         if out.len() >= max_queries {
             return;
         }
-        enumerate_alignment(rows, &alignment.per_row, max_queries, &mut out);
+        enumerate_alignment(rows, per_row, max_queries, &mut out);
     });
     out.into_values().collect()
 }
@@ -51,7 +51,7 @@ pub fn enumerate_consistent_queries(
 type Pos = (usize, usize);
 
 fn enumerate_alignment(
-    rows: &[ConcreteRow],
+    rows: &[ConcreteRow<'_>],
     per_row: &[Vec<usize>],
     max_queries: usize,
     out: &mut BTreeMap<String, Cq>,
@@ -59,11 +59,10 @@ fn enumerate_alignment(
     let n_rows = rows.len();
     // Group body positions by aligned value vector.
     let mut classes: HashMap<Vec<Value>, Vec<Pos>> = HashMap::new();
-    for (slot, occ) in rows[0].occurrences.iter().enumerate() {
-        let arity = occ.2.arity();
-        for col in 0..arity {
+    for (slot, _) in rows[0].occurrences.iter().enumerate() {
+        for col in 0..rows[0].arity(slot) {
             let vec: Vec<Value> = (0..n_rows)
-                .map(|j| rows[j].occurrences[per_row[j][slot]].2[col].clone())
+                .map(|j| rows[j].value(per_row[j][slot], col).clone())
                 .collect();
             classes.entry(vec).or_default().push((slot, col));
         }
@@ -91,7 +90,6 @@ fn enumerate_alignment(
     let mut next_var = 0u32;
     choose_class(
         rows,
-        per_row,
         &class_list,
         0,
         &head_vecs,
@@ -105,8 +103,7 @@ fn enumerate_alignment(
 
 #[allow(clippy::too_many_arguments)]
 fn choose_class(
-    rows: &[ConcreteRow],
-    per_row: &[Vec<usize>],
+    rows: &[ConcreteRow<'_>],
     classes: &[(Vec<Value>, Vec<Pos>, bool)],
     ci: usize,
     head_vecs: &[Vec<Value>],
@@ -120,15 +117,7 @@ fn choose_class(
         return;
     }
     if ci == classes.len() {
-        emit_heads(
-            rows,
-            per_row,
-            head_vecs,
-            assignment,
-            blocks_by_vec,
-            out,
-            max_queries,
-        );
+        emit_heads(rows, head_vecs, assignment, blocks_by_vec, out, max_queries);
         return;
     }
     let (vec, positions, uniform) = &classes[ci];
@@ -164,7 +153,6 @@ fn choose_class(
             blocks_by_vec.insert(vec.clone(), block_ids);
             choose_class(
                 rows,
-                per_row,
                 classes,
                 ci + 1,
                 head_vecs,
@@ -186,8 +174,7 @@ fn choose_class(
 }
 
 fn emit_heads(
-    rows: &[ConcreteRow],
-    per_row: &[Vec<usize>],
+    rows: &[ConcreteRow<'_>],
     head_vecs: &[Vec<Value>],
     assignment: &HashMap<Pos, Term>,
     blocks_by_vec: &HashMap<Vec<Value>, Vec<VarId>>,
@@ -217,21 +204,16 @@ fn emit_heads(
             return;
         }
         let body: Vec<Atom> = (0..rows[0].occurrences.len())
-            .map(|slot| {
-                let rel = rows[0].occurrences[slot].1;
-                let arity = rows[0].occurrences[slot].2.arity();
-                Atom {
-                    rel,
-                    terms: (0..arity)
-                        .map(|col| assignment[&(slot, col)].clone())
-                        .collect(),
-                }
+            .map(|slot| Atom {
+                rel: rows[0].rel(slot),
+                terms: (0..rows[0].arity(slot))
+                    .map(|col| assignment[&(slot, col)].clone())
+                    .collect(),
             })
             .collect();
         let (key, q) = canonical_form(&Cq::new(h.to_vec(), body));
         out.entry(key).or_insert(q);
     });
-    let _ = per_row;
 }
 
 fn head_product(
@@ -295,7 +277,7 @@ mod tests {
         db
     }
 
-    fn rows(db: &Database, pairs: &[(&str, &[&str])]) -> Vec<ConcreteRow> {
+    fn rows<'db>(db: &'db Database, pairs: &[(&str, &[&str])]) -> Vec<ConcreteRow<'db>> {
         KExample::new(pairs.iter().map(|(o, annots)| {
             (
                 Tuple::parse(&[o]),

@@ -36,7 +36,7 @@ mod enumerate;
 mod most_specific;
 pub mod ucq;
 
-pub use alignment::{expansions_of_row, Alignment};
+pub use alignment::expansions_of_row;
 pub use canonical::{canonical_cq, canonical_form, canonical_key};
 pub use cim::{cim_queries, minimal_queries};
 pub use containment::{contained_in, equivalent, strictly_contained, ContainmentMode};

@@ -1,8 +1,8 @@
 //! The consistent-query frontier: most-specific queries per alignment.
 
-use crate::alignment::{expansions_of_row, for_each_alignment, rows_alignable};
+use crate::alignment::{expansions_of_row, for_each_alignment};
 use crate::canonical::canonical_form;
-use provabs_relational::{Atom, ConcreteRow, Cq, Term, Value, VarId};
+use provabs_relational::{Atom, ConcreteRow, Cq, Term, ValueId, VarId};
 use provabs_semiring::SemiringKind;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -92,13 +92,18 @@ impl Frontier {
 /// order) the frontier query of the alignment induced by `Q`'s derivations,
 /// so the frontier's minimal elements are exactly the minimal consistent
 /// queries. Queries are returned in canonical form with their canonical
-/// keys, deduplicated, sorted by key; each most-specific query is
-/// canonicalized once.
+/// keys, deduplicated, sorted by key.
+///
+/// Each alignment is decided on value ids before any query exists: whether
+/// its most-specific query exists (every non-uniform output column equals
+/// some body vector) and, under [`RevOptions::connected_only`], whether it
+/// is connected. Only the queries kept are built, with their constants
+/// decoded, and canonicalized. The rows must be located in one database.
 ///
 /// Returns an empty frontier when no consistent CQ exists (e.g. rows with
 /// different relation signatures — a UCQ may still be consistent, see
 /// [`crate::ucq`]).
-pub fn find_consistent_queries(rows: &[ConcreteRow], opts: &RevOptions) -> Frontier {
+pub fn find_consistent_queries(rows: &[ConcreteRow<'_>], opts: &RevOptions) -> Frontier {
     let mut out: BTreeMap<String, Cq> = BTreeMap::new();
     if rows.is_empty() {
         return Frontier::default();
@@ -114,7 +119,7 @@ pub fn find_consistent_queries(rows: &[ConcreteRow], opts: &RevOptions) -> Front
     } else {
         // Exponent-dropping semirings: normalize rows to their support and
         // try increasing common degrees with expansions.
-        let supports: Vec<ConcreteRow> = rows.iter().map(support_row).collect();
+        let supports: Vec<ConcreteRow<'_>> = rows.iter().map(support_row).collect();
         let min_degree = supports
             .iter()
             .map(|r| r.occurrences.len())
@@ -123,29 +128,28 @@ pub fn find_consistent_queries(rows: &[ConcreteRow], opts: &RevOptions) -> Front
         for extra in 0..=opts.max_expansion_extra as usize {
             let d = min_degree + extra;
             // Cartesian product of per-row degree-d expansions.
-            let per_row: Vec<Vec<ConcreteRow>> =
+            let per_row: Vec<Vec<ConcreteRow<'_>>> =
                 supports.iter().map(|r| expansions_of_row(r, d)).collect();
             if per_row.iter().any(Vec::is_empty) {
                 continue;
             }
-            let mut choice: Vec<ConcreteRow> = per_row.iter().map(|v| v[0].clone()).collect();
+            let mut choice: Vec<ConcreteRow<'_>> = per_row.iter().map(|v| v[0].clone()).collect();
             expand_product(&per_row, 0, &mut choice, &mut |expanded| {
                 complete &= collect_from_rows(expanded, opts, &mut out);
             });
         }
     }
-    let mut queries: Vec<(String, Cq)> = out.into_iter().collect();
-    if opts.connected_only {
-        queries.retain(|(_, q)| q.is_connected());
+    Frontier {
+        queries: out.into_iter().collect(),
+        complete,
     }
-    Frontier { queries, complete }
 }
 
-fn expand_product(
-    per_row: &[Vec<ConcreteRow>],
+fn expand_product<'db>(
+    per_row: &[Vec<ConcreteRow<'db>>],
     i: usize,
-    choice: &mut Vec<ConcreteRow>,
-    f: &mut impl FnMut(&[ConcreteRow]),
+    choice: &mut Vec<ConcreteRow<'db>>,
+    f: &mut impl FnMut(&[ConcreteRow<'db>]),
 ) {
     if i == per_row.len() {
         f(choice);
@@ -157,87 +161,257 @@ fn expand_product(
     }
 }
 
-fn support_row(row: &ConcreteRow) -> ConcreteRow {
+fn support_row<'db>(row: &ConcreteRow<'db>) -> ConcreteRow<'db> {
     let mut seen = std::collections::HashSet::new();
     ConcreteRow {
+        db: row.db,
         output: row.output.clone(),
         occurrences: row
             .occurrences
             .iter()
-            .filter(|(a, _, _)| seen.insert(*a))
-            .cloned()
+            .filter(|(a, _)| seen.insert(*a))
+            .copied()
             .collect(),
     }
 }
 
-/// Adds the most-specific query of every alignment of `rows` to `out`;
-/// returns whether every alignment was visited.
+/// Adds the most-specific query of every alignment of `rows` to `out` (only
+/// the connected ones under [`RevOptions::connected_only`]); returns whether
+/// every alignment was visited.
 fn collect_from_rows(
-    rows: &[ConcreteRow],
+    rows: &[ConcreteRow<'_>],
     opts: &RevOptions,
     out: &mut BTreeMap<String, Cq>,
 ) -> bool {
-    if !rows_alignable(rows) {
-        return true;
-    }
-    for_each_alignment(rows, opts.max_alignments, |alignment| {
-        if let Some(q) = most_specific_query(rows, &alignment.per_row) {
-            let (key, canon) = canonical_form(&q);
+    let mut msq = MsqBuilder::new(rows);
+    for_each_alignment(rows, opts.max_alignments, |per_row| {
+        if msq.decide(per_row, opts.connected_only) {
+            let (key, canon) = canonical_form(&msq.query());
             out.entry(key).or_insert(canon);
         }
     })
     .is_some()
 }
 
-/// Builds the most-specific consistent query of one alignment, or `None` if
-/// a non-uniform head column has no matching body value vector (the head
-/// variable would not appear in the body).
-pub(crate) fn most_specific_query(rows: &[ConcreteRow], per_row: &[Vec<usize>]) -> Option<Cq> {
-    let n_slots = rows[0].occurrences.len();
-    let n_rows = rows.len();
-    // Assign terms by value vector.
-    let mut vectors: HashMap<Vec<Value>, Term> = HashMap::new();
-    let mut next_var = 0u32;
-    let mut term_for = |vec: Vec<Value>, next_var: &mut u32| -> Term {
-        if vec.iter().all(|v| v == &vec[0]) {
-            return Term::Const(vec[0].clone());
-        }
-        vectors
-            .entry(vec)
-            .or_insert_with(|| {
-                let t = Term::Var(VarId(*next_var));
-                *next_var += 1;
-                t
+/// The term of one body position of a most-specific query.
+#[derive(Debug, Clone, Copy)]
+enum PosTerm {
+    /// A uniform value vector: this constant.
+    Const(ValueId),
+    /// A non-uniform vector: the variable numbered by its first position.
+    Var(u32),
+}
+
+/// The term of one head column, fixed per call.
+#[derive(Debug, Clone)]
+enum HeadCol {
+    /// The column is uniform across the rows: its constant.
+    Const,
+    /// The rows' value ids, or `None` when some output value is in no
+    /// tuple of the database (no body vector can carry it).
+    Ids(Option<Vec<ValueId>>),
+}
+
+/// Builds the most-specific query of each alignment of one row list on
+/// value ids, reusing its scratch space across alignments.
+///
+/// A body position `(slot, column)` reads the value id of every row's
+/// aligned occurrence. A uniform vector is a constant. A non-uniform one is
+/// interned by refinement, one probe per row after the first (class of the
+/// rows `0..=j` = intern of the class of `0..j` and row `j`'s id), and the
+/// class names a variable numbered in first-occurrence order, slot-major.
+/// Atom connectivity (atoms sharing a variable, union-find over slots) and
+/// the head witness (each non-uniform head column must equal some body
+/// vector) are decided on those classes, so a query is built only when it
+/// is kept, and only then are its constants decoded.
+struct MsqBuilder<'r, 'db> {
+    rows: &'r [ConcreteRow<'db>],
+    head_cols: Vec<HeadCol>,
+    /// `(row, class of rows 0..row, id)` → class of rows `0..=row`, for
+    /// the non-uniform vectors; the class of row 0 alone is its value id.
+    classes: HashMap<(u32, u32, ValueId), u32>,
+    /// Per class: its variable number once a body position has the full
+    /// vector, else `NO_VAR`.
+    var_of: Vec<u32>,
+    /// Per body position, slot-major: its term in the current alignment.
+    terms: Vec<PosTerm>,
+    /// Per head column: its variable in the current alignment (`NO_VAR`
+    /// for a constant column).
+    head: Vec<u32>,
+    /// Union-find parents over slots, and the first slot of each variable.
+    parent: Vec<usize>,
+    home: Vec<usize>,
+}
+
+const NO_VAR: u32 = u32::MAX;
+
+impl<'r, 'db> MsqBuilder<'r, 'db> {
+    fn new(rows: &'r [ConcreteRow<'db>]) -> Self {
+        let first = &rows[0];
+        let head_cols = (0..first.output.arity())
+            .map(|col| {
+                let v = &first.output[col];
+                if rows.iter().all(|r| &r.output[col] == v) {
+                    return HeadCol::Const;
+                }
+                let values = first.db.interner();
+                HeadCol::Ids(rows.iter().map(|r| values.lookup(&r.output[col])).collect())
             })
-            .clone()
-    };
-    let mut body = Vec::with_capacity(n_slots);
-    for (slot, occ) in rows[0].occurrences.iter().enumerate() {
-        let rel = occ.1;
-        let arity = occ.2.arity();
-        let mut terms = Vec::with_capacity(arity);
-        for pos in 0..arity {
-            let vec: Vec<Value> = (0..n_rows)
-                .map(|j| rows[j].occurrences[per_row[j][slot]].2[pos].clone())
-                .collect();
-            terms.push(term_for(vec, &mut next_var));
+            .collect();
+        Self {
+            rows,
+            head_cols,
+            classes: HashMap::new(),
+            var_of: Vec::new(),
+            terms: Vec::new(),
+            head: Vec::new(),
+            parent: Vec::new(),
+            home: Vec::new(),
         }
-        body.push(Atom { rel, terms });
     }
-    let mut head = Vec::with_capacity(rows[0].output.arity());
-    for col in 0..rows[0].output.arity() {
-        let vec: Vec<Value> = (0..n_rows).map(|j| rows[j].output[col].clone()).collect();
-        if vec.iter().all(|v| v == &vec[0]) {
-            head.push(Term::Const(vec[0].clone()));
-        } else {
-            // Must reuse an existing body vector: head vars appear in body.
-            match vectors.get(&vec) {
-                Some(t) => head.push(t.clone()),
-                None => return None,
+
+    /// Decides the alignment `per_row`: whether its most-specific query
+    /// exists (every non-uniform head column has a body witness) and, when
+    /// `connected_only`, is connected. [`MsqBuilder::query`] then builds it.
+    fn decide(&mut self, per_row: &[Vec<usize>], connected_only: bool) -> bool {
+        let rows = self.rows;
+        self.classes.clear();
+        self.var_of.clear();
+        self.terms.clear();
+        let mut next_var = 0u32;
+        for (slot, _) in rows[0].occurrences.iter().enumerate() {
+            for col in 0..rows[0].arity(slot) {
+                let id = |j: usize| rows[j].value_id(per_row[j][slot], col);
+                let first = id(0);
+                if (1..rows.len()).all(|j| id(j) == first) {
+                    self.terms.push(PosTerm::Const(first));
+                    continue;
+                }
+                let mut class = first.0;
+                for j in 1..rows.len() {
+                    let fresh = self.var_of.len() as u32;
+                    class = *self
+                        .classes
+                        .entry((j as u32, class, id(j)))
+                        .or_insert(fresh);
+                    if class == fresh {
+                        self.var_of.push(NO_VAR);
+                    }
+                }
+                let var = &mut self.var_of[class as usize];
+                if *var == NO_VAR {
+                    *var = next_var;
+                    next_var += 1;
+                }
+                self.terms.push(PosTerm::Var(*var));
             }
         }
+        if !self.head_witnessed() {
+            return false;
+        }
+        !connected_only || self.connected(next_var as usize)
     }
-    Some(Cq::new(head, body))
+
+    /// Resolves each non-uniform head column to the variable of the body
+    /// vector equal to it; false when some column has none.
+    fn head_witnessed(&mut self) -> bool {
+        self.head.clear();
+        for col in &self.head_cols {
+            let var = match col {
+                HeadCol::Const => NO_VAR,
+                HeadCol::Ids(None) => return false,
+                HeadCol::Ids(Some(ids)) => {
+                    let mut class = ids[0].0;
+                    for (j, &id) in ids.iter().enumerate().skip(1) {
+                        match self.classes.get(&(j as u32, class, id)) {
+                            Some(&c) => class = c,
+                            None => return false,
+                        }
+                    }
+                    // A full-vector class exists only if a body position
+                    // reached it; non-uniform, so it names a variable.
+                    self.var_of[class as usize]
+                }
+            };
+            self.head.push(var);
+        }
+        true
+    }
+
+    /// Whether the atoms, joined through shared variables, form one
+    /// component (`Cq::is_connected`); `n_vars` variables are numbered.
+    fn connected(&mut self, n_vars: usize) -> bool {
+        let n = self.rows[0].occurrences.len();
+        if n <= 1 {
+            return true;
+        }
+        fn find(p: &mut [usize], mut i: usize) -> usize {
+            while p[i] != i {
+                p[i] = p[p[i]];
+                i = p[i];
+            }
+            i
+        }
+        self.parent.clear();
+        self.parent.extend(0..n);
+        self.home.clear();
+        self.home.resize(n_vars, usize::MAX);
+        let mut pos = 0;
+        let mut components = n;
+        for slot in 0..n {
+            for _ in 0..self.rows[0].arity(slot) {
+                if let PosTerm::Var(v) = self.terms[pos] {
+                    let home = &mut self.home[v as usize];
+                    if *home == usize::MAX {
+                        *home = slot;
+                    } else {
+                        let (a, b) = (find(&mut self.parent, *home), find(&mut self.parent, slot));
+                        if a != b {
+                            self.parent[a] = b;
+                            components -= 1;
+                        }
+                    }
+                }
+                pos += 1;
+            }
+        }
+        components == 1
+    }
+
+    /// The query [`MsqBuilder::decide`] last accepted, with its constants
+    /// decoded.
+    fn query(&self) -> Cq {
+        let first = &self.rows[0];
+        let term = |t: PosTerm| match t {
+            PosTerm::Const(id) => Term::Const(first.db.value(id).clone()),
+            PosTerm::Var(v) => Term::Var(VarId(v)),
+        };
+        let mut pos = 0;
+        let body = (0..first.occurrences.len())
+            .map(|slot| {
+                let arity = first.arity(slot);
+                let terms = self.terms[pos..pos + arity]
+                    .iter()
+                    .map(|&t| term(t))
+                    .collect();
+                pos += arity;
+                Atom {
+                    rel: first.rel(slot),
+                    terms,
+                }
+            })
+            .collect();
+        let head = self
+            .head
+            .iter()
+            .enumerate()
+            .map(|(col, &v)| match v {
+                NO_VAR => Term::Const(first.output[col].clone()),
+                v => Term::Var(VarId(v)),
+            })
+            .collect();
+        Cq::new(head, body)
+    }
 }
 
 #[cfg(test)]
@@ -279,7 +453,7 @@ mod tests {
         db
     }
 
-    fn rows_for(db: &Database, pairs: &[(&str, &[&str])]) -> Vec<ConcreteRow> {
+    fn rows_for<'db>(db: &'db Database, pairs: &[(&str, &[&str])]) -> Vec<ConcreteRow<'db>> {
         let ex = KExample::new(pairs.iter().map(|(out, annots)| {
             (
                 Tuple::parse(&[out]),

@@ -53,7 +53,7 @@ pub struct UcqFrontier {
 /// partition of the rows. Each UCQ comes with its key — the sorted canonical
 /// keys of its disjuncts joined by `|` — and the list is deduplicated and
 /// sorted by that key.
-pub fn find_consistent_ucqs(rows: &[ConcreteRow], opts: &UcqOptions) -> UcqFrontier {
+pub fn find_consistent_ucqs(rows: &[ConcreteRow<'_>], opts: &UcqOptions) -> UcqFrontier {
     let mut out = Partitions {
         ucqs: BTreeMap::new(),
         complete: true,
@@ -77,7 +77,7 @@ struct Partitions {
 }
 
 fn partition_rec(
-    rows: &[ConcreteRow],
+    rows: &[ConcreteRow<'_>],
     rgs: &mut Vec<usize>,
     i: usize,
     max_block: usize,
@@ -102,7 +102,7 @@ fn partition_rec(
 type KeyedCq = (String, Cq);
 
 fn realize_partition(
-    rows: &[ConcreteRow],
+    rows: &[ConcreteRow<'_>],
     rgs: &[usize],
     num_blocks: usize,
     opts: &UcqOptions,
@@ -111,7 +111,7 @@ fn realize_partition(
     // Keyed frontier per block.
     let mut frontiers: Vec<Vec<KeyedCq>> = Vec::with_capacity(num_blocks);
     for b in 0..num_blocks {
-        let group: Vec<ConcreteRow> = rows
+        let group: Vec<ConcreteRow<'_>> = rows
             .iter()
             .enumerate()
             .filter(|(i, _)| rgs[*i] == b)
@@ -225,16 +225,16 @@ pub struct AggCq {
 /// `(group, agg)` pair contributes one row per tensor term, with the output
 /// extended by the tensor's value column; the CQ machinery then requires the
 /// head to also produce the aggregated attribute.
-pub fn find_consistent_agg_queries(
+pub fn find_consistent_agg_queries<'db>(
     groups: &[(Tuple, AggValue)],
-    resolve: impl Fn(&Tuple, &provabs_semiring::Monomial) -> Option<ConcreteRow>,
+    resolve: impl Fn(&Tuple, &provabs_semiring::Monomial) -> Option<ConcreteRow<'db>>,
     opts: &RevOptions,
 ) -> Vec<AggCq> {
     if groups.is_empty() {
         return Vec::new();
     }
     let agg_op = groups[0].1.op;
-    let mut rows: Vec<ConcreteRow> = Vec::new();
+    let mut rows: Vec<ConcreteRow<'db>> = Vec::new();
     for (group, agg) in groups {
         for term in &agg.terms {
             let extended: Tuple = group
@@ -280,7 +280,7 @@ mod tests {
         db
     }
 
-    fn rows(db: &Database, pairs: &[(&str, &[&str])]) -> Vec<ConcreteRow> {
+    fn rows<'db>(db: &'db Database, pairs: &[(&str, &[&str])]) -> Vec<ConcreteRow<'db>> {
         KExample::new(pairs.iter().map(|(o, annots)| {
             (
                 Tuple::parse(&[o]),
