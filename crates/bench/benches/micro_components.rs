@@ -11,7 +11,7 @@ use provabs_core::fixtures::running_example;
 use provabs_core::privacy::{compute_privacy, PrivacyCache, PrivacyConfig};
 use provabs_core::{Abstraction, Bound};
 use provabs_datagen::tpch::{self, TpchConfig};
-use provabs_relational::{eval_cq, monomial_connected, parse_cq};
+use provabs_relational::{monomial_connected, parse_cq, Evaluator, Execution};
 use provabs_reveng::{
     canonical_form, canonical_key, contained_in, find_consistent_queries, ContainmentMode,
     RevOptions,
@@ -31,7 +31,9 @@ fn bench(c: &mut Criterion) {
 
     let fx = running_example();
     group.bench_function("eval_cq_running_example", |b| {
-        b.iter(|| eval_cq(&fx.db, &fx.qreal));
+        // Scalar pin: this timing stays comparable with earlier runs.
+        let eval = Evaluator::new(&fx.db).execution(Execution::Scalar);
+        b.iter(|| eval.eval_cq(&fx.qreal));
     });
 
     group.bench_function("canonical_key", |b| {

@@ -17,7 +17,7 @@ use provabs_core::privacy::{PrivacyCache, PrivacyConfig};
 use provabs_core::search::{find_optimal_abstraction_with_cache, SearchConfig};
 use provabs_core::Bound;
 use provabs_datagen::tpch::{self, TpchConfig};
-use provabs_relational::{eval_cq_counted_interned, EvalLimits};
+use provabs_relational::{Evaluator, Execution};
 use provabs_semiring::ProvStore;
 
 fn bench(c: &mut Criterion) {
@@ -77,14 +77,15 @@ fn bench(c: &mut Criterion) {
         .find(|w| w.name == "TPCH-Q4")
         .expect("TPCH-Q4 exists")
         .query;
+    // Scalar pin: these timings stay comparable with earlier runs.
+    let eval = Evaluator::new(&db).execution(Execution::Scalar);
     group.bench_function(BenchmarkId::new("eval/TPCH-Q4", "owned"), |b| {
         b.iter(|| {
             // Fresh arena per round — what the owned boundary does.
             let mut last = None;
             for _ in 0..3 {
                 let mut store = ProvStore::new();
-                let (out, _) =
-                    eval_cq_counted_interned(&db, &query, EvalLimits::default(), &mut store);
+                let (out, _) = eval.interned(&mut store).eval_cq(&query);
                 last = Some(out.to_krelation(&store));
             }
             last
@@ -96,8 +97,7 @@ fn bench(c: &mut Criterion) {
             let mut store = ProvStore::new();
             let mut last = None;
             for _ in 0..3 {
-                let (out, _) =
-                    eval_cq_counted_interned(&db, &query, EvalLimits::default(), &mut store);
+                let (out, _) = eval.interned(&mut store).eval_cq(&query);
                 last = Some(out.to_krelation(&store));
             }
             last

@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_datagen::{ChurnConfig, ChurnGenerator};
 use provabs_relational::oracle::oracle_eval_cq;
-use provabs_relational::{apply_delta_with_queries, eval_cq};
+use provabs_relational::{Database, Evaluator, Execution, Updater};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro_storage");
@@ -33,9 +33,17 @@ fn bench(c: &mut Criterion) {
         .query;
     let mut db = db_proto.clone();
     db.build_indexes();
+    // Scalar pin: these timings stay comparable with earlier runs.
+    let updater = Updater::new().execution(Execution::Scalar);
+    let eval = |db: &Database| {
+        Evaluator::new(db)
+            .execution(Execution::Scalar)
+            .eval_cq(&query)
+            .0
+    };
 
     group.bench_function(BenchmarkId::new("eval/TPCH-Q3", "columnar"), |b| {
-        b.iter(|| eval_cq(&db, &query));
+        b.iter(|| eval(&db));
     });
     group.bench_function(BenchmarkId::new("eval/TPCH-Q3", "owned-oracle"), |b| {
         b.iter(|| oracle_eval_cq(&db, &query));
@@ -45,7 +53,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut db = db_proto.clone();
             db.build_indexes();
-            let mut cached = eval_cq(&db, &query);
+            let mut cached = eval(&db);
             let mut gen = ChurnGenerator::new(&ChurnConfig {
                 batch_size: 8,
                 insert_ratio: 0.5,
@@ -53,7 +61,7 @@ fn bench(c: &mut Criterion) {
             });
             for _ in 0..3 {
                 let delta = gen.next_batch(&db);
-                let out = apply_delta_with_queries(&mut db, &delta, std::slice::from_ref(&query));
+                let out = updater.apply(&mut db, &delta, std::slice::from_ref(&query));
                 assert!(out.deltas[0].merge_into(&mut cached));
             }
             cached

@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_datagen::{ChurnConfig, ChurnGenerator};
-use provabs_relational::{apply_delta_with_queries, eval_cq, Delta};
+use provabs_relational::{Database, Delta, Evaluator, Execution, Updater};
 
 fn bench(c: &mut Criterion) {
     let (mut db0, _) = tpch::generate(&TpchConfig {
@@ -24,6 +24,14 @@ fn bench(c: &mut Criterion) {
         .find(|w| w.name == "TPCH-Q4")
         .expect("TPCH-Q4 exists")
         .query;
+    // Scalar pin: these timings stay comparable with earlier runs.
+    let updater = Updater::new().execution(Execution::Scalar);
+    let eval = |db: &Database| {
+        Evaluator::new(db)
+            .execution(Execution::Scalar)
+            .eval_cq(&query)
+            .0
+    };
     let mut group = c.benchmark_group("micro_updates");
     group.sample_size(10);
     for ratio in [100u32, 50, 0] {
@@ -48,10 +56,9 @@ fn bench(c: &mut Criterion) {
             |b, deltas| {
                 b.iter(|| {
                     let mut db = db0.clone();
-                    let mut cached = eval_cq(&db, &query);
+                    let mut cached = eval(&db);
                     for d in deltas {
-                        let out =
-                            apply_delta_with_queries(&mut db, d, std::slice::from_ref(&query));
+                        let out = updater.apply(&mut db, d, std::slice::from_ref(&query));
                         assert!(out.deltas[0].merge_into(&mut cached));
                     }
                     cached
@@ -64,10 +71,10 @@ fn bench(c: &mut Criterion) {
             |b, deltas| {
                 b.iter(|| {
                     let mut db = db0.clone();
-                    let mut cached = eval_cq(&db, &query);
+                    let mut cached = eval(&db);
                     for d in deltas {
                         db.apply_delta(d);
-                        cached = eval_cq(&db, &query);
+                        cached = eval(&db);
                     }
                     cached
                 });

@@ -14,10 +14,10 @@
 //!   without it every privacy-evaluated candidate re-abstracts every row.
 //! * `eval/<query>` — the same workload query evaluated for several rounds.
 //!   The counter is **retained polynomial/monomial constructions**: the
-//!   owned boundary (`eval_cq` creates a throwaway arena per call — that
-//!   *is* its implementation) pays fresh constructions every evaluation,
-//!   the interned path keeps one [`ProvStore`] whose hash-consing answers
-//!   later rounds in O(1).
+//!   owned boundary (`Evaluator::eval_cq` creates a throwaway arena per
+//!   call — that *is* its implementation) pays fresh constructions every
+//!   evaluation, the interned path keeps one [`ProvStore`] whose
+//!   hash-consing answers later rounds in O(1).
 //!
 //! Measurement scope, stated plainly: both `eval/` modes run the same join
 //! engine — the comparison isolates *arena persistence* (cross-evaluation
@@ -138,10 +138,6 @@ pub fn run_intern_comparison(settings: &InternSettings) -> Vec<GateEntry> {
     let mut db = db_proto;
     db.build_indexes();
     let workloads = tpch::tpch_queries(db.schema());
-    // The eval rounds read the mode back from the search configuration's
-    // `plan_queries` — the single declaration point for "how evaluations on
-    // behalf of this comparison plan their joins".
-    let eval_mode = search_config(settings, true).plan_queries;
     for qname in &settings.eval_queries {
         let Some(w) = workloads.iter().find(|w| &w.name == qname) else {
             continue;
@@ -151,7 +147,7 @@ pub fn run_intern_comparison(settings: &InternSettings) -> Vec<GateEntry> {
             qname,
             &w.query,
             settings.eval_rounds,
-            eval_mode,
+            settings.plan_mode,
         ));
     }
     out
@@ -169,7 +165,6 @@ fn search_config(settings: &InternSettings, memoize: bool) -> SearchConfig {
         time_budget_ms: None, // wall-clock budgets break determinism
         parallelism: Some(1),
         memoize_abstractions: memoize,
-        plan_queries: settings.plan_mode,
         ..Default::default()
     }
 }

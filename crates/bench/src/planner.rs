@@ -32,7 +32,7 @@ use provabs_datagen::tpch::{self, TpchConfig};
 use provabs_datagen::{adversarial_order, ChurnConfig, ChurnGenerator};
 use provabs_relational::oracle::oracle_eval_cq;
 use provabs_relational::{
-    eval_cq_traced, Cq, Database, EvalLimits, EvalWork, Execution, KRelation, PlanMode, Updater,
+    Cq, Database, EvalWork, Evaluator, Execution, KRelation, PlanMode, Updater,
 };
 use std::time::Instant;
 
@@ -156,13 +156,13 @@ fn metric_from(
 fn eval_metric(db_proto: &Database, name: &str, adv: &Cq) -> GateEntry {
     let mut db = db_proto.clone();
     db.build_indexes();
+    // Scalar pin: BENCH_5's counters were recorded on the scalar engine.
+    let scalar = |mode| Evaluator::new(&db).plan(mode).execution(Execution::Scalar);
     let t0 = Instant::now();
-    let (planned_out, planned_work, trace) =
-        eval_cq_traced(&db, adv, EvalLimits::default(), PlanMode::CostBased);
+    let (planned_out, planned_work, trace) = scalar(PlanMode::CostBased).eval_cq_traced(adv);
     let planned_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    let (written_out, written_work, _) =
-        eval_cq_traced(&db, adv, EvalLimits::default(), PlanMode::WrittenOrder);
+    let (written_out, written_work, _) = scalar(PlanMode::WrittenOrder).eval_cq_traced(adv);
     let written_ms = t1.elapsed().as_secs_f64() * 1e3;
     let oracle = oracle_eval_cq(&db, adv);
     debug_assert_eq!(trace.plan.steps.len(), trace.actual_rows.len());
@@ -188,7 +188,10 @@ fn churn_metric(
     let run = |mode: PlanMode| -> (KRelation, EvalWork, f64, bool, Database) {
         let mut db = db_proto.clone();
         db.build_indexes();
-        let (mut cached, _, _) = eval_cq_traced(&db, adv, EvalLimits::default(), mode);
+        let (mut cached, _) = Evaluator::new(&db)
+            .plan(mode)
+            .execution(Execution::Scalar)
+            .eval_cq(adv);
         let mut gen = ChurnGenerator::new(&ChurnConfig {
             batch_size: settings.batch_size,
             insert_ratio: settings.insert_ratio,

@@ -1,7 +1,7 @@
 //! The paper's running example (Figures 1–6, Tables 1 and 3) as a reusable
 //! fixture for tests, examples, and benchmarks.
 
-use provabs_relational::{eval_cq, parse_cq, Cq, Database, KExample};
+use provabs_relational::{parse_cq, Cq, Database, Evaluator, KExample};
 use provabs_tree::{AbstractionTree, TreeBuilder};
 
 /// The running example of the paper: the Figure 1 database, the Figure 3
@@ -102,7 +102,7 @@ pub fn running_example() -> RunningExample {
         schema,
     )
     .unwrap();
-    let exreal = KExample::from_krelation(&eval_cq(&db, &qreal), usize::MAX);
+    let exreal = KExample::from_krelation(&Evaluator::new(&db).eval_cq(&qreal).0, usize::MAX);
     RunningExample {
         db,
         tree,

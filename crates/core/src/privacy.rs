@@ -1130,7 +1130,7 @@ mod tests {
 
     #[test]
     fn alignment_cap_marks_privacy_truncated() {
-        use provabs_relational::{eval_cq, parse_cq, Database, KExample};
+        use provabs_relational::{parse_cq, Database, Evaluator, KExample};
         // Rows derived by a self-join: each pair of rows has two alignments,
         // so an alignment cap of one cuts every two-row frontier short.
         let mut db = Database::new();
@@ -1151,7 +1151,7 @@ mod tests {
         }
         let tree = tb.build();
         let q = parse_cq("Q(x) :- R(x, y), R(y, 9)", db.schema()).unwrap();
-        let ex = KExample::from_krelation(&eval_cq(&db, &q), usize::MAX);
+        let ex = KExample::from_krelation(&Evaluator::new(&db).eval_cq(&q).0, usize::MAX);
         assert_eq!(ex.rows.len(), 2);
         let b = Bound::new(&db, &tree, &ex).unwrap();
         let rows = Abstraction::identity(&b).apply(&b).rows;
@@ -1180,7 +1180,7 @@ mod tests {
 
     #[test]
     fn ucq_alignment_cap_marks_privacy_truncated() {
-        use provabs_relational::{eval_cq, parse_cq, Database, KExample};
+        use provabs_relational::{parse_cq, Database, Evaluator, KExample};
         // The self-join rows of `alignment_cap_marks_privacy_truncated`: the
         // two-row block of the UCQ partitions has two alignments.
         let mut db = Database::new();
@@ -1201,7 +1201,7 @@ mod tests {
         }
         let tree = tb.build();
         let q = parse_cq("Q(x) :- R(x, y), R(y, 9)", db.schema()).unwrap();
-        let ex = KExample::from_krelation(&eval_cq(&db, &q), usize::MAX);
+        let ex = KExample::from_krelation(&Evaluator::new(&db).eval_cq(&q).0, usize::MAX);
         let b = Bound::new(&db, &tree, &ex).unwrap();
         let rows = Abstraction::identity(&b).apply(&b).rows;
         let cfg = PrivacyConfig {

@@ -27,7 +27,6 @@
 use crate::loi::{loss_of_information, occurrence_loi, LoiDistribution};
 use crate::privacy::{compute_privacy, PrivacyCache, PrivacyConfig, PrivacyStats};
 use crate::{AbsRow, Abstraction, Bound};
-use provabs_relational::{Execution, PlanMode};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -102,29 +101,6 @@ pub struct SearchConfig {
     /// `BENCH_3.json` perf gate compare against. Results are identical
     /// either way; only [`SearchStats::rows_abstracted`] moves.
     pub memoize_abstractions: bool,
-    /// The [`PlanMode`] for query evaluations performed *on behalf of*
-    /// this search — the K-example extraction that feeds
-    /// [`Bound::new`](crate::Bound) and any incremental K-relation
-    /// maintenance between searches (see [`provabs_relational::plan`]).
-    ///
-    /// The search itself never evaluates a CQ (it operates on an
-    /// already-bound example), so this field is the *declared* mode that
-    /// pipeline layers owning both the config and the evaluations read
-    /// back — the `bench` scenario/intern harnesses drive
-    /// `kexample_for_mode` and their evaluation rounds from it. Cost-based
-    /// planning is the default; the search *outcome* is plan-invariant for
-    /// unlimited evaluations (the joined K-relation is order-independent),
-    /// but output-capped example extraction keeps a different output
-    /// subset under a different plan, so harnesses replaying checked-in
-    /// counter baselines pin [`PlanMode::Greedy`] here (the `bench::intern`
-    /// harness does exactly that for `BENCH_3.json`).
-    pub plan_queries: PlanMode,
-    /// The [`Execution`] for the same on-behalf-of evaluations as
-    /// [`SearchConfig::plan_queries`]: vectorized block execution by
-    /// default; harnesses replaying counter baselines recorded before the
-    /// block engine pin [`Execution::Scalar`] (alongside
-    /// [`PlanMode::Greedy`]) so `EvalWork` stays bit-identical.
-    pub execution: Execution,
 }
 
 impl Default for SearchConfig {
@@ -139,8 +115,6 @@ impl Default for SearchConfig {
             distribution: LoiDistribution::Uniform,
             parallelism: None,
             memoize_abstractions: true,
-            plan_queries: PlanMode::default(),
-            execution: Execution::default(),
         }
     }
 }

@@ -229,7 +229,11 @@ pub fn correlated_skew(cfg: &CorrelatedSkewConfig) -> (Database, Workload) {
 mod tests {
     use super::*;
     use crate::tpch::{generate, tpch_queries, TpchConfig};
-    use provabs_relational::{eval_cq, plan_cq, PlanMode};
+    use provabs_relational::{plan_cq, Evaluator, KRelation, PlanMode};
+
+    fn eval_cq(db: &Database, q: &Cq) -> KRelation {
+        Evaluator::new(db).eval_cq(q).0
+    }
 
     #[test]
     fn adversarial_variants_keep_the_output() {
@@ -286,7 +290,6 @@ mod tests {
 
     #[test]
     fn correlated_skew_rewards_adaptivity() {
-        use provabs_relational::Evaluator;
         let (db, w) = correlated_skew(&CorrelatedSkewConfig::default());
         let (static_rows, static_work) = Evaluator::new(&db).eval_cq(&w.query);
         let (adaptive_rows, adaptive_work) = Evaluator::new(&db).adaptive(2.0).eval_cq(&w.query);

@@ -212,7 +212,7 @@ impl ChurnGenerator {
 mod tests {
     use super::*;
     use crate::tpch::{generate, TpchConfig};
-    use provabs_relational::{apply_delta_with_queries, eval_cq, parse_cq};
+    use provabs_relational::{parse_cq, Evaluator, Updater};
 
     fn small_db() -> Database {
         generate(&TpchConfig {
@@ -333,7 +333,7 @@ mod tests {
             db.schema(),
         )
         .unwrap();
-        let mut cached = eval_cq(&db, &q);
+        let (mut cached, _) = Evaluator::new(&db).eval_cq(&q);
         let mut gen = ChurnGenerator::new(&ChurnConfig {
             batch_size: 12,
             insert_ratio: 0.5,
@@ -344,9 +344,9 @@ mod tests {
         for step in 0..10 {
             let delta = gen.next_batch(&db);
             assert!(!delta.is_empty(), "step {step} produced nothing");
-            let out = apply_delta_with_queries(&mut db, &delta, std::slice::from_ref(&q));
+            let out = Updater::new().apply(&mut db, &delta, std::slice::from_ref(&q));
             assert!(out.deltas[0].merge_into(&mut cached), "step {step}");
-            assert_eq!(cached, eval_cq(&db, &q), "step {step}");
+            assert_eq!(cached, Evaluator::new(&db).eval_cq(&q).0, "step {step}");
         }
         // Roughly balanced churn keeps the database near its original size.
         let after = db.len() as f64 / before as f64;

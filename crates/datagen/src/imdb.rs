@@ -322,7 +322,7 @@ pub fn rng_for(cfg: &ImdbConfig) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use provabs_relational::{eval_cq_limited, EvalLimits};
+    use provabs_relational::{EvalLimits, Evaluator, Execution};
 
     #[test]
     fn generator_is_deterministic() {
@@ -365,14 +365,14 @@ mod tests {
     fn queries_produce_output_rows() {
         let (db, _) = generate(&ImdbConfig::default());
         for w in imdb_queries(db.schema()) {
-            let out = eval_cq_limited(
-                &db,
-                &w.query,
-                EvalLimits {
+            // Capped output subset: pinned to the scalar engine.
+            let (out, _) = Evaluator::new(&db)
+                .execution(Execution::Scalar)
+                .limits(EvalLimits {
                     max_outputs: 2,
                     max_derivations: 500_000,
-                },
-            );
+                })
+                .eval_cq(&w.query);
             assert!(
                 out.len() >= 2,
                 "{} produced {} rows; need >= 2",

@@ -36,4 +36,4 @@ pub use adversarial::{
 };
 pub use churn::{recovery_stream, ChurnConfig, ChurnGenerator};
 pub use service::{service_schedule, ServiceOp, ServiceWorkloadConfig, Zipf};
-pub use workload::{join_variants, kexample_for, kexample_for_cfg, kexample_for_mode, Workload};
+pub use workload::{join_variants, kexample_for, kexample_for_mode, Workload};

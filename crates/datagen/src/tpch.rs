@@ -399,8 +399,7 @@ pub fn rng_for(cfg: &TpchConfig) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use provabs_relational::eval_cq_limited;
-    use provabs_relational::EvalLimits;
+    use provabs_relational::{EvalLimits, Evaluator, Execution};
 
     #[test]
     fn generator_is_deterministic() {
@@ -462,14 +461,14 @@ mod tests {
             seed: 7,
         });
         for w in tpch_queries(db.schema()) {
-            let out = eval_cq_limited(
-                &db,
-                &w.query,
-                EvalLimits {
+            // Capped output subset: pinned to the scalar engine.
+            let (out, _) = Evaluator::new(&db)
+                .execution(Execution::Scalar)
+                .limits(EvalLimits {
                     max_outputs: 2,
                     max_derivations: 200_000,
-                },
-            );
+                })
+                .eval_cq(&w.query);
             assert!(
                 out.len() >= 2,
                 "{} produced {} rows; need >= 2 for a K-example",

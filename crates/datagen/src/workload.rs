@@ -35,31 +35,19 @@ pub fn kexample_for(db: &Database, query: &Cq, rows: usize) -> Option<KExample> 
 /// order — so harnesses that replay checked-in baselines built before the
 /// cost-based planner pass [`PlanMode::Greedy`] to reproduce the same
 /// K-examples bit for bit. Execution is pinned to [`Execution::Scalar`]
-/// for the same reason (capped enumeration order differs per engine); use
-/// [`kexample_for_cfg`] to choose.
+/// for the same reason (capped enumeration order differs per engine).
 pub fn kexample_for_mode(
     db: &Database,
     query: &Cq,
     rows: usize,
     mode: PlanMode,
 ) -> Option<KExample> {
-    kexample_for_cfg(db, query, rows, mode, Execution::Scalar)
-}
-
-/// [`kexample_for_mode`] under an explicit [`Execution`] as well.
-pub fn kexample_for_cfg(
-    db: &Database,
-    query: &Cq,
-    rows: usize,
-    mode: PlanMode,
-    exec: Execution,
-) -> Option<KExample> {
     if rows == 0 {
         return Some(KExample::default());
     }
     let (out, _) = Evaluator::new(db)
         .plan(mode)
-        .execution(exec)
+        .execution(Execution::Scalar)
         .limits(EvalLimits {
             max_outputs: rows.saturating_mul(8).max(64),
             max_derivations: 2_000_000,

@@ -77,8 +77,8 @@ use provabs_relational::storage::{
     DurableDatabase, DurableOptions, RecoveryInfo, SharedVfs, StorageError,
 };
 use provabs_relational::{
-    Adaptive, AppliedDelta, Cq, Database, Delta, EvalLimits, EvalWork, Evaluator, Execution,
-    KRelation, PlanMode, RelId, SessionDb, SessionRegistry, SnapshotWriter,
+    AppliedDelta, Cq, Database, Delta, EvalLimits, EvalWork, Evaluator, KRelation, RelId,
+    SessionDb, SessionRegistry, SnapshotWriter,
 };
 use provabs_sched::sync::atomic::{AtomicU64, Ordering};
 use provabs_sched::sync::Mutex as SchedMutex;
@@ -368,14 +368,6 @@ impl Drop for Permit {
 pub struct QueryOptions {
     /// Work budget override (`None` = [`ServiceConfig::work_budget`]).
     pub budget: Option<u64>,
-    /// Join-order planning mode.
-    pub plan: PlanMode,
-    /// Execution engine.
-    pub execution: Execution,
-    /// Deterministic mid-join re-planning (`None` = off, replaying the
-    /// static baselines bit-for-bit; see
-    /// [`Evaluator::adaptive`](provabs_relational::Evaluator::adaptive)).
-    pub adaptive: Option<Adaptive>,
 }
 
 /// The result of one admitted, completed query.
@@ -443,15 +435,10 @@ impl Session {
         // pinned epoch: a hit returns the byte-identical plan a cold run
         // would compute, so results and EvalWork counters are unchanged
         // (the hit/miss counters live on the cache itself).
-        let mut eval = Evaluator::new(&self.db)
-            .plan(opts.plan)
-            .execution(opts.execution)
+        let (rows, work) = Evaluator::new(&self.db)
             .limits(limits)
-            .plan_cache(self.service.inner.registry.plan_cache(), self.db.epoch());
-        if let Some(ad) = opts.adaptive {
-            eval = eval.adaptive(ad.k);
-        }
-        let (rows, work) = eval.eval_cq(q);
+            .plan_cache(self.service.inner.registry.plan_cache(), self.db.epoch())
+            .eval_cq(q);
         let stats = &self.service.inner.stats;
         stats
             .max_request_work
@@ -848,10 +835,7 @@ mod tests {
         let svc = mem_service(ServiceConfig::default());
         let session = svc.session();
         let q = parse_cq("q(a, b) :- R(a, x), R(b, x)", session.db().schema()).unwrap();
-        let opts = QueryOptions {
-            budget: Some(5),
-            ..Default::default()
-        };
+        let opts = QueryOptions { budget: Some(5) };
         let first = session.query_opts(&q, &opts).unwrap_err();
         let second = session.query_opts(&q, &opts).unwrap_err();
         assert_eq!(first, second, "cancellation point replays bit-for-bit");
@@ -870,13 +854,7 @@ mod tests {
         assert!(s.max_request_work <= 5);
         // A sufficient budget completes the same query.
         let ok = session
-            .query_opts(
-                &q,
-                &QueryOptions {
-                    budget: Some(1000),
-                    ..Default::default()
-                },
-            )
+            .query_opts(&q, &QueryOptions { budget: Some(1000) })
             .unwrap();
         assert_eq!(ok.rows.len(), 64);
         assert_eq!(svc.stats().completed, 1);

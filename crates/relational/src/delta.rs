@@ -17,12 +17,11 @@
 //! # Protocol
 //!
 //! Retractions are measured on the database *before* the delta applies,
-//! additions *after*; [`apply_delta_with_queries`] drives the full cycle:
+//! additions *after*; [`Updater::apply`](crate::Updater::apply) drives the
+//! full cycle:
 //!
 //! ```
-//! use provabs_relational::{
-//!     apply_delta_with_queries, eval_cq, parse_cq, Database, Delta, Tuple,
-//! };
+//! use provabs_relational::{parse_cq, Database, Delta, Evaluator, Tuple, Updater};
 //!
 //! let mut db = Database::new();
 //! let r = db.add_relation("R", &["a", "b"]);
@@ -31,18 +30,18 @@
 //! db.insert_str(s, "s1", &["10"]);
 //! db.build_indexes();
 //! let q = parse_cq("Q(x) :- R(x, y), S(y)", db.schema()).unwrap();
-//! let mut cached = eval_cq(&db, &q);
+//! let (mut cached, _) = Evaluator::new(&db).eval_cq(&q);
 //!
 //! let mut delta = Delta::new();
 //! delta.insert(s, "s2", Tuple::parse(&["10"]));
 //! delta.delete(db.annotations().get("r1").unwrap());
-//! let out = apply_delta_with_queries(&mut db, &delta, std::slice::from_ref(&q));
+//! let out = Updater::new().apply(&mut db, &delta, std::slice::from_ref(&q));
 //!
 //! assert!(out.deltas[0].merge_into(&mut cached));
-//! assert_eq!(cached, eval_cq(&db, &q)); // bit-for-bit equal to re-eval
+//! assert_eq!(cached, Evaluator::new(&db).eval_cq(&q).0); // bit-for-bit equal to re-eval
 //! ```
 
-use crate::eval::{eval_cq_restricted, EvalWork, Restriction};
+use crate::eval::{run_engine, EvalLimits, EvalWork, Restriction};
 use crate::exec::Execution;
 use crate::interned::{IKRelation, IKRelationDelta};
 use crate::plan::PlanMode;
@@ -228,17 +227,24 @@ pub(crate) fn eval_delta_side(
         let Some(pivot_rows) = rows_by_rel.get(&q.body[pivot].rel) else {
             continue;
         };
-        let (part, w) = eval_cq_restricted(
+        // Delta passes never re-plan adaptively: the pivot's precomputed
+        // delta rows are already the exact access path, and keeping the
+        // restricted path static preserves the PR 2 delta counter
+        // baselines bit for bit.
+        let (part, w, _) = run_engine(
             db,
             q,
-            Restriction {
+            EvalLimits::default(),
+            Some(Restriction {
                 pivot,
                 set,
                 pivot_rows,
-            },
+            }),
             store,
             mode,
             exec,
+            None,
+            None,
         );
         work.absorb(&w);
         out.absorb(store, part);
@@ -246,116 +252,7 @@ pub(crate) fn eval_delta_side(
     (out, work)
 }
 
-/// The provenance retracted by deleting the tuples tagged by `deletes`.
-/// Must be evaluated on the database **before** the delta applies.
-pub fn eval_cq_retractions(
-    db: &Database,
-    q: &Cq,
-    deletes: &HashSet<AnnotId>,
-) -> (KRelation, EvalWork) {
-    let mut store = ProvStore::new();
-    let (out, work) = eval_delta_side(
-        db,
-        q,
-        deletes,
-        &mut store,
-        PlanMode::default(),
-        Execution::Scalar,
-    );
-    (out.to_krelation(&store), work)
-}
-
-/// The provenance added by the tuples tagged by `inserts`. Must be
-/// evaluated on the database **after** the delta applies.
-pub fn eval_cq_additions(
-    db: &Database,
-    q: &Cq,
-    inserts: &HashSet<AnnotId>,
-) -> (KRelation, EvalWork) {
-    let mut store = ProvStore::new();
-    let (out, work) = eval_delta_side(
-        db,
-        q,
-        inserts,
-        &mut store,
-        PlanMode::default(),
-        Execution::Scalar,
-    );
-    (out.to_krelation(&store), work)
-}
-
-/// [`eval_cq_retractions`] trafficking in interned ids against a persistent
-/// store (the maintained-cache fast path).
-pub fn eval_cq_retractions_interned(
-    db: &Database,
-    q: &Cq,
-    deletes: &HashSet<AnnotId>,
-    store: &mut ProvStore,
-) -> (IKRelation, EvalWork) {
-    eval_delta_side(
-        db,
-        q,
-        deletes,
-        store,
-        PlanMode::default(),
-        Execution::Scalar,
-    )
-}
-
-/// [`eval_cq_additions`] trafficking in interned ids against a persistent
-/// store (the maintained-cache fast path).
-pub fn eval_cq_additions_interned(
-    db: &Database,
-    q: &Cq,
-    inserts: &HashSet<AnnotId>,
-    store: &mut ProvStore,
-) -> (IKRelation, EvalWork) {
-    eval_delta_side(
-        db,
-        q,
-        inserts,
-        store,
-        PlanMode::default(),
-        Execution::Scalar,
-    )
-}
-
-/// UCQ retractions: the sum of the disjuncts' retractions.
-pub fn eval_ucq_retractions(
-    db: &Database,
-    u: &Ucq,
-    deletes: &HashSet<AnnotId>,
-) -> (KRelation, EvalWork) {
-    let mut store = ProvStore::new();
-    let (out, work) = sum_disjuncts(
-        db,
-        u,
-        deletes,
-        &mut store,
-        PlanMode::default(),
-        Execution::Scalar,
-    );
-    (out.to_krelation(&store), work)
-}
-
-/// UCQ additions: the sum of the disjuncts' additions.
-pub fn eval_ucq_additions(
-    db: &Database,
-    u: &Ucq,
-    inserts: &HashSet<AnnotId>,
-) -> (KRelation, EvalWork) {
-    let mut store = ProvStore::new();
-    let (out, work) = sum_disjuncts(
-        db,
-        u,
-        inserts,
-        &mut store,
-        PlanMode::default(),
-        Execution::Scalar,
-    );
-    (out.to_krelation(&store), work)
-}
-
+/// Sums [`eval_delta_side`] over the disjuncts of a UCQ.
 pub(crate) fn sum_disjuncts(
     db: &Database,
     u: &Ucq,
@@ -389,44 +286,6 @@ pub struct DeltaEvalOutcome {
     pub work: EvalWork,
 }
 
-/// Computes retractions for every query, applies the delta to `db`, then
-/// computes additions — returning per-query [`KRelationDelta`]s whose merge
-/// into pre-delta cached results reproduces full re-evaluation exactly.
-///
-/// A thin owned boundary over [`apply_delta_with_queries_interned`]: callers
-/// maintaining caches across many batches should hold a persistent
-/// [`ProvStore`] and traffic in [`IKRelationDelta`]s instead, so repeated
-/// derivations and merges stay O(1) arena hits.
-pub fn apply_delta_with_queries(
-    db: &mut Database,
-    delta: &Delta,
-    queries: &[Cq],
-) -> DeltaEvalOutcome {
-    apply_delta_owned_impl(db, delta, queries, PlanMode::default(), Execution::Scalar)
-}
-
-/// Owned-boundary implementation behind [`apply_delta_with_queries`] and
-/// [`Updater`](crate::Updater).
-pub(crate) fn apply_delta_owned_impl(
-    db: &mut Database,
-    delta: &Delta,
-    queries: &[Cq],
-    mode: PlanMode,
-    exec: Execution,
-) -> DeltaEvalOutcome {
-    let mut store = ProvStore::new();
-    let out = apply_delta_impl(db, delta, queries, &mut store, mode, exec);
-    DeltaEvalOutcome {
-        deltas: out
-            .deltas
-            .iter()
-            .map(|d| d.to_krelation_delta(&store))
-            .collect(),
-        applied: out.applied,
-        work: out.work,
-    }
-}
-
 /// The interned full incremental-maintenance cycle (see
 /// [`DeltaEvalOutcome`] for the owned twin).
 #[derive(Debug)]
@@ -440,26 +299,10 @@ pub struct IDeltaEvalOutcome {
     pub work: EvalWork,
 }
 
-/// [`apply_delta_with_queries`] trafficking in interned ids against a
-/// caller-owned persistent [`ProvStore`].
-pub fn apply_delta_with_queries_interned(
-    db: &mut Database,
-    delta: &Delta,
-    queries: &[Cq],
-    store: &mut ProvStore,
-) -> IDeltaEvalOutcome {
-    apply_delta_impl(
-        db,
-        delta,
-        queries,
-        store,
-        PlanMode::default(),
-        Execution::Scalar,
-    )
-}
-
-/// The interned full-cycle implementation every free function and
-/// [`Updater`](crate::Updater) routes through.
+/// Computes retractions for every query, applies the delta to `db`, then
+/// computes additions — returning per-query [`IKRelationDelta`]s whose
+/// merge into pre-delta maintained results reproduces full re-evaluation
+/// exactly. [`Updater`](crate::Updater) is the public front end.
 pub(crate) fn apply_delta_impl(
     db: &mut Database,
     delta: &Delta,
@@ -502,7 +345,11 @@ pub(crate) fn apply_delta_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{eval_cq, eval_cq_counted, eval_ucq, parse_cq, parse_ucq, EvalLimits};
+    use crate::{parse_cq, parse_ucq, Evaluator, Updater};
+
+    fn eval_cq(db: &Database, q: &Cq) -> KRelation {
+        Evaluator::new(db).eval_cq(q).0
+    }
 
     fn triangle_db() -> (Database, RelId, RelId) {
         let mut db = Database::new();
@@ -524,7 +371,7 @@ mod tests {
             .map(|t| parse_cq(t, db.schema()).unwrap())
             .collect();
         let mut cached: Vec<KRelation> = queries.iter().map(|q| eval_cq(db, q)).collect();
-        let out = apply_delta_with_queries(db, delta, &queries);
+        let out = Updater::new().apply(db, delta, &queries);
         for ((q, cache), d) in queries.iter().zip(&mut cached).zip(&out.deltas) {
             assert!(d.merge_into(cache), "retraction underflow");
             assert_eq!(*cache, eval_cq(db, q), "delta merge != re-eval for {q:?}");
@@ -600,7 +447,7 @@ mod tests {
                 // Delete a tuple inserted two steps ago.
                 delta.delete(db.annotations().get(&format!("ri{}", step - 2)).unwrap());
             }
-            let out = apply_delta_with_queries(&mut db, &delta, std::slice::from_ref(&q));
+            let out = Updater::new().apply(&mut db, &delta, std::slice::from_ref(&q));
             assert!(out.deltas[0].merge_into(&mut cached));
             assert_eq!(cached, eval_cq(&db, &q), "step {step}");
         }
@@ -631,9 +478,15 @@ mod tests {
         let mut delta = Delta::new();
         delta.insert(r, "rx", Tuple::parse(&["999", "3"]));
         delta.delete(db.annotations().get("s7").unwrap());
-        let out = apply_delta_with_queries(&mut db, &delta, std::slice::from_ref(&q));
+        // Both sides on the scalar engine, whose `rows_examined` counts
+        // every candidate row tried.
+        let out = Updater::new().execution(Execution::Scalar).apply(
+            &mut db,
+            &delta,
+            std::slice::from_ref(&q),
+        );
         assert!(out.deltas[0].merge_into(&mut cached));
-        let (full, full_work) = eval_cq_counted(&db, &q, EvalLimits::default());
+        let (full, full_work) = Evaluator::new(&db).execution(Execution::Scalar).eval_cq(&q);
         assert_eq!(cached, full);
         assert!(
             out.work.rows_examined < full_work.rows_examined / 2,
@@ -648,7 +501,7 @@ mod tests {
     fn ucq_delta_matches_reeval() {
         let (mut db, r, _) = triangle_db();
         let u = parse_ucq("Q(a) :- R(a, b), S(b, c); Q(b) :- S(b, c)", db.schema()).unwrap();
-        let mut cached = eval_ucq(&db, &u);
+        let (mut cached, _) = Evaluator::new(&db).eval_ucq(&u);
         let mut delta = Delta::new();
         delta.insert(r, "r4", Tuple::parse(&["5", "20"]));
         delta.delete(db.annotations().get("s1").unwrap());
@@ -658,13 +511,13 @@ mod tests {
             .copied()
             .filter(|&a| db.locate(a).is_some())
             .collect();
-        let (removed, _) = eval_ucq_retractions(&db, &u, &deletes);
+        let (removed, _) = Evaluator::new(&db).retractions_ucq(&u, &deletes);
         let applied = db.apply_delta(&delta);
         let inserts: HashSet<AnnotId> = applied.inserted.iter().copied().collect();
-        let (added, _) = eval_ucq_additions(&db, &u, &inserts);
+        let (added, _) = Evaluator::new(&db).additions_ucq(&u, &inserts);
         let d = KRelationDelta { added, removed };
         assert!(d.merge_into(&mut cached));
-        assert_eq!(cached, eval_ucq(&db, &u));
+        assert_eq!(cached, Evaluator::new(&db).eval_ucq(&u).0);
     }
 
     #[test]
@@ -703,7 +556,7 @@ mod tests {
         let (mut db, _, _) = triangle_db();
         let q = parse_cq("Q(a, c) :- R(a, b), S(b, c)", db.schema()).unwrap();
         let before = eval_cq(&db, &q);
-        let out = apply_delta_with_queries(&mut db, &Delta::new(), std::slice::from_ref(&q));
+        let out = Updater::new().apply(&mut db, &Delta::new(), std::slice::from_ref(&q));
         assert!(out.deltas[0].is_empty());
         assert_eq!(out.work, EvalWork::default());
         assert_eq!(eval_cq(&db, &q), before);

@@ -9,14 +9,13 @@
 //! traffics in dictionary ids end-to-end: query constants are resolved to
 //! [`ValueId`]s once per evaluation, variable bindings hold ids, index
 //! probes hash ids, and owned [`Tuple`]s are materialized only when the
-//! accumulated outputs decode at the end. The owned entry points
-//! ([`eval_cq`], [`eval_ucq`]) are thin decode shims over the interned
-//! ones.
+//! accumulated outputs decode at the end. The only way in is the
+//! [`Evaluator`](crate::Evaluator) builder (and [`Updater`](crate::Updater)
+//! for delta passes); its owned results decode the interned ones.
 //!
 //! The pipeline dispatches on [`Execution`]: the vectorized block engine
 //! ([`crate::exec`]) by default, or the scalar backtracking engine in this
-//! module — the replay mode whose counters the PR 2–6 gates pin. Prefer the
-//! [`Evaluator`](crate::Evaluator) builder over the free functions below.
+//! module — the replay mode whose counters the PR 2–6 gates pin.
 
 use crate::exec::Execution;
 use crate::interned::IKRelation;
@@ -25,7 +24,7 @@ use crate::plan::{
     PlanMode, PlanTrace, PlanWork, QueryPlan, ReplanWork, Sideways,
 };
 use crate::vintern::{ValueId, ID_WIDTH, VALUE_MOVE_WIDTH};
-use crate::{Cq, Database, Term, Tuple, Ucq, VarId};
+use crate::{Cq, Database, Term, Tuple, VarId};
 use provabs_semiring::{AnnotId, Monomial, Polynomial, ProvStore};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -214,158 +213,6 @@ impl EvalWork {
     }
 }
 
-/// Evaluates a CQ, producing the full annotated output.
-pub fn eval_cq(db: &Database, q: &Cq) -> KRelation {
-    eval_cq_limited(db, q, EvalLimits::default())
-}
-
-/// Evaluates a CQ under [`EvalLimits`].
-///
-/// The evaluator executes the cost-based [`QueryPlan`] of the query (see
-/// [`crate::plan_cq`]), backtracking over candidate rows fetched through
-/// per-column hash indexes keyed by [`ValueId`].
-pub fn eval_cq_limited(db: &Database, q: &Cq, limits: EvalLimits) -> KRelation {
-    eval_cq_counted(db, q, limits).0
-}
-
-/// [`eval_cq_limited`] also reporting the [`EvalWork`] counters.
-///
-/// This is the thin owned boundary over the interned engine: derivations
-/// accumulate as [`PolyId`](provabs_semiring::PolyId)s in a throwaway
-/// [`ProvStore`] and resolve to owned polynomials only here. Callers that
-/// evaluate repeatedly should hold a persistent store and call
-/// [`eval_cq_counted_interned`] so the arena's hash-consing and operation
-/// memos carry across evaluations.
-pub fn eval_cq_counted(db: &Database, q: &Cq, limits: EvalLimits) -> (KRelation, EvalWork) {
-    eval_cq_owned_impl(
-        db,
-        q,
-        limits,
-        PlanMode::default(),
-        Execution::Scalar,
-        None,
-        None,
-    )
-}
-
-/// Owned-boundary implementation behind [`eval_cq_counted`] and
-/// [`Evaluator`](crate::Evaluator). `adaptive` arms the
-/// mid-join re-planning trigger; `plan_override` executes a caller-supplied
-/// plan (a plan-cache hit) instead of planning — the caller guarantees it
-/// was produced for this exact database content, query, mode and pivot.
-pub(crate) fn eval_cq_owned_impl(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    mode: PlanMode,
-    exec: Execution,
-    adaptive: Option<Adaptive>,
-    plan_override: Option<&QueryPlan>,
-) -> (KRelation, EvalWork) {
-    let mut store = ProvStore::new();
-    let (out, work) = run_engine(
-        db,
-        q,
-        limits,
-        None,
-        &mut store,
-        mode,
-        exec,
-        adaptive,
-        plan_override,
-    );
-    (out.to_krelation(&store), work)
-}
-
-/// [`eval_cq_counted`] under an explicit [`PlanMode`], also returning the
-/// executed [`QueryPlan`] and the engine's per-step actual row counts — the
-/// estimated-versus-actual diagnostic surface of the planner
-/// (`bench::planner` logs it; tests pin expected plans through it).
-pub fn eval_cq_traced(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    mode: PlanMode,
-) -> (KRelation, EvalWork, PlanTrace) {
-    eval_cq_traced_impl(db, q, limits, mode, Execution::Scalar, None, None)
-}
-
-/// Implementation behind [`eval_cq_traced`] and
-/// [`Evaluator::eval_cq_traced`](crate::Evaluator::eval_cq_traced).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_cq_traced_impl(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    mode: PlanMode,
-    exec: Execution,
-    adaptive: Option<Adaptive>,
-    plan_override: Option<&QueryPlan>,
-) -> (KRelation, EvalWork, PlanTrace) {
-    let mut store = ProvStore::new();
-    let (out, work, trace) = run_engine_traced(
-        db,
-        q,
-        limits,
-        None,
-        &mut store,
-        mode,
-        exec,
-        adaptive,
-        plan_override,
-    );
-    (out.to_krelation(&store), work, trace)
-}
-
-/// Interned counterpart of [`eval_cq_traced_impl`], behind
-/// [`InternedEvaluator::eval_cq_traced`](crate::InternedEvaluator::eval_cq_traced):
-/// interned callers (the search engine, `provabsd`) observe per-step
-/// est-vs-actual without a decode shim.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_cq_traced_interned_impl(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    store: &mut ProvStore,
-    mode: PlanMode,
-    exec: Execution,
-    adaptive: Option<Adaptive>,
-    plan_override: Option<&QueryPlan>,
-) -> (IKRelation, EvalWork, PlanTrace) {
-    run_engine_traced(
-        db,
-        q,
-        limits,
-        None,
-        store,
-        mode,
-        exec,
-        adaptive,
-        plan_override,
-    )
-}
-
-/// The interned engine entry point: evaluates a CQ into an
-/// [`IKRelation`] whose provenance lives in `store`.
-pub fn eval_cq_counted_interned(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    store: &mut ProvStore,
-) -> (IKRelation, EvalWork) {
-    run_engine(
-        db,
-        q,
-        limits,
-        None,
-        store,
-        PlanMode::default(),
-        Execution::Scalar,
-        None,
-        None,
-    )
-}
-
 /// Restriction of an evaluation to derivations through a *pivot* atom
 /// (semi-naive delta evaluation): the pivot body atom may only match rows
 /// whose annotation is in `set`, body atoms *before* the pivot (in the
@@ -381,56 +228,6 @@ pub(crate) struct Restriction<'a> {
     /// Precomputed rows of `set` members inside the pivot atom's relation
     /// (an access path so the pivot never scans).
     pub pivot_rows: &'a [usize],
-}
-
-pub(crate) fn eval_cq_restricted(
-    db: &Database,
-    q: &Cq,
-    restriction: Restriction<'_>,
-    store: &mut ProvStore,
-    mode: PlanMode,
-    exec: Execution,
-) -> (IKRelation, EvalWork) {
-    // Delta passes never re-plan adaptively: the pivot's precomputed delta
-    // rows are already the exact access path, and keeping the restricted
-    // path static preserves the PR 2 delta counter baselines bit for bit.
-    run_engine(
-        db,
-        q,
-        EvalLimits::default(),
-        Some(restriction),
-        store,
-        mode,
-        exec,
-        None,
-        None,
-    )
-}
-
-/// Interned implementation behind
-/// [`InternedEvaluator`](crate::InternedEvaluator).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_cq_interned_impl(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    store: &mut ProvStore,
-    mode: PlanMode,
-    exec: Execution,
-    adaptive: Option<Adaptive>,
-    plan_override: Option<&QueryPlan>,
-) -> (IKRelation, EvalWork) {
-    run_engine(
-        db,
-        q,
-        limits,
-        None,
-        store,
-        mode,
-        exec,
-        adaptive,
-        plan_override,
-    )
 }
 
 /// One compiled body-atom position: the variable, or the constant resolved
@@ -450,34 +247,15 @@ pub(crate) enum Slot {
 /// retains accumulation prefixes.
 pub(crate) type Accum = BTreeMap<Vec<ValueId>, BTreeMap<provabs_semiring::MonoId, u64>>;
 
+/// The join engine: evaluates `q` into `store` under the given plan mode,
+/// execution, limits and optional adaptivity, returning the interned
+/// output, its work counters and the executed plan with per-step actual
+/// row counts. `restrict` confines derivations to a delta pivot (see
+/// [`Restriction`]); `plan_override` executes a caller-supplied plan (a
+/// plan-cache hit) instead of planning — the caller guarantees it was
+/// produced for this exact database content, query, mode and pivot.
 #[allow(clippy::too_many_arguments)]
-fn run_engine(
-    db: &Database,
-    q: &Cq,
-    limits: EvalLimits,
-    restrict: Option<Restriction<'_>>,
-    store: &mut ProvStore,
-    mode: PlanMode,
-    exec: Execution,
-    adaptive: Option<Adaptive>,
-    plan_override: Option<&QueryPlan>,
-) -> (IKRelation, EvalWork) {
-    let (out, work, _) = run_engine_traced(
-        db,
-        q,
-        limits,
-        restrict,
-        store,
-        mode,
-        exec,
-        adaptive,
-        plan_override,
-    );
-    (out, work)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_engine_traced(
+pub(crate) fn run_engine(
     db: &Database,
     q: &Cq,
     limits: EvalLimits,
@@ -693,106 +471,6 @@ fn run_engine_traced(
             .collect(),
     );
     (out, work, trace)
-}
-
-/// Evaluates a UCQ: the sum of its disjuncts' outputs.
-pub fn eval_ucq(db: &Database, u: &Ucq) -> KRelation {
-    let mut store = ProvStore::new();
-    eval_ucq_interned(db, u, &mut store).to_krelation(&store)
-}
-
-/// [`eval_ucq`] against a caller-owned [`ProvStore`]: disjunct outputs move
-/// into the sum (no polynomial clones) and the arena memos persist for the
-/// caller's next evaluation.
-pub fn eval_ucq_interned(db: &Database, u: &Ucq, store: &mut ProvStore) -> IKRelation {
-    eval_ucq_interned_impl(db, u, store, PlanMode::default(), Execution::Scalar, None).0
-}
-
-/// UCQ implementation behind [`eval_ucq_interned`] and
-/// [`InternedEvaluator`](crate::InternedEvaluator): sums the disjuncts'
-/// outputs and work.
-pub(crate) fn eval_ucq_interned_impl(
-    db: &Database,
-    u: &Ucq,
-    store: &mut ProvStore,
-    mode: PlanMode,
-    exec: Execution,
-    adaptive: Option<Adaptive>,
-) -> (IKRelation, EvalWork) {
-    let mut out = IKRelation::default();
-    let mut work = EvalWork::default();
-    for d in &u.disjuncts {
-        let (part, dwork) = run_engine(
-            db,
-            d,
-            EvalLimits::default(),
-            None,
-            store,
-            mode,
-            exec,
-            adaptive,
-            None,
-        );
-        work.absorb(&dwork);
-        out.absorb(store, part);
-    }
-    (out, work)
-}
-
-/// Evaluates a batch of CQs across `workers` scoped threads sharing one
-/// database — no cloning, no `unsafe`: [`Database`] is `Send + Sync`
-/// (plain `Vec`/`HashMap` columnar storage plus an append-only value
-/// dictionary, no interior mutability), so every worker evaluates through
-/// the same `&Database`, including its hash indexes and interner. Results
-/// come back in input order regardless of which worker produced them.
-///
-/// Build the indexes *before* fanning out ([`Database::build_indexes`]
-/// takes `&mut self`): an unindexed database still evaluates correctly but
-/// every bound-column probe degrades to a scan.
-///
-/// ```
-/// use provabs_relational::{eval_cq, eval_cqs_parallel, parse_cq, Database};
-///
-/// let mut db = Database::new();
-/// let r = db.add_relation("R", &["a", "b"]);
-/// db.insert_str(r, "t1", &["1", "2"]);
-/// db.insert_str(r, "t2", &["2", "3"]);
-/// db.build_indexes();
-/// let q1 = parse_cq("Q(x) :- R(x, y)", db.schema()).unwrap();
-/// let q2 = parse_cq("Q(x, z) :- R(x, y), R(y, z)", db.schema()).unwrap();
-///
-/// let parallel = eval_cqs_parallel(&db, &[q1.clone(), q2.clone()], 2);
-/// assert_eq!(parallel[0], eval_cq(&db, &q1));
-/// assert_eq!(parallel[1], eval_cq(&db, &q2));
-/// ```
-pub fn eval_cqs_parallel(db: &Database, queries: &[Cq], workers: usize) -> Vec<KRelation> {
-    let workers = workers.max(1).min(queries.len().max(1));
-    if workers <= 1 || queries.len() <= 1 {
-        return queries.iter().map(|q| eval_cq(db, q)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<KRelation>> = Vec::new();
-    slots.resize_with(queries.len(), || None);
-    let slots = std::sync::Mutex::new(slots);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let (next, slots) = (&next, &slots);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let out = eval_cq(db, &queries[i]);
-                slots.lock().expect("result lock poisoned")[i] = Some(out);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("result lock poisoned")
-        .into_iter()
-        .map(|r| r.expect("every query slot filled"))
-        .collect()
 }
 
 /// A candidate row set: a borrowed posting list (the indexed fast path), an
@@ -1088,8 +766,12 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_cq;
+    use crate::{parse_cq, Evaluator};
     use provabs_semiring::Monomial;
+
+    fn eval_cq(db: &Database, q: &Cq) -> KRelation {
+        Evaluator::new(db).eval_cq(q).0
+    }
 
     /// The running-example database of Figure 1.
     pub(crate) fn figure1_db() -> Database {
@@ -1185,7 +867,7 @@ mod tests {
         // id and the candidate set is empty without touching an index.
         let db = figure1_db();
         let q = parse_cq("Q(id) :- Hobbies(id, 'Knitting', s)", db.schema()).unwrap();
-        let (out, work) = eval_cq_counted(&db, &q, EvalLimits::default());
+        let (out, work) = Evaluator::new(&db).eval_cq(&q);
         assert!(out.is_empty());
         assert_eq!(work.rows_examined, 0);
         // Head constants outside the domain still decode into outputs.
@@ -1218,15 +900,7 @@ mod tests {
             crate::PlanMode::WrittenOrder,
         ] {
             for exec in [Execution::Scalar, Execution::default()] {
-                let (out, work) = super::eval_cq_owned_impl(
-                    &db,
-                    &q,
-                    EvalLimits::default(),
-                    mode,
-                    exec,
-                    None,
-                    None,
-                );
+                let (out, work) = Evaluator::new(&db).plan(mode).execution(exec).eval_cq(&q);
                 assert!(out.is_empty(), "{mode:?}/{exec:?}");
                 assert_eq!(work.rows_examined, 0, "{mode:?}/{exec:?}: examined rows");
                 assert_eq!(work.probes, 0, "{mode:?}/{exec:?}: issued index probes");
@@ -1236,7 +910,7 @@ mod tests {
         // The delta path short-circuits identically.
         let deletes: std::collections::HashSet<_> =
             [db.annotations().get("p1").unwrap()].into_iter().collect();
-        let (removed, dwork) = crate::eval_cq_retractions(&db, &q, &deletes);
+        let (removed, dwork) = Evaluator::new(&db).retractions_cq(&q, &deletes);
         assert!(removed.is_empty());
         assert_eq!(dwork.rows_examined, 0);
         assert_eq!(dwork.probes, 0);
@@ -1246,30 +920,34 @@ mod tests {
     fn limits_cap_outputs() {
         let db = figure1_db();
         let q = parse_cq("Q(id) :- Hobbies(id, h, s)", db.schema()).unwrap();
-        let out = eval_cq_limited(
-            &db,
-            &q,
-            EvalLimits {
+        for exec in [Execution::Scalar, Execution::default()] {
+            let limits = EvalLimits {
                 max_outputs: 2,
                 ..Default::default()
-            },
-        );
-        assert_eq!(out.len(), 2);
+            };
+            let (out, _) = Evaluator::new(&db)
+                .execution(exec)
+                .limits(limits)
+                .eval_cq(&q);
+            assert_eq!(out.len(), 2, "{exec:?}");
+        }
     }
 
     #[test]
     fn limits_cap_derivations() {
         let db = figure1_db();
         let q = parse_cq("Q(id) :- Hobbies(id, h, s)", db.schema()).unwrap();
-        let out = eval_cq_limited(
-            &db,
-            &q,
-            EvalLimits {
+        for exec in [Execution::Scalar, Execution::default()] {
+            let limits = EvalLimits {
                 max_derivations: 1,
                 ..Default::default()
-            },
-        );
-        assert_eq!(out.len(), 1);
+            };
+            let (out, _) = Evaluator::new(&db)
+                .execution(exec)
+                .limits(limits)
+                .eval_cq(&q);
+            assert_eq!(out.len(), 1, "{exec:?}");
+        }
     }
 
     #[test]
@@ -1280,7 +958,7 @@ mod tests {
             db.schema(),
         )
         .unwrap();
-        let out = eval_ucq(&db, &u);
+        let (out, _) = Evaluator::new(&db).eval_ucq(&u);
         // id 1 has both a Dance hobby and a Music interest: 2 monomials.
         assert_eq!(out.provenance(&Tuple::parse(&["1"])).num_monomials(), 2);
         // id 4 only dances.
@@ -1317,7 +995,9 @@ mod tests {
             db.schema(),
         )
         .unwrap();
-        let (_, work) = eval_cq_counted(&db, &q, EvalLimits::default());
+        // Scalar: every scalar probe hashes one id.
+        let scalar = Evaluator::new(&db).execution(Execution::Scalar);
+        let (_, work) = scalar.eval_cq(&q);
         assert!(work.probes > 0);
         assert_eq!(work.probe_bytes_id, work.probes * 4);
         assert!(
@@ -1328,7 +1008,7 @@ mod tests {
         );
         assert!(work.moved_bytes_id * 2 <= work.moved_bytes_value);
         // Deterministic: same database, same query, same counters.
-        let (_, again) = eval_cq_counted(&db, &q, EvalLimits::default());
+        let (_, again) = scalar.eval_cq(&q);
         assert_eq!(work, again);
     }
 
@@ -1343,30 +1023,16 @@ mod tests {
         ];
         for (i, text) in queries.iter().enumerate() {
             let q = parse_cq(text, db.schema()).unwrap();
-            let (scalar, swork) = super::eval_cq_owned_impl(
-                &db,
-                &q,
-                EvalLimits::default(),
-                crate::PlanMode::CostBased,
-                Execution::Scalar,
-                None,
-                None,
-            );
+            let (scalar, swork) = Evaluator::new(&db).execution(Execution::Scalar).eval_cq(&q);
             // Scalar replay never touches the block counters (the perf
             // gates bit-diff EvalWork).
             assert_eq!(swork.blocks_emitted, 0, "query {i}");
             assert_eq!(swork.selection_survivors, 0, "query {i}");
             assert_eq!(swork.gallop_steps, 0, "query {i}");
             for block_size in [1, 2, 3, crate::exec::DEFAULT_BLOCK_SIZE] {
-                let (block, bwork) = super::eval_cq_owned_impl(
-                    &db,
-                    &q,
-                    EvalLimits::default(),
-                    crate::PlanMode::CostBased,
-                    Execution::Block { block_size },
-                    None,
-                    None,
-                );
+                let (block, bwork) = Evaluator::new(&db)
+                    .execution(Execution::Block { block_size })
+                    .eval_cq(&q);
                 assert_eq!(block, scalar, "query {i} block_size {block_size}");
                 assert_eq!(bwork.derivations, swork.derivations);
                 assert!(bwork.blocks_emitted > 0, "query {i}");
@@ -1382,8 +1048,10 @@ mod tests {
             db.schema(),
         )
         .unwrap();
-        let (out, work, trace) =
-            super::eval_cq_traced(&db, &q, EvalLimits::default(), crate::PlanMode::CostBased);
+        let (out, work, trace) = Evaluator::new(&db)
+            .plan(crate::PlanMode::CostBased)
+            .execution(Execution::Scalar)
+            .eval_cq_traced(&q);
         assert_eq!(out, eval_cq(&db, &q));
         assert_eq!(trace.plan.steps.len(), q.body.len());
         assert_eq!(trace.actual_rows.len(), q.body.len());
@@ -1402,27 +1070,5 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Database>();
         assert_send_sync::<KRelation>();
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential_in_order() {
-        let db = figure1_db();
-        let queries: Vec<Cq> = [
-            "Q(id) :- Hobbies(id, 'Dance', s)",
-            "Q(id) :- Interests(id, 'Music', s)",
-            "Q(id) :- Person(id, n, a), Hobbies(id, 'Dance', s1), Interests(id, 'Music', s2)",
-            "Q(id) :- Hobbies(id, h, s)",
-            "Q(x) :- Person(x, n, a)",
-        ]
-        .iter()
-        .map(|q| parse_cq(q, db.schema()).unwrap())
-        .collect();
-        for workers in [1, 2, 4, 16] {
-            let par = eval_cqs_parallel(&db, &queries, workers);
-            assert_eq!(par.len(), queries.len());
-            for (i, q) in queries.iter().enumerate() {
-                assert_eq!(par[i], eval_cq(&db, q), "workers={workers} query={i}");
-            }
-        }
     }
 }

@@ -1,9 +1,9 @@
 //! The [`Evaluator`] builder: one front door for every evaluation variant.
 //!
-//! Historically each combination of {CQ, UCQ} × {owned, interned} ×
-//! {plain, limited, counted, delta-restricted} × {default, explicit
-//! [`PlanMode`]} would need its own free function. The builder collapses
-//! that matrix into configuration:
+//! Each combination of {CQ, UCQ} × {owned, interned} × {plain, limited,
+//! traced, delta-restricted} × {plan mode} × {execution} is configuration
+//! on one builder, not a function of its own; the crate exports no free
+//! evaluation function:
 //!
 //! ```
 //! use provabs_relational::{parse_cq, Database, Evaluator, Execution, PlanMode};
@@ -46,16 +46,12 @@
 //! ```
 
 use crate::delta::{
-    apply_delta_impl, apply_delta_owned_impl, eval_delta_side, sum_disjuncts, Delta,
-    DeltaEvalOutcome, IDeltaEvalOutcome,
+    apply_delta_impl, eval_delta_side, sum_disjuncts, Delta, DeltaEvalOutcome, IDeltaEvalOutcome,
 };
-use crate::eval::{
-    eval_cq_interned_impl, eval_cq_owned_impl, eval_cq_traced_impl, eval_cq_traced_interned_impl,
-    eval_ucq_interned_impl, EvalLimits, EvalWork, KRelation,
-};
+use crate::eval::{run_engine, EvalLimits, EvalWork, KRelation};
 use crate::exec::Execution;
 use crate::interned::IKRelation;
-use crate::plan::{Adaptive, PlanMode, PlanTrace, QueryPlan};
+use crate::plan::{Adaptive, PlanMode, PlanTrace};
 use crate::plancache::PlanCache;
 use crate::{Cq, Database, Ucq};
 use provabs_semiring::{AnnotId, ProvStore};
@@ -103,9 +99,10 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    /// Selects the physical execution (see [`Execution`]). Harnesses
-    /// replaying counter baselines recorded before the block engine pass
-    /// [`Execution::Scalar`].
+    /// Selects the physical execution (see [`Execution`]). Results that
+    /// depend on the engine — gated counters, scalar-only counter
+    /// identities, output subsets kept under [`EvalLimits`] — pin
+    /// [`Execution::Scalar`] here explicitly.
     pub fn execution(mut self, exec: Execution) -> Self {
         self.exec = exec;
         self
@@ -160,12 +157,6 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    /// Disables mid-join re-planning (the default).
-    pub fn adaptive_off(mut self) -> Self {
-        self.adaptive = None;
-        self
-    }
-
     /// Binds an epoch-keyed [`PlanCache`]: CQ evaluations consult the
     /// cache at `epoch` before planning, and insert on miss. The cached
     /// plan is byte-identical to a cold plan (the stats fingerprint keys
@@ -177,88 +168,82 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    fn cached_plan(&self, q: &Cq) -> Option<std::sync::Arc<QueryPlan>> {
-        let (cache, epoch) = self.cache?;
-        Some(cache.lookup_or_plan(self.db, q, self.mode, epoch).0)
-    }
-
-    /// The configured plan mode.
-    pub fn plan_mode(&self) -> PlanMode {
-        self.mode
-    }
-
-    /// The configured execution.
-    pub fn execution_mode(&self) -> Execution {
-        self.exec
+    /// Runs `f` against a throwaway arena and decodes its result.
+    fn decoded(
+        &self,
+        f: impl FnOnce(&mut InternedEvaluator<'db, '_>) -> (IKRelation, EvalWork),
+    ) -> (KRelation, EvalWork) {
+        let mut store = ProvStore::new();
+        let (out, work) = f(&mut self.interned(&mut store));
+        (out.to_krelation(&store), work)
     }
 
     /// Evaluates a CQ, returning the owned K-relation and work counters.
     pub fn eval_cq(&self, q: &Cq) -> (KRelation, EvalWork) {
-        let plan = self.cached_plan(q);
-        eval_cq_owned_impl(
-            self.db,
-            q,
-            self.limits,
-            self.mode,
-            self.exec,
-            self.adaptive,
-            plan.as_deref(),
-        )
+        self.decoded(|e| e.eval_cq(q))
     }
 
     /// [`Evaluator::eval_cq`] also returning the executed plan and per-step
-    /// actual row counts.
+    /// actual row counts — the estimated-versus-actual diagnostic surface
+    /// of the planner (`bench::planner` logs it; tests pin expected plans
+    /// through it).
     pub fn eval_cq_traced(&self, q: &Cq) -> (KRelation, EvalWork, PlanTrace) {
-        let plan = self.cached_plan(q);
-        eval_cq_traced_impl(
-            self.db,
-            q,
-            self.limits,
-            self.mode,
-            self.exec,
-            self.adaptive,
-            plan.as_deref(),
-        )
+        let mut store = ProvStore::new();
+        let (out, work, trace) = self.interned(&mut store).run(q);
+        (out.to_krelation(&store), work, trace)
     }
 
     /// Evaluates a UCQ (the sum of its disjuncts, each planned
     /// independently and evaluated without limits).
     pub fn eval_ucq(&self, u: &Ucq) -> (KRelation, EvalWork) {
-        let mut store = ProvStore::new();
-        let (out, work) =
-            eval_ucq_interned_impl(self.db, u, &mut store, self.mode, self.exec, self.adaptive);
-        (out.to_krelation(&store), work)
+        self.decoded(|e| e.eval_ucq(u))
     }
 
     /// The provenance retracted by deleting the tuples tagged by `deletes`
     /// (evaluate **before** applying the delta).
     pub fn retractions_cq(&self, q: &Cq, deletes: &HashSet<AnnotId>) -> (KRelation, EvalWork) {
-        let mut store = ProvStore::new();
-        let (out, work) = eval_delta_side(self.db, q, deletes, &mut store, self.mode, self.exec);
-        (out.to_krelation(&store), work)
-    }
-
-    /// The provenance added by the tuples tagged by `inserts` (evaluate
-    /// **after** applying the delta).
-    pub fn additions_cq(&self, q: &Cq, inserts: &HashSet<AnnotId>) -> (KRelation, EvalWork) {
-        self.retractions_cq(q, inserts)
+        self.decoded(|e| e.retractions_cq(q, deletes))
     }
 
     /// UCQ retractions: the sum of the disjuncts' retractions.
     pub fn retractions_ucq(&self, u: &Ucq, deletes: &HashSet<AnnotId>) -> (KRelation, EvalWork) {
-        let mut store = ProvStore::new();
-        let (out, work) = sum_disjuncts(self.db, u, deletes, &mut store, self.mode, self.exec);
-        (out.to_krelation(&store), work)
+        self.decoded(|e| e.retractions_ucq(u, deletes))
     }
 
-    /// UCQ additions: the sum of the disjuncts' additions.
+    /// UCQ additions: the sum of the disjuncts' additions (evaluate
+    /// **after** applying the delta).
     pub fn additions_ucq(&self, u: &Ucq, inserts: &HashSet<AnnotId>) -> (KRelation, EvalWork) {
-        self.retractions_ucq(u, inserts)
+        self.decoded(|e| e.additions_ucq(u, inserts))
     }
 
-    /// Evaluates a batch of CQs across `workers` scoped threads sharing the
-    /// borrowed database (work-stealing, results in input order — the
-    /// configured counterpart of [`crate::eval_cqs_parallel`]).
+    /// Evaluates a batch of CQs across `workers` scoped threads sharing one
+    /// database — no cloning, no `unsafe`: [`Database`] is `Send + Sync`
+    /// (plain `Vec`/`HashMap` columnar storage plus an append-only value
+    /// dictionary, no interior mutability), so every worker evaluates
+    /// through the same `&Database`, including its hash indexes and
+    /// interner. Work-stealing; results come back in input order regardless
+    /// of which worker produced them.
+    ///
+    /// Build the indexes *before* fanning out ([`Database::build_indexes`]
+    /// takes `&mut self`): an unindexed database still evaluates correctly
+    /// but every bound-column probe degrades to a scan.
+    ///
+    /// ```
+    /// use provabs_relational::{parse_cq, Database, Evaluator};
+    ///
+    /// let mut db = Database::new();
+    /// let r = db.add_relation("R", &["a", "b"]);
+    /// db.insert_str(r, "t1", &["1", "2"]);
+    /// db.insert_str(r, "t2", &["2", "3"]);
+    /// db.build_indexes();
+    /// let q1 = parse_cq("Q(x) :- R(x, y)", db.schema()).unwrap();
+    /// let q2 = parse_cq("Q(x, z) :- R(x, y), R(y, z)", db.schema()).unwrap();
+    ///
+    /// let eval = Evaluator::new(&db);
+    /// let parallel = eval.eval_batch(&[q1.clone(), q2.clone()], 2);
+    /// assert_eq!(parallel[0], eval.eval_cq(&q1));
+    /// assert_eq!(parallel[1], eval.eval_cq(&q2));
+    /// ```
     pub fn eval_batch(&self, queries: &[Cq], workers: usize) -> Vec<(KRelation, EvalWork)> {
         let workers = workers.max(1).min(queries.len().max(1));
         if workers <= 1 || queries.len() <= 1 {
@@ -292,91 +277,72 @@ impl<'db> Evaluator<'db> {
     /// Binds a persistent [`ProvStore`]: results come back as
     /// [`IKRelation`]s whose provenance lives in the store.
     pub fn interned<'s>(&self, store: &'s mut ProvStore) -> InternedEvaluator<'db, 's> {
-        InternedEvaluator {
-            db: self.db,
-            mode: self.mode,
-            exec: self.exec,
-            limits: self.limits,
-            adaptive: self.adaptive,
-            cache: self.cache,
-            store,
-        }
-    }
-
-    /// An [`Updater`] carrying this evaluator's plan mode and execution
-    /// (the update cycle needs `&mut Database`, which the evaluator's
-    /// borrow cannot provide).
-    pub fn updater(&self) -> Updater {
-        Updater {
-            mode: self.mode,
-            exec: self.exec,
-        }
+        InternedEvaluator { eval: *self, store }
     }
 }
 
 /// An [`Evaluator`] bound to a caller-owned [`ProvStore`]: every result is
 /// an [`IKRelation`] interned in that store.
 pub struct InternedEvaluator<'db, 's> {
-    db: &'db Database,
-    mode: PlanMode,
-    exec: Execution,
-    limits: EvalLimits,
-    adaptive: Option<Adaptive>,
-    cache: Option<(&'db PlanCache, u64)>,
+    eval: Evaluator<'db>,
     store: &'s mut ProvStore,
 }
 
 impl InternedEvaluator<'_, '_> {
-    fn cached_plan(&self, q: &Cq) -> Option<std::sync::Arc<QueryPlan>> {
-        let (cache, epoch) = self.cache?;
-        Some(cache.lookup_or_plan(self.db, q, self.mode, epoch).0)
+    /// One CQ through the engine, consulting the bound plan cache.
+    fn run(&mut self, q: &Cq) -> (IKRelation, EvalWork, PlanTrace) {
+        let e = self.eval;
+        let plan = e
+            .cache
+            .map(|(cache, epoch)| cache.lookup_or_plan(e.db, q, e.mode, epoch).0);
+        run_engine(
+            e.db,
+            q,
+            e.limits,
+            None,
+            self.store,
+            e.mode,
+            e.exec,
+            e.adaptive,
+            plan.as_deref(),
+        )
     }
 
     /// Evaluates a CQ into the bound store.
     pub fn eval_cq(&mut self, q: &Cq) -> (IKRelation, EvalWork) {
-        let plan = self.cached_plan(q);
-        eval_cq_interned_impl(
-            self.db,
-            q,
-            self.limits,
-            self.store,
-            self.mode,
-            self.exec,
-            self.adaptive,
-            plan.as_deref(),
-        )
+        let (out, work, _) = self.run(q);
+        (out, work)
     }
 
-    /// [`InternedEvaluator::eval_cq`] also returning the executed plan and
-    /// per-step actual row counts, so interned callers (the search engine,
-    /// `provabsd`) observe est-vs-actual without decode shims.
-    pub fn eval_cq_traced(&mut self, q: &Cq) -> (IKRelation, EvalWork, PlanTrace) {
-        let plan = self.cached_plan(q);
-        eval_cq_traced_interned_impl(
-            self.db,
-            q,
-            self.limits,
-            self.store,
-            self.mode,
-            self.exec,
-            self.adaptive,
-            plan.as_deref(),
-        )
-    }
-
-    /// Evaluates a UCQ into the bound store.
+    /// Evaluates a UCQ into the bound store: the sum of its disjuncts,
+    /// each planned independently (not cached) and evaluated without
+    /// limits.
     pub fn eval_ucq(&mut self, u: &Ucq) -> (IKRelation, EvalWork) {
-        eval_ucq_interned_impl(self.db, u, self.store, self.mode, self.exec, self.adaptive)
+        let e = self.eval;
+        let mut out = IKRelation::default();
+        let mut work = EvalWork::default();
+        for d in &u.disjuncts {
+            let (part, dwork, _) = run_engine(
+                e.db,
+                d,
+                EvalLimits::default(),
+                None,
+                self.store,
+                e.mode,
+                e.exec,
+                e.adaptive,
+                None,
+            );
+            work.absorb(&dwork);
+            out.absorb(self.store, part);
+        }
+        (out, work)
     }
 
     /// CQ retractions into the bound store (pre-delta database).
     pub fn retractions_cq(&mut self, q: &Cq, deletes: &HashSet<AnnotId>) -> (IKRelation, EvalWork) {
-        eval_delta_side(self.db, q, deletes, self.store, self.mode, self.exec)
-    }
-
-    /// CQ additions into the bound store (post-delta database).
-    pub fn additions_cq(&mut self, q: &Cq, inserts: &HashSet<AnnotId>) -> (IKRelation, EvalWork) {
-        eval_delta_side(self.db, q, inserts, self.store, self.mode, self.exec)
+        let e = self.eval;
+        eval_delta_side(e.db, q, deletes, self.store, e.mode, e.exec)
     }
 
     /// UCQ retractions into the bound store (pre-delta database).
@@ -385,19 +351,22 @@ impl InternedEvaluator<'_, '_> {
         u: &Ucq,
         deletes: &HashSet<AnnotId>,
     ) -> (IKRelation, EvalWork) {
-        sum_disjuncts(self.db, u, deletes, self.store, self.mode, self.exec)
+        let e = self.eval;
+        sum_disjuncts(e.db, u, deletes, self.store, e.mode, e.exec)
     }
 
     /// UCQ additions into the bound store (post-delta database).
     pub fn additions_ucq(&mut self, u: &Ucq, inserts: &HashSet<AnnotId>) -> (IKRelation, EvalWork) {
-        sum_disjuncts(self.db, u, inserts, self.store, self.mode, self.exec)
+        self.retractions_ucq(u, inserts)
     }
 }
 
-/// The configured incremental-maintenance front end: computes retractions,
-/// applies a [`Delta`], computes additions (see
-/// [`crate::apply_delta_with_queries`] for the protocol). Holds no database
-/// borrow, so it composes with [`Database::apply_delta`]'s `&mut self`.
+/// The configured incremental-maintenance front end: computes retractions
+/// on the pre-delta database, applies a [`Delta`], then computes additions
+/// on the post-delta one. Merging the resulting
+/// [`KRelationDelta`](crate::KRelationDelta)s into cached results
+/// reproduces full re-evaluation exactly. Holds no database borrow, so it
+/// composes with [`Database::apply_delta`]'s `&mut self`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Updater {
     mode: PlanMode,
@@ -426,7 +395,17 @@ impl Updater {
     /// Runs the full cycle against `db`, decoding per-query
     /// [`KRelationDelta`](crate::KRelationDelta)s through a throwaway arena.
     pub fn apply(&self, db: &mut Database, delta: &Delta, queries: &[Cq]) -> DeltaEvalOutcome {
-        apply_delta_owned_impl(db, delta, queries, self.mode, self.exec)
+        let mut store = ProvStore::new();
+        let out = self.apply_interned(db, delta, queries, &mut store);
+        DeltaEvalOutcome {
+            deltas: out
+                .deltas
+                .iter()
+                .map(|d| d.to_krelation_delta(&store))
+                .collect(),
+            applied: out.applied,
+            work: out.work,
+        }
     }
 
     /// Runs the full cycle against `db` with interned results in `store`.
@@ -457,24 +436,13 @@ impl Updater {
         crate::storage::validate_delta(db, delta)?;
         Ok(self.apply(db, delta, queries))
     }
-
-    /// Validated [`Updater::apply_interned`] (see [`Updater::try_apply`]).
-    pub fn try_apply_interned(
-        &self,
-        db: &mut Database,
-        delta: &Delta,
-        queries: &[Cq],
-        store: &mut ProvStore,
-    ) -> Result<IDeltaEvalOutcome, crate::storage::StorageError> {
-        crate::storage::validate_delta(db, delta)?;
-        Ok(self.apply_interned(db, delta, queries, store))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{eval_cq, eval_cq_counted, parse_cq, parse_ucq, Tuple};
+    use crate::oracle::oracle_eval_cq;
+    use crate::{parse_cq, parse_ucq, Tuple};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -489,17 +457,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_legacy_entry_points() {
+    fn owned_and_interned_match_the_oracle_under_both_executions() {
         let db = db();
         let q = parse_cq("Q(a, c) :- R(a, b), S(b, c)", db.schema()).unwrap();
-        let eval = Evaluator::new(&db);
-        let (out, _) = eval.eval_cq(&q);
-        assert_eq!(out, eval_cq(&db, &q));
-        // Scalar replay reproduces the legacy counters bit-for-bit.
-        let (sout, swork) = eval.execution(Execution::Scalar).eval_cq(&q);
-        let (lout, lwork) = eval_cq_counted(&db, &q, EvalLimits::default());
-        assert_eq!(sout, lout);
-        assert_eq!(swork, lwork);
+        let want = oracle_eval_cq(&db, &q);
+        for exec in [Execution::default(), Execution::Scalar] {
+            let eval = Evaluator::new(&db).execution(exec);
+            let (out, work) = eval.eval_cq(&q);
+            assert_eq!(out, want, "exec={exec:?}");
+            // The owned result decodes the interned one: same counters.
+            let mut store = ProvStore::new();
+            let (interned, iwork) = eval.interned(&mut store).eval_cq(&q);
+            assert_eq!(interned.to_krelation(&store), want, "exec={exec:?}");
+            assert_eq!(iwork, work, "exec={exec:?}");
+            // Deterministic: a second run replays the counters.
+            assert_eq!(eval.eval_cq(&q).1, work, "exec={exec:?}");
+        }
     }
 
     #[test]
@@ -562,7 +535,7 @@ mod tests {
         for exec in [Execution::default(), Execution::Scalar] {
             let eval = Evaluator::new(&db).execution(exec);
             let single: Vec<_> = queries.iter().map(|q| eval.eval_cq(q)).collect();
-            for workers in [1, 2, 8] {
+            for workers in [1, 2, 4, 16] {
                 let batch = eval.eval_batch(&queries, workers);
                 assert_eq!(batch, single, "workers={workers} exec={exec:?}");
             }
@@ -574,7 +547,7 @@ mod tests {
         for exec in [Execution::default(), Execution::Scalar] {
             let mut database = db();
             let q = parse_cq("Q(a, c) :- R(a, b), S(b, c)", database.schema()).unwrap();
-            let mut cached = eval_cq(&database, &q);
+            let mut cached = oracle_eval_cq(&database, &q);
             let r = database.schema().relation_id("R").unwrap();
             let mut delta = Delta::new();
             delta.insert(r, "rx", Tuple::parse(&["99", "3"]));
@@ -585,7 +558,7 @@ mod tests {
                 std::slice::from_ref(&q),
             );
             assert!(out.deltas[0].merge_into(&mut cached), "exec={exec:?}");
-            assert_eq!(cached, eval_cq(&database, &q), "exec={exec:?}");
+            assert_eq!(cached, oracle_eval_cq(&database, &q), "exec={exec:?}");
         }
     }
 }

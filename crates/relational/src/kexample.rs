@@ -239,8 +239,7 @@ fn ids_connected(id_sets: Vec<Vec<ValueId>>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_cq;
-    use crate::parse_cq;
+    use crate::{parse_cq, Evaluator};
 
     fn figure1_db() -> Database {
         // Reuse the eval test fixture through a local copy.
@@ -282,7 +281,7 @@ mod tests {
             db.schema(),
         )
         .unwrap();
-        let ex = KExample::from_krelation(&eval_cq(&db, &q), 10);
+        let ex = KExample::from_krelation(&Evaluator::new(&db).eval_cq(&q).0, 10);
         assert_eq!(ex.len(), 2);
         assert_eq!(ex.variables().len(), 6);
         assert_eq!(ex.num_occurrences(), 6);

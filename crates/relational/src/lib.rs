@@ -11,7 +11,7 @@
 //! # Example
 //!
 //! ```
-//! use provabs_relational::{Database, parse_cq, eval_cq};
+//! use provabs_relational::{Database, parse_cq, Evaluator};
 //!
 //! let mut db = Database::new();
 //! let person = db.add_relation("Person", &["pid", "name", "age"]);
@@ -19,9 +19,13 @@
 //! db.insert_str(person, "p2", &["2", "Brenda P", "31"]);
 //!
 //! let q = parse_cq("Q(id) :- Person(id, name, age)", db.schema()).unwrap();
-//! let out = eval_cq(&db, &q);
+//! let (out, _work) = Evaluator::new(&db).eval_cq(&q);
 //! assert_eq!(out.len(), 2);
 //! ```
+//!
+//! Every evaluation goes through [`Evaluator`] (CQs, UCQs, delta passes,
+//! batches; owned or [interned](Evaluator::interned) results) or
+//! [`Updater`] (the incremental-maintenance cycle).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,15 +51,9 @@ mod vintern;
 
 pub use database::{Database, TupleRef};
 pub use delta::{
-    apply_delta_with_queries, apply_delta_with_queries_interned, eval_cq_additions,
-    eval_cq_additions_interned, eval_cq_retractions, eval_cq_retractions_interned,
-    eval_ucq_additions, eval_ucq_retractions, AppliedDelta, Delta, DeltaEvalOutcome, DeltaInsert,
-    IDeltaEvalOutcome, KRelationDelta,
+    AppliedDelta, Delta, DeltaEvalOutcome, DeltaInsert, IDeltaEvalOutcome, KRelationDelta,
 };
-pub use eval::{
-    eval_cq, eval_cq_counted, eval_cq_counted_interned, eval_cq_limited, eval_cq_traced,
-    eval_cqs_parallel, eval_ucq, eval_ucq_interned, EvalLimits, EvalWork, KRelation,
-};
+pub use eval::{EvalLimits, EvalWork, KRelation};
 pub use evaluator::{Evaluator, InternedEvaluator, Updater};
 pub use exec::{Execution, DEFAULT_BLOCK_SIZE};
 pub use interned::{IKRelation, IKRelationDelta};

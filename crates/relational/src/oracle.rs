@@ -1,7 +1,7 @@
 //! A deliberately naive reference evaluator over **owned** values.
 //!
-//! The single production join engine ([`eval_cq`](crate::eval_cq) and
-//! friends) traffics in dictionary ids end-to-end. This module keeps a
+//! The single production join engine (behind [`Evaluator`](crate::Evaluator))
+//! traffics in dictionary ids end-to-end. This module keeps a
 //! structurally different oracle around for correctness witnesses: it
 //! decodes every relation into owned [`Tuple`]s up front, joins by scanning
 //! atoms **in textual order** with no indexes, no plan, no interning, and
@@ -105,7 +105,7 @@ fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{eval_cq, eval_ucq, parse_cq, parse_ucq};
+    use crate::{parse_cq, parse_ucq, Evaluator, Execution};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -123,16 +123,19 @@ mod tests {
     #[test]
     fn oracle_matches_engine_on_joins_and_self_joins() {
         let db = db();
-        for text in [
-            "Q(a, c) :- R(a, b), S(b, c)",
-            "Q(a) :- R(a, a)",
-            "Q(a, c) :- R(a, b), R(b, c)",
-            "Q(x) :- R(x, y), S(y, 100)",
-        ] {
-            let q = parse_cq(text, db.schema()).unwrap();
-            assert_eq!(oracle_eval_cq(&db, &q), eval_cq(&db, &q), "{text}");
+        for exec in [Execution::Scalar, Execution::default()] {
+            let eval = Evaluator::new(&db).execution(exec);
+            for text in [
+                "Q(a, c) :- R(a, b), S(b, c)",
+                "Q(a) :- R(a, a)",
+                "Q(a, c) :- R(a, b), R(b, c)",
+                "Q(x) :- R(x, y), S(y, 100)",
+            ] {
+                let q = parse_cq(text, db.schema()).unwrap();
+                assert_eq!(oracle_eval_cq(&db, &q), eval.eval_cq(&q).0, "{text}");
+            }
+            let u = parse_ucq("Q(a) :- R(a, b); Q(b) :- S(b, c)", db.schema()).unwrap();
+            assert_eq!(oracle_eval_ucq(&db, &u), eval.eval_ucq(&u).0);
         }
-        let u = parse_ucq("Q(a) :- R(a, b); Q(b) :- S(b, c)", db.schema()).unwrap();
-        assert_eq!(oracle_eval_ucq(&db, &u), eval_ucq(&db, &u));
     }
 }

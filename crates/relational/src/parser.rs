@@ -280,10 +280,15 @@ pub fn parse_cq(src: &str, schema: &Schema) -> Result<Cq, ParseError> {
     .parse()
 }
 
-/// Parses a UCQ: CQs separated by `;`.
+/// Parses a UCQ: CQs separated by `;` (a `;` inside a quoted constant
+/// belongs to the constant).
 pub fn parse_ucq(src: &str, schema: &Schema) -> Result<Ucq, ParseError> {
+    let mut quoted = false;
     let disjuncts = src
-        .split(';')
+        .split(|c| {
+            quoted ^= c == '\'';
+            c == ';' && !quoted
+        })
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(|s| parse_cq(s, schema))
@@ -377,6 +382,30 @@ mod tests {
         assert_eq!(u.disjuncts.len(), 2);
         let err = parse_ucq("Q(x) :- Person(x, n, a); Q(x, y) :- Hobbies(x, y, s)", &s);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn ucq_semicolons_inside_constants_do_not_split() {
+        let s = schema();
+        let one = parse_ucq("Q(x) :- Hobbies(x, 'a;b', y)", &s).unwrap();
+        assert_eq!(
+            one.disjuncts,
+            vec![parse_cq("Q(x) :- Hobbies(x, 'a;b', y)", &s).unwrap()]
+        );
+        let two = parse_ucq(
+            "Q(x) :- Hobbies(x, ';', y); Q(x) :- Interests(x, 'c;d;', 'e')",
+            &s,
+        )
+        .unwrap();
+        assert_eq!(two.disjuncts.len(), 2);
+        assert_eq!(
+            two.disjuncts[0].body[0].terms[1],
+            Term::Const(Value::str(";"))
+        );
+        assert_eq!(
+            two.disjuncts[1].body[0].terms[1],
+            Term::Const(Value::str("c;d;"))
+        );
     }
 
     #[test]

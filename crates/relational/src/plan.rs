@@ -1,6 +1,6 @@
 //! Cost-based conjunctive-query planning over posting-list statistics.
 //!
-//! The join engine ([`eval_cq`](crate::eval_cq) and every variant) executes
+//! The join engine (every [`Evaluator`](crate::Evaluator) call) executes
 //! body atoms in the order a [`QueryPlan`] dictates, not the order the query
 //! was written. The planner reads exact statistics straight from the
 //! dictionary-encoded columnar store — row counts, per-column distinct-id
@@ -679,8 +679,8 @@ pub(crate) fn plan_cq_anchored(
 }
 
 /// A [`QueryPlan`] next to what the engine actually did at each step —
-/// returned by [`eval_cq_traced`](crate::eval_cq_traced) for cost-model
-/// diagnostics and the planner bench report.
+/// returned by [`Evaluator::eval_cq_traced`](crate::Evaluator::eval_cq_traced)
+/// for cost-model diagnostics and the planner bench report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanTrace {
     /// The executed plan.

@@ -142,10 +142,22 @@ pub fn decode_database(bytes: &[u8]) -> Result<Database, StorageError> {
         )));
     }
     let mut db = Database::new();
-    // Schema. Rebuilding through the public path reproduces dense ids.
+    // Schema. Rebuilding through the public path reproduces dense ids;
+    // what that path would panic on (too many relations for a `RelId`, a
+    // name declared twice) is checked here first.
     let nrels = r.u32()? as usize;
+    if nrels > usize::from(u16::MAX) + 1 {
+        return Err(StorageError::Corrupt(format!(
+            "{nrels} relations exceed the relation id space"
+        )));
+    }
     for _ in 0..nrels {
         let name = r.str()?;
+        if db.schema.relation_id(&name).is_some() {
+            return Err(StorageError::Corrupt(format!(
+                "relation '{name}' declared twice in snapshot"
+            )));
+        }
         let ncols = r.u32()? as usize;
         let cols: Vec<String> = (0..ncols).map(|_| r.str()).collect::<Result<_, _>>()?;
         let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -375,6 +387,40 @@ mod tests {
             // Encoding is deterministic (no hash-order leaks).
             assert_eq!(encode_database(&db), encode_database(&decoded));
         }
+    }
+
+    #[test]
+    fn duplicate_relation_name_is_corrupt_not_a_panic() {
+        let mut db = Database::new();
+        db.add_relation("R", &["a"]);
+        db.add_relation("S", &["a"]);
+        let mut bytes = encode_database(&db);
+        // Patch the second relation's one-byte name `S` to `R`.
+        let at = bytes.iter().rposition(|&b| b == b'S').unwrap();
+        bytes[at] = b'R';
+        let err = decode_database(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("declared twice")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn relation_count_beyond_the_id_space_is_corrupt_not_a_panic() {
+        let mut w = ByteWriter::new();
+        w.u32(SNAP_MAGIC);
+        w.u32(FORMAT_VERSION);
+        let nrels = usize::from(u16::MAX) + 2;
+        w.u32(nrels as u32);
+        for i in 0..nrels {
+            w.str(&format!("R{i}"));
+            w.u32(0);
+        }
+        let err = decode_database(&w.into_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("relation id space")),
+            "{err}"
+        );
     }
 
     #[test]

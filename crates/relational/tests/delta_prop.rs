@@ -10,9 +10,8 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use provabs_relational::{
-    apply_delta_with_queries, apply_delta_with_queries_interned, eval_cq, eval_cq_counted_interned,
-    eval_ucq, eval_ucq_additions, eval_ucq_retractions, Atom, Cq, Database, Delta, EvalLimits,
-    IKRelation, KRelation, KRelationDelta, RelId, Term, Tuple, Ucq, Value, VarId,
+    Atom, Cq, Database, Delta, Evaluator, IKRelation, KRelation, KRelationDelta, RelId, Term,
+    Tuple, Ucq, Updater, Value, VarId,
 };
 use provabs_semiring::ProvStore;
 use std::collections::HashSet;
@@ -126,11 +125,14 @@ proptest! {
         let mut rng = TestRng::for_case(seed);
         let (mut db, rels) = rand_db(&mut rng);
         let queries: Vec<Cq> = (0..3).map(|_| rand_cq(&mut rng, &rels)).collect();
-        let mut cached: Vec<KRelation> = queries.iter().map(|q| eval_cq(&db, q)).collect();
+        let mut cached: Vec<KRelation> = queries
+            .iter()
+            .map(|q| Evaluator::new(&db).eval_cq(q).0)
+            .collect();
         let mut fresh = 0usize;
         for batch in 0..4 {
             let delta = rand_delta(&mut rng, &db, &rels, &mut fresh);
-            let out = apply_delta_with_queries(&mut db, &delta, &queries);
+            let out = Updater::new().apply(&mut db, &delta, &queries);
             prop_assert!(db.is_indexed(), "indexes must survive the delta");
             for ((q, cache), d) in queries.iter().zip(&mut cached).zip(&out.deltas) {
                 prop_assert!(
@@ -139,7 +141,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     &*cache,
-                    &eval_cq(&db, q),
+                    &Evaluator::new(&db).eval_cq(q).0,
                     "delta merge != re-eval at batch {}, seed {}",
                     batch,
                     seed
@@ -159,12 +161,12 @@ proptest! {
         let mut store = ProvStore::new();
         let mut cached: Vec<IKRelation> = queries
             .iter()
-            .map(|q| eval_cq_counted_interned(&db, q, EvalLimits::default(), &mut store).0)
+            .map(|q| Evaluator::new(&db).interned(&mut store).eval_cq(q).0)
             .collect();
         let mut fresh = 0usize;
         for batch in 0..4 {
             let delta = rand_delta(&mut rng, &db, &rels, &mut fresh);
-            let out = apply_delta_with_queries_interned(&mut db, &delta, &queries, &mut store);
+            let out = Updater::new().apply_interned(&mut db, &delta, &queries, &mut store);
             for ((q, cache), d) in queries.iter().zip(&mut cached).zip(&out.deltas) {
                 prop_assert!(
                     d.merge_into(&mut store, cache),
@@ -172,7 +174,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     &cache.to_krelation(&store),
-                    &eval_cq(&db, q),
+                    &Evaluator::new(&db).eval_cq(q).0,
                     "interned delta merge != owned re-eval at batch {}, seed {}",
                     batch,
                     seed
@@ -188,7 +190,7 @@ proptest! {
         let u = Ucq {
             disjuncts: (0..2).map(|_| rand_cq(&mut rng, &rels)).collect(),
         };
-        let mut cached = eval_ucq(&db, &u);
+        let (mut cached, _) = Evaluator::new(&db).eval_ucq(&u);
         let mut fresh = 0usize;
         for batch in 0..3 {
             let delta = rand_delta(&mut rng, &db, &rels, &mut fresh);
@@ -198,15 +200,15 @@ proptest! {
                 .copied()
                 .filter(|&a| db.locate(a).is_some())
                 .collect();
-            let (removed, _) = eval_ucq_retractions(&db, &u, &deletes);
+            let (removed, _) = Evaluator::new(&db).retractions_ucq(&u, &deletes);
             let applied = db.apply_delta(&delta);
             let inserts: HashSet<_> = applied.inserted.iter().copied().collect();
-            let (added, _) = eval_ucq_additions(&db, &u, &inserts);
+            let (added, _) = Evaluator::new(&db).additions_ucq(&u, &inserts);
             let d = KRelationDelta { added, removed };
             prop_assert!(d.merge_into(&mut cached), "underflow at batch {batch}");
             prop_assert_eq!(
                 &cached,
-                &eval_ucq(&db, &u),
+                &Evaluator::new(&db).eval_ucq(&u).0,
                 "UCQ delta merge != re-eval at batch {}, seed {}",
                 batch,
                 seed

@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use provabs_relational::oracle::{oracle_eval_cq, oracle_eval_ucq};
 use provabs_relational::{
-    apply_delta_with_queries, eval_cq, eval_cq_counted, eval_ucq, Atom, Cq, Database, Delta,
-    EvalLimits, KRelation, RelId, Term, Tuple, Ucq, Value, VarId,
+    Atom, Cq, Database, Delta, Evaluator, Execution, KRelation, RelId, Term, Tuple, Ucq, Updater,
+    Value, VarId,
 };
 use std::collections::HashSet;
 
@@ -163,7 +163,9 @@ proptest! {
         let (db, rels) = rand_db(&mut rng);
         for _ in 0..4 {
             let q = rand_cq(&mut rng, &rels);
-            let (out, work) = eval_cq_counted(&db, &q, EvalLimits::default());
+            // Scalar pin: `probe_bytes_id == probes * 4` holds only where
+            // every probe hashes an id.
+            let (out, work) = Evaluator::new(&db).execution(Execution::Scalar).eval_cq(&q);
             prop_assert_eq!(&out, &oracle_eval_cq(&db, &q), "engine != oracle, seed {}", seed);
             prop_assert_eq!(work.probe_bytes_id, work.probes * 4);
             prop_assert!(
@@ -172,7 +174,7 @@ proptest! {
             );
         }
         let u = Ucq { disjuncts: (0..2).map(|_| rand_cq(&mut rng, &rels)).collect() };
-        prop_assert_eq!(eval_ucq(&db, &u), oracle_eval_ucq(&db, &u));
+        prop_assert_eq!(Evaluator::new(&db).eval_ucq(&u).0, oracle_eval_ucq(&db, &u));
     }
 
     /// Delta maintenance over columnar storage == oracle re-evaluation on
@@ -182,11 +184,14 @@ proptest! {
         let mut rng = TestRng::for_case(seed.wrapping_add(0x00c0_ffee));
         let (mut db, rels) = rand_db(&mut rng);
         let queries: Vec<Cq> = (0..2).map(|_| rand_cq(&mut rng, &rels)).collect();
-        let mut cached: Vec<KRelation> = queries.iter().map(|q| eval_cq(&db, q)).collect();
+        let mut cached: Vec<KRelation> = queries
+            .iter()
+            .map(|q| Evaluator::new(&db).eval_cq(q).0)
+            .collect();
         let mut fresh = 0usize;
         for batch in 0..4 {
             let delta = rand_delta(&mut rng, &db, &rels, &mut fresh);
-            let out = apply_delta_with_queries(&mut db, &delta, &queries);
+            let out = Updater::new().apply(&mut db, &delta, &queries);
             prop_assert!(db.is_indexed(), "indexes must survive the delta");
             assert_index_contents_exact(&db, &rels);
             for ((q, cache), d) in queries.iter().zip(&mut cached).zip(&out.deltas) {
@@ -226,8 +231,8 @@ proptest! {
         }
         for _ in 0..3 {
             let q = rand_cq(&mut rng, &rels);
-            let via_index = eval_cq(&indexed, &q);
-            let via_scan = eval_cq(&unindexed, &q);
+            let via_index = Evaluator::new(&indexed).eval_cq(&q).0;
+            let via_scan = Evaluator::new(&unindexed).eval_cq(&q).0;
             prop_assert_eq!(&via_index, &via_scan, "seed {}", seed);
             prop_assert_eq!(&via_index, &oracle_eval_cq(&indexed, &q));
         }

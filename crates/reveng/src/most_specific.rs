@@ -418,7 +418,7 @@ impl<'r, 'db> MsqBuilder<'r, 'db> {
 mod tests {
     use super::*;
     use crate::canonical::canonical_key;
-    use provabs_relational::{eval_cq, parse_cq, Database, KExample, Tuple};
+    use provabs_relational::{parse_cq, Database, Evaluator, KExample, Tuple};
     use provabs_semiring::Monomial;
 
     /// The Figure 1 database of the paper.
@@ -514,7 +514,7 @@ mod tests {
         );
         let qs = find_consistent_queries(&rows, &RevOptions::default());
         for q in qs.cqs() {
-            let out = eval_cq(&db, q);
+            let (out, _) = Evaluator::new(&db).eval_cq(q);
             for (output, annots) in [("1", ["p1", "h1", "i1"]), ("2", ["p2", "h2", "i2"])] {
                 let m =
                     Monomial::from_annots(annots.iter().map(|a| db.annotations().get(a).unwrap()));

@@ -10,7 +10,7 @@ use provabs::core::loi::LoiDistribution;
 use provabs::core::privacy::PrivacyConfig;
 use provabs::core::search::{find_optimal_abstraction, SearchConfig};
 use provabs::core::{Abstraction, Bound};
-use provabs::relational::{eval_cq, parse_cq, Database, KExample};
+use provabs::relational::{parse_cq, Database, Evaluator, KExample};
 use provabs::tree::TreeBuilder;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
         db.schema(),
     )
     .unwrap();
-    let output = eval_cq(&db, &query);
+    let (output, _work) = Evaluator::new(&db).eval_cq(&query);
     println!("query output ({} rows):", output.len());
     for (tuple, prov) in output.iter() {
         println!("  {tuple}  |  {}", prov.to_string_with(db.annotations()));

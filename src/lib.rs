@@ -45,9 +45,7 @@
 //! (the README's churn quickstart, verified here):
 //!
 //! ```
-//! use provabs::relational::{
-//!     apply_delta_with_queries, eval_cq, parse_cq, Database, Delta, Tuple,
-//! };
+//! use provabs::relational::{parse_cq, Database, Delta, Evaluator, Tuple, Updater};
 //!
 //! let mut db = Database::new();
 //! let r = db.add_relation("R", &["a", "b"]);
@@ -56,15 +54,15 @@
 //! db.insert_str(s, "s1", &["10"]);
 //! db.build_indexes();
 //! let q = parse_cq("Q(x) :- R(x, y), S(y)", db.schema()).unwrap();
-//! let mut cached = eval_cq(&db, &q);
+//! let (mut cached, _) = Evaluator::new(&db).eval_cq(&q);
 //!
 //! let mut delta = Delta::new();
 //! delta.insert(r, "r2", Tuple::parse(&["2", "10"]));
 //! delta.delete(db.annotations().get("s1").unwrap());
 //!
-//! let out = apply_delta_with_queries(&mut db, &delta, std::slice::from_ref(&q));
+//! let out = Updater::new().apply(&mut db, &delta, std::slice::from_ref(&q));
 //! assert!(out.deltas[0].merge_into(&mut cached));
-//! assert_eq!(cached, eval_cq(&db, &q)); // bit-for-bit equal to re-eval
+//! assert_eq!(cached, Evaluator::new(&db).eval_cq(&q).0); // bit-for-bit equal to re-eval
 //! ```
 
 #![forbid(unsafe_code)]

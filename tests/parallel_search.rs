@@ -11,7 +11,7 @@ use provabs::core::search::{
     find_optimal_abstraction, find_optimal_abstraction_with_cache, SearchConfig,
 };
 use provabs::core::{fixtures, Bound};
-use provabs::relational::{eval_cqs_parallel, plan_cq, Evaluator, PlanMode};
+use provabs::relational::{plan_cq, Evaluator, PlanMode};
 use provabs_bench::{tpch_scenarios, ScenarioSettings};
 use provabs_datagen::tpch::{self, TpchConfig};
 
@@ -84,11 +84,11 @@ fn query_plans_and_work_counters_identical_across_parallelism() {
         .map(|q| Evaluator::new(&db).eval_cq(q))
         .collect();
     for parallelism in [1usize, 2, 8] {
-        let batch = eval_cqs_parallel(&db, &queries, parallelism);
+        let batch = Evaluator::new(&db).eval_batch(&queries, parallelism);
         for (i, w) in workloads.iter().enumerate() {
             assert_eq!(
-                batch[i], reference[i].0,
-                "{}: output moved at parallelism {parallelism}",
+                batch[i], reference[i],
+                "{}: output or work moved at parallelism {parallelism}",
                 w.name
             );
             let (out, work) = Evaluator::new(&db).eval_cq(&w.query);

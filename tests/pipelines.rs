@@ -7,8 +7,7 @@ use provabs::core::Bound;
 use provabs::datagen::imdb::{self, ImdbConfig};
 use provabs::datagen::tpch::{self, TpchConfig};
 use provabs::datagen::{join_variants, kexample_for};
-use provabs::relational::eval_cq_limited;
-use provabs::relational::EvalLimits;
+use provabs::relational::{EvalLimits, Evaluator, Execution};
 
 #[test]
 fn tpch_q3_pipeline_reaches_privacy_5() {
@@ -120,14 +119,14 @@ fn join_variants_evaluate_and_bind() {
         .unwrap();
     for variant in join_variants(&q7.query, 4) {
         let mut db = db_proto.clone();
-        let out = eval_cq_limited(
-            &db,
-            &variant,
-            EvalLimits {
+        // Capped output subset: pinned to the scalar engine.
+        let (out, _) = Evaluator::new(&db)
+            .execution(Execution::Scalar)
+            .limits(EvalLimits {
                 max_outputs: 2,
                 max_derivations: 500_000,
-            },
-        );
+            })
+            .eval_cq(&variant);
         assert!(
             out.len() >= 2,
             "{}-atom variant yields no rows",

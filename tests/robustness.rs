@@ -5,7 +5,7 @@
 use provabs::core::{Bound, CoreError};
 use provabs::datagen::kexample_for;
 use provabs::datagen::tpch::{self, TpchConfig};
-use provabs::relational::{eval_cq, KExample, Tuple};
+use provabs::relational::{Evaluator, KExample, Tuple};
 use provabs::reveng::{find_consistent_queries, RevOptions};
 use provabs::semiring::Monomial;
 use provabs::tree::TreeBuilder;
@@ -62,7 +62,7 @@ fn frontier_queries_verified_by_reevaluation() {
         };
         let rows = ex.resolve(&db).unwrap();
         for q in find_consistent_queries(&rows, &RevOptions::default()).cqs() {
-            let out = eval_cq(&db, q);
+            let (out, _) = Evaluator::new(&db).eval_cq(q);
             for row in &ex.rows {
                 assert!(
                     out.provenance(&row.output).coefficient(&row.monomial) >= 1,
@@ -100,7 +100,7 @@ fn alignment_cap_degrades_gracefully() {
         ..Default::default()
     };
     for q in find_consistent_queries(&rows, &opts).cqs() {
-        let out = eval_cq(&fx.db, q);
+        let (out, _) = Evaluator::new(&fx.db).eval_cq(q);
         for row in &fx.exreal.rows {
             assert!(out.provenance(&row.output).coefficient(&row.monomial) >= 1);
         }

@@ -4,7 +4,7 @@
 use provabs::core::privacy::{compute_privacy, PrivacyCache, PrivacyConfig};
 use provabs::core::search::{find_optimal_abstraction, SearchConfig};
 use provabs::core::{concretize, fixtures, Abstraction, Bound};
-use provabs::relational::{eval_cq, Tuple};
+use provabs::relational::{Evaluator, Tuple};
 use provabs::reveng::{canonical_key, contained_in, ContainmentMode};
 
 fn lift(bound: &Bound<'_>, abs: &mut Abstraction, name: &str, levels: u32) {
@@ -21,7 +21,7 @@ fn lift(bound: &Bound<'_>, abs: &mut Abstraction, name: &str, levels: u32) {
 #[test]
 fn figure_2a_exreal_from_qreal() {
     let fx = fixtures::running_example();
-    let out = eval_cq(&fx.db, &fx.qreal);
+    let (out, _) = Evaluator::new(&fx.db).eval_cq(&fx.qreal);
     assert_eq!(out.len(), 2);
     // Outputs are the person ids 1 (James) and 2 (Brenda).
     assert!(!out.provenance(&Tuple::parse(&["1"])).is_zero());
@@ -33,7 +33,7 @@ fn figure_2a_exreal_from_qreal() {
 fn figure_2bc_false_queries_yield_their_examples() {
     let fx = fixtures::running_example();
     // Qfalse1 derives (1) from p1*h4*i1 and (2) from p2*h5*i2 (Figure 2b).
-    let out1 = eval_cq(&fx.db, &fx.qfalse1);
+    let (out1, _) = Evaluator::new(&fx.db).eval_cq(&fx.qfalse1);
     let reg = fx.db.annotations();
     let m1 = provabs::semiring::Monomial::from_annots([
         reg.get("p1").unwrap(),
@@ -42,7 +42,7 @@ fn figure_2bc_false_queries_yield_their_examples() {
     ]);
     assert_eq!(out1.provenance(&Tuple::parse(&["1"])).coefficient(&m1), 1);
     // Qfalse2 derives (1) from p1*h1*i4 (Figure 2c).
-    let out2 = eval_cq(&fx.db, &fx.qfalse2);
+    let (out2, _) = Evaluator::new(&fx.db).eval_cq(&fx.qfalse2);
     let m2 = provabs::semiring::Monomial::from_annots([
         reg.get("p1").unwrap(),
         reg.get("h1").unwrap(),

@@ -74,7 +74,7 @@ fn lin_semiring_has_no_reverse_engineering() {
 fn coarsening_respects_hierarchy_on_real_provenance() {
     // Evaluate Qreal and check that coarsenings only merge information.
     let fx = fixtures::running_example();
-    let out = provabs::relational::eval_cq(&fx.db, &fx.qreal);
+    let (out, _) = provabs::relational::Evaluator::new(&fx.db).eval_cq(&fx.qreal);
     for (_, poly) in out.iter() {
         let bx = poly.coarsen(SemiringKind::BX);
         let why = poly.coarsen(SemiringKind::Why);
