@@ -12,8 +12,10 @@
 //! computation at threshold `p_best + 1`, which Algorithm 1 rejects cheaply.
 
 use crate::loi::LoiDistribution;
-use crate::privacy::{compute_privacy, PrivacyCache, PrivacyConfig};
-use crate::search::{AbstractionSpace, BestAbstraction, SearchOutcome, SearchStats};
+use crate::privacy::{PrivacyCache, PrivacyConfig};
+use crate::search::{
+    evaluate_candidate, AbstractionSpace, BestAbstraction, SearchOutcome, SearchStats,
+};
 use crate::Bound;
 
 /// Configuration of the dual search.
@@ -64,50 +66,31 @@ pub fn find_max_privacy_abstraction(bound: &Bound<'_>, cfg: &DualConfig) -> Sear
     let cache = PrivacyCache::new();
     let mut best: Option<BestAbstraction> = None;
     let min_loi = space.min_loi_by_edges();
-    'outer: for e in 0..=space.total_edges() {
+    for e in 0..=space.total_edges() {
         if min_loi[e as usize] > cfg.l_max {
             break; // every later bucket exceeds the budget (monotone)
         }
-        let mut bucket: Vec<(f64, Vec<u32>)> = Vec::new();
-        let complete = space.for_each_with_edges(e, &mut |lifts| {
-            let loi = space.loi_of(lifts);
-            if loi <= cfg.l_max {
-                bucket.push((loi, lifts.to_vec()));
-            }
-            bucket.len() + stats.abstractions_enumerated < cfg.max_candidates
-        });
-        stats.truncated |= !complete;
-        bucket.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let budget = cfg
+            .max_candidates
+            .saturating_sub(stats.abstractions_enumerated);
+        let (bucket, complete) = space.sorted_bucket(e, budget, |loi| loi <= cfg.l_max);
+        stats.abstractions_enumerated += bucket.len();
+        stats.loi_evaluations += bucket.len();
         for (loi, lifts) in &bucket {
-            stats.abstractions_enumerated += 1;
-            stats.loi_evaluations += 1;
             let abs = space.to_abstraction(bound, lifts);
-            let p_best = best.as_ref().map_or(0, |b| b.privacy);
             // Gate at p_best + 1: only an improvement updates the incumbent,
             // and Algorithm 1 rejects non-improving abstractions cheaply.
-            let mut pcfg = cfg.privacy.clone();
-            pcfg.threshold = p_best + 1;
-            stats.privacy_evaluations += 1;
-            let (ex, misses, hits) = bound.apply_abstraction_cached(&abs);
-            let rows = ex.rows;
-            stats.rows_abstracted += misses;
-            stats.abs_cache_hits += hits;
-            let out = compute_privacy(bound, &rows, &pcfg, &cache);
-            stats.privacy_stats.absorb(&out.stats);
-            if let Some(p) = out.privacy {
-                best = Some(BestAbstraction {
-                    edges_used: abs.edges_used(),
-                    abstraction: abs,
-                    loi: *loi,
-                    privacy: p,
-                });
-            }
-            if stats.abstractions_enumerated >= cfg.max_candidates {
-                stats.truncated = true;
-                break 'outer;
+            let privacy = PrivacyConfig {
+                threshold: best.as_ref().map_or(0, |b| b.privacy) + 1,
+                ..cfg.privacy.clone()
+            };
+            if let Some(p) = evaluate_candidate(bound, &abs, &privacy, true, &cache, &mut stats) {
+                best = Some(BestAbstraction::new(abs, *loi, p));
             }
         }
+        // An incomplete bucket means the candidate cap was reached.
         if !complete {
+            stats.truncated = true;
             break;
         }
     }
@@ -167,5 +150,19 @@ mod tests {
             assert!(p >= last, "privacy dropped at budget {l_max}");
             last = p;
         }
+    }
+
+    #[test]
+    fn zero_candidate_cap_enumerates_nothing() {
+        let fx = running_example();
+        let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
+        let cfg = DualConfig {
+            max_candidates: 0,
+            ..Default::default()
+        };
+        let out = find_max_privacy_abstraction(&b, &cfg);
+        assert_eq!(out.stats.abstractions_enumerated, 0);
+        assert_eq!(out.stats.privacy_evaluations, 0);
+        assert!(out.stats.truncated && out.best.is_none());
     }
 }

@@ -10,24 +10,26 @@
 //! edges never increases any occurrence's term), so once
 //! `minLOI(e) ≥ l_best` no later bucket can improve the optimum.
 //!
-//! # Parallel evaluation
+//! # One engine for every worker count
 //!
 //! Candidate *enumeration* (cheap, microseconds per candidate) is separated
 //! from candidate *evaluation* (each privacy computation runs Algorithm 1 —
-//! milliseconds to seconds). With [`SearchConfig::parallelism`] above one,
-//! each sorted bucket's eligible prefix is evaluated by a pool of scoped
-//! worker threads sharing the [`PrivacyCache`] and a lock-free incumbent;
-//! see [`find_optimal_abstraction`] for the determinism contract. The
-//! paper's semantics are preserved exactly: sorted order, LOI-before-privacy
+//! milliseconds to seconds). Each sorted bucket's eligible prefix is
+//! claimed index by index by [`SearchConfig::parallelism`] workers sharing
+//! the [`PrivacyCache`]; one worker runs the claim loop on the calling
+//! thread, more run it in scoped threads. Every privacy computation goes
+//! through one candidate step, which the dual search shares. The paper's
+//! semantics are preserved exactly: sorted order, LOI-before-privacy
 //! pruning against the incumbent, and the monotone `minLOI(e)` barrier
 //! between buckets all still hold, because the winning candidate of a bucket
 //! is defined positionally (first eligible success in sorted order), not by
-//! arrival time.
+//! arrival time. See [`find_optimal_abstraction`] for the determinism
+//! contract.
 
 use crate::loi::{loss_of_information, occurrence_loi, LoiDistribution};
 use crate::privacy::{compute_privacy, PrivacyCache, PrivacyConfig, PrivacyStats};
-use crate::{AbsRow, Abstraction, Bound};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::{Abstraction, Bound};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of the optimal-abstraction search.
@@ -53,24 +55,23 @@ pub struct SearchConfig {
     /// The loss-of-information distribution.
     pub distribution: LoiDistribution,
     /// Worker threads evaluating candidates: `None` uses every available
-    /// core, `Some(1)` reproduces the sequential trace (bit-identical
-    /// stats, the Figure 19 ablation baseline), `Some(n)` pins the pool
-    /// size.
+    /// core, `Some(n)` pins the pool size. One worker (`Some(0)` counts as
+    /// `Some(1)`) runs the claim loop on the calling thread and evaluates
+    /// candidates one at a time in the paper's order: the Figure 19
+    /// ablation baseline.
     ///
     /// The search result is **deterministic regardless of thread count**:
     /// the optimum returned for `None`, `Some(1)` and any `Some(n)` is the
     /// same abstraction with the same LOI and privacy (ties between
-    /// equal-LOI candidates resolve to the sequential enumeration order).
-    /// Only the work counters in [`SearchStats`] may differ, because
-    /// parallel workers evaluate a bounded number of candidates
-    /// speculatively.
+    /// equal-LOI candidates resolve to enumeration order). Only the work
+    /// counters in [`SearchStats`] may differ, because parallel workers
+    /// evaluate a bounded number of candidates speculatively.
     ///
     /// A search that exhausts [`SearchConfig::time_budget_ms`] is the one
-    /// exception: it stops wherever the clock ran out — inherently
-    /// wall-clock-dependent for the sequential trace too — and returns the
-    /// incumbent found so far with `truncated` set. Even then, a parallel
-    /// bucket never commits a success past a candidate the deadline left
-    /// unevaluated, so the incumbent is always one the sequential order
+    /// exception: it stops wherever the clock ran out and returns the
+    /// incumbent found so far with `truncated` set. Even then, a bucket
+    /// never commits a success past a candidate the deadline left
+    /// unevaluated, so the incumbent is always one the one-worker order
     /// could also have produced.
     ///
     /// ```
@@ -120,12 +121,14 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
-    /// The worker count this configuration resolves to: `parallelism`, or
-    /// every available core when `None`.
+    /// The worker count this configuration resolves to: `parallelism` (at
+    /// least one), or every available core when `None`.
     pub fn effective_parallelism(&self) -> usize {
-        self.parallelism.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
+        self.parallelism
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
+            .max(1)
     }
 }
 
@@ -136,8 +139,9 @@ pub struct SearchStats {
     pub abstractions_enumerated: usize,
     /// LOI evaluations.
     pub loi_evaluations: usize,
-    /// Privacy evaluations (the expensive part). In parallel runs this may
-    /// exceed the sequential count by a bounded amount of speculation.
+    /// Privacy evaluations (the expensive part). With more than one worker
+    /// this may exceed the one-worker count by a bounded amount of
+    /// speculation.
     pub privacy_evaluations: usize,
     /// Rows actually (re-)abstracted — symbol lists materialized. With
     /// [`SearchConfig::memoize_abstractions`] this counts memo misses only;
@@ -156,6 +160,20 @@ pub struct SearchStats {
     pub privacy_stats: PrivacyStats,
 }
 
+impl SearchStats {
+    /// Merges counters from another search, worker or warm start.
+    pub fn absorb(&mut self, other: &SearchStats) {
+        self.abstractions_enumerated += other.abstractions_enumerated;
+        self.loi_evaluations += other.loi_evaluations;
+        self.privacy_evaluations += other.privacy_evaluations;
+        self.rows_abstracted += other.rows_abstracted;
+        self.abs_cache_hits += other.abs_cache_hits;
+        self.truncated |= other.truncated;
+        self.warm_start_used |= other.warm_start_used;
+        self.privacy_stats.absorb(&other.privacy_stats);
+    }
+}
+
 /// A satisfying abstraction and its metrics.
 #[derive(Debug, Clone)]
 pub struct BestAbstraction {
@@ -167,6 +185,18 @@ pub struct BestAbstraction {
     pub privacy: usize,
     /// Tree edges used (the paper's "optimal abstraction size").
     pub edges_used: u32,
+}
+
+impl BestAbstraction {
+    /// A winner; `edges_used` is read off the abstraction.
+    pub(crate) fn new(abstraction: Abstraction, loi: f64, privacy: usize) -> Self {
+        Self {
+            edges_used: abstraction.edges_used(),
+            abstraction,
+            loi,
+            privacy,
+        }
+    }
 }
 
 /// The result of a search.
@@ -282,6 +312,30 @@ impl AbstractionSpace {
         self.rec_budget(e, 0, &suffix, &mut lifts, f)
     }
 
+    /// Enumerates bucket `e`'s candidates whose LOI passes `keep` (table
+    /// lookups — the enumeration hot loop materializes no `Abstraction`),
+    /// keeping at most `budget` of them, and sorts them stably by LOI (the
+    /// tie-break of Algorithm 2 line 2). Returns the bucket and whether
+    /// enumeration ran to completion; a zero budget enumerates nothing.
+    pub fn sorted_bucket(
+        &self,
+        e: u32,
+        budget: usize,
+        keep: impl Fn(f64) -> bool,
+    ) -> (Vec<(f64, Vec<u32>)>, bool) {
+        let mut bucket: Vec<(f64, Vec<u32>)> = Vec::new();
+        let complete = budget > 0
+            && self.for_each_with_edges(e, &mut |lifts| {
+                let loi = self.loi_of(lifts);
+                if keep(loi) {
+                    bucket.push((loi, lifts.to_vec()));
+                }
+                bucket.len() < budget
+            });
+        bucket.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        (bucket, complete)
+    }
+
     fn rec_budget(
         &self,
         left: u32,
@@ -331,86 +385,38 @@ impl AbstractionSpace {
     }
 }
 
-/// One worker's bucket report: successes as `(candidate index, privacy)`,
-/// the worker's accumulated privacy counters, its evaluation count, and its
-/// abstraction-application `(misses, hits)`.
-struct WorkerReport {
-    successes: Vec<(usize, usize)>,
-    privacy_stats: PrivacyStats,
-    evals: usize,
-    rows_abstracted: usize,
-    abs_cache_hits: usize,
-}
-
-/// Materializes the abstracted rows of a candidate, memoized or from
-/// scratch per [`SearchConfig::memoize_abstractions`]. Returns the rows and
-/// the `(misses, hits)` accounting — the uncached path re-abstracts every
-/// row (all misses, by definition).
-fn abstracted_rows(
+/// The candidate step: abstracts the example's rows under `abs` (through
+/// the bound's memo when `memoize`, else every row from scratch) and runs
+/// Algorithm 1 on them, adding the work to `stats`. Returns the privacy
+/// when it meets `privacy.threshold`.
+pub(crate) fn evaluate_candidate(
     bound: &Bound<'_>,
     abs: &Abstraction,
-    cfg: &SearchConfig,
-) -> (Vec<AbsRow>, usize, usize) {
-    if cfg.memoize_abstractions {
+    privacy: &PrivacyConfig,
+    memoize: bool,
+    cache: &PrivacyCache,
+    stats: &mut SearchStats,
+) -> Option<usize> {
+    let (rows, misses, hits) = if memoize {
         let (ex, misses, hits) = bound.apply_abstraction_cached(abs);
         (ex.rows, misses, hits)
     } else {
         (abs.apply(bound).rows, bound.num_rows(), 0)
-    }
-}
-
-/// Enumerates bucket `e` with per-candidate LOIs (table lookups — the
-/// enumeration hot loop materializes no `Abstraction`), capped by the
-/// `max_candidates` accounting, and sorts by LOI (the tie-break of
-/// Algorithm 2 line 2). Returns the bucket and whether enumeration ran to
-/// completion. Shared by the sequential and parallel paths — their
-/// equivalence proof depends on both seeing the identical candidate order
-/// and cap behavior.
-fn collect_sorted_bucket(
-    space: &AbstractionSpace,
-    cfg: &SearchConfig,
-    e: u32,
-    enumerated_so_far: usize,
-) -> (Vec<(f64, Vec<u32>)>, bool) {
-    let mut bucket: Vec<(f64, Vec<u32>)> = Vec::new();
-    let complete = space.for_each_with_edges(e, &mut |lifts| {
-        bucket.push((space.loi_of(lifts), lifts.to_vec()));
-        bucket.len() + enumerated_so_far < cfg.max_candidates
-    });
-    bucket.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    (bucket, complete)
-}
-
-/// The atomically-shared incumbent: the lowest committed LOI, stored as
-/// `f64` bits in an `AtomicU64`. LOI is always non-negative, and IEEE-754
-/// orders non-negative floats identically to their bit patterns, so a
-/// lock-free `fetch_min` on the bits is a `fetch_min` on the values.
-struct SharedIncumbent(AtomicU64);
-
-impl SharedIncumbent {
-    fn new() -> Self {
-        Self(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    /// The current best LOI (`f64::INFINITY` before any commit).
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Acquire))
-    }
-
-    /// Lowers the incumbent to `loi` if it improves on the current value.
-    fn publish_min(&self, loi: f64) {
-        debug_assert!(loi >= 0.0);
-        self.0.fetch_min(loi.to_bits(), Ordering::AcqRel);
-    }
+    };
+    stats.privacy_evaluations += 1;
+    stats.rows_abstracted += misses;
+    stats.abs_cache_hits += hits;
+    let out = compute_privacy(bound, &rows, privacy, cache);
+    stats.privacy_stats.absorb(&out.stats);
+    out.privacy
 }
 
 /// Algorithm 2: finds an abstraction with privacy ≥ `cfg.privacy.threshold`
 /// minimizing loss of information.
 ///
-/// With [`SearchConfig::parallelism`] resolving to more than one worker (the
-/// default uses every core), candidate batches are evaluated across a scoped
-/// thread pool sharing one [`PrivacyCache`]; the result is identical to the
-/// sequential search for every thread count.
+/// Candidates are evaluated by [`SearchConfig::parallelism`] workers (the
+/// default uses every core) sharing one [`PrivacyCache`]; the optimum is
+/// identical for every worker count.
 pub fn find_optimal_abstraction(bound: &Bound<'_>, cfg: &SearchConfig) -> SearchOutcome {
     let cache = PrivacyCache::new();
     find_optimal_abstraction_with_cache(bound, cfg, &cache)
@@ -449,357 +455,188 @@ pub fn find_optimal_abstraction_incremental(
     cache: &PrivacyCache,
     warm: Option<&BestAbstraction>,
 ) -> SearchOutcome {
-    let mut incumbent = None;
     let mut warm_stats = SearchStats::default();
-    if let Some(prev) = warm {
-        if prev.abstraction.validate(bound) {
-            // Re-score on the updated bound: the tree and example may map
-            // the same lifts to different LOI, and the delta may have
-            // changed the concretization space behind the privacy value.
-            let loi = loss_of_information(bound, &prev.abstraction, &cfg.distribution);
-            let (rows, misses, hits) = abstracted_rows(bound, &prev.abstraction, cfg);
-            warm_stats.rows_abstracted += misses;
-            warm_stats.abs_cache_hits += hits;
-            warm_stats.privacy_evaluations += 1;
+    // Re-score on the updated bound: the tree and example may map the same
+    // lifts to different LOI, and the delta may have changed the
+    // concretization space behind the privacy value.
+    let incumbent = warm
+        .filter(|prev| prev.abstraction.validate(bound))
+        .and_then(|prev| {
+            let abs = &prev.abstraction;
             warm_stats.loi_evaluations += 1;
-            let out = compute_privacy(bound, &rows, &cfg.privacy, cache);
-            warm_stats.privacy_stats.absorb(&out.stats);
-            if let Some(privacy) = out.privacy {
-                warm_stats.warm_start_used = true;
-                incumbent = Some(BestAbstraction {
-                    abstraction: prev.abstraction.clone(),
-                    loi,
-                    privacy,
-                    edges_used: prev.abstraction.edges_used(),
-                });
-            }
-        }
-    }
+            let loi = loss_of_information(bound, abs, &cfg.distribution);
+            let memoize = cfg.memoize_abstractions;
+            let privacy =
+                evaluate_candidate(bound, abs, &cfg.privacy, memoize, cache, &mut warm_stats)?;
+            Some(BestAbstraction::new(abs.clone(), loi, privacy))
+        });
+    warm_stats.warm_start_used = incumbent.is_some();
     let mut outcome = search_with_incumbent(bound, cfg, cache, incumbent);
-    outcome.stats.privacy_evaluations += warm_stats.privacy_evaluations;
-    outcome.stats.loi_evaluations += warm_stats.loi_evaluations;
-    outcome.stats.rows_abstracted += warm_stats.rows_abstracted;
-    outcome.stats.abs_cache_hits += warm_stats.abs_cache_hits;
-    outcome.stats.warm_start_used = warm_stats.warm_start_used;
-    outcome
-        .stats
-        .privacy_stats
-        .absorb(&warm_stats.privacy_stats);
+    outcome.stats.absorb(&warm_stats);
     outcome
 }
 
+/// The search engine, from an optional incumbent.
+///
+/// In a LOI-sorted bucket only candidates with `loi < l_best` can improve
+/// the incumbent, and the *first* success prunes the rest of the bucket
+/// (everything after it has an equal or larger LOI). A bucket's outcome is
+/// therefore fully determined by *positions*, not timing: the winner is the
+/// least-indexed eligible candidate whose privacy meets the threshold.
+/// Claimants take indices from an atomic counter, publish successes through
+/// a `fetch_min` index, and stop claiming past the least published success;
+/// the least success is committed after every claimant has finished, so the
+/// result is the same for every worker count. Speculation past the winner
+/// is bounded by the pool size (each worker holds at most one in-flight
+/// candidate). With one worker the claim loop runs on the calling thread
+/// and evaluates exactly the candidates the paper's sequential loop does.
 fn search_with_incumbent(
     bound: &Bound<'_>,
     cfg: &SearchConfig,
     cache: &PrivacyCache,
     incumbent: Option<BestAbstraction>,
 ) -> SearchOutcome {
-    let workers = cfg.effective_parallelism();
-    if workers > 1 && cfg.sort_abstractions {
-        return parallel_search(bound, cfg, cache, workers, incumbent);
-    }
-    sequential_search(bound, cfg, cache, incumbent)
-}
-
-/// The sequential Algorithm 2 exactly as the paper prints it — the
-/// `parallelism: Some(1)` trace the Figure 19 ablation compares against.
-fn sequential_search(
-    bound: &Bound<'_>,
-    cfg: &SearchConfig,
-    cache: &PrivacyCache,
-    incumbent: Option<BestAbstraction>,
-) -> SearchOutcome {
     let space = AbstractionSpace::new(bound, &cfg.distribution);
     let mut stats = SearchStats::default();
-    let mut best: Option<BestAbstraction> = incumbent;
+    let mut best = incumbent;
     let deadline = cfg
         .time_budget_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let out_of_time = move || deadline.is_some_and(|d| Instant::now() >= d);
-
-    // `loi` is the candidate's table-sum LOI (bucket enumeration already
-    // paid for it; the unsorted ablation computes it the same way).
-    let consider = |lifts: &[u32],
-                    loi: f64,
-                    stats: &mut SearchStats,
-                    best: &mut Option<BestAbstraction>|
-     -> bool {
-        if out_of_time() {
-            return false;
-        }
-        stats.abstractions_enumerated += 1;
-        stats.loi_evaluations += 1;
-        let l_best = best.as_ref().map_or(f64::INFINITY, |b| b.loi);
-        if cfg.prioritize_loi && loi >= l_best {
-            return stats.abstractions_enumerated < cfg.max_candidates;
-        }
+    let out_of_time = || deadline.is_some_and(|d| Instant::now() >= d);
+    let step = |lifts: &[u32], stats: &mut SearchStats| {
         let abs = space.to_abstraction(bound, lifts);
-        stats.privacy_evaluations += 1;
-        let (rows, misses, hits) = abstracted_rows(bound, &abs, cfg);
-        stats.rows_abstracted += misses;
-        stats.abs_cache_hits += hits;
-        let out = compute_privacy(bound, &rows, &cfg.privacy, cache);
-        stats.privacy_stats.absorb(&out.stats);
-        if let Some(p) = out.privacy {
-            if loi < l_best {
-                *best = Some(BestAbstraction {
-                    edges_used: abs.edges_used(),
-                    abstraction: abs,
-                    loi,
-                    privacy: p,
-                });
-            }
-        }
-        stats.abstractions_enumerated < cfg.max_candidates
+        let memoize = cfg.memoize_abstractions;
+        evaluate_candidate(bound, &abs, &cfg.privacy, memoize, cache, stats)
     };
 
-    if cfg.sort_abstractions {
-        let min_loi = if cfg.early_termination {
-            space.min_loi_by_edges()
-        } else {
-            Vec::new()
-        };
-        'outer: for e in 0..=space.total_edges() {
-            if cfg.early_termination {
-                if let Some(b) = &best {
-                    if min_loi[e as usize] >= b.loi {
-                        break 'outer;
+    if !cfg.sort_abstractions {
+        // The brute-force ablation: odometer order, one candidate at a time
+        // against the live incumbent.
+        let complete = cfg.max_candidates > 0
+            && space.for_each_unsorted(&mut |lifts| {
+                if out_of_time() {
+                    return false;
+                }
+                stats.abstractions_enumerated += 1;
+                stats.loi_evaluations += 1;
+                let loi = space.loi_of(lifts);
+                let l_best = best.as_ref().map_or(f64::INFINITY, |b| b.loi);
+                if !cfg.prioritize_loi || loi < l_best {
+                    if let Some(p) = step(lifts, &mut stats).filter(|_| loi < l_best) {
+                        let abs = space.to_abstraction(bound, lifts);
+                        best = Some(BestAbstraction::new(abs, loi, p));
                     }
                 }
-            }
-            let (bucket, complete) =
-                collect_sorted_bucket(&space, cfg, e, stats.abstractions_enumerated);
-            stats.truncated |= !complete;
-            for (loi, lifts) in &bucket {
-                if !consider(lifts, *loi, &mut stats, &mut best) {
-                    stats.truncated = true;
-                    break 'outer;
-                }
-            }
-            if !complete {
-                break 'outer;
-            }
-        }
-    } else {
-        let complete = space.for_each_unsorted(&mut |lifts| {
-            consider(lifts, space.loi_of(lifts), &mut stats, &mut best)
-        });
+                stats.abstractions_enumerated < cfg.max_candidates
+            });
         stats.truncated |= !complete;
+        return SearchOutcome { best, stats };
     }
-    SearchOutcome { best, stats }
-}
 
-/// The parallel engine: sequential enumeration and sorting per bucket,
-/// parallel evaluation of the bucket's eligible prefix.
-///
-/// The sequential search, scanning a LOI-sorted bucket, evaluates privacy
-/// only for candidates with `loi < l_best`, and the *first* success
-/// immediately prunes the rest of the bucket (everything after it has an
-/// equal or larger LOI). A bucket's outcome is therefore fully determined
-/// by *positions*, not timing: the winner is the least-indexed eligible
-/// candidate whose privacy meets the threshold. Workers claim indices from
-/// an atomic counter, publish successes through a lock-free `fetch_min`
-/// index, and stop claiming past the best published success; the
-/// coordinator commits the minimal success after the pool joins, keeping
-/// the result bit-identical to the sequential trace for every worker
-/// count. Speculation past the winner is bounded by the pool size (each
-/// worker can hold at most one in-flight candidate).
-fn parallel_search(
-    bound: &Bound<'_>,
-    cfg: &SearchConfig,
-    cache: &PrivacyCache,
-    workers: usize,
-    initial: Option<BestAbstraction>,
-) -> SearchOutcome {
-    let space = AbstractionSpace::new(bound, &cfg.distribution);
-    let mut stats = SearchStats::default();
-    let mut best: Option<BestAbstraction> = initial;
-    let incumbent = SharedIncumbent::new();
-    if let Some(b) = &best {
-        incumbent.publish_min(b.loi);
-    }
-    let deadline = cfg
-        .time_budget_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
+    let workers = cfg.effective_parallelism();
     let min_loi = if cfg.early_termination {
         space.min_loi_by_edges()
     } else {
         Vec::new()
     };
-
-    'outer: for e in 0..=space.total_edges() {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+    for e in 0..=space.total_edges() {
+        if out_of_time() {
             stats.truncated = true;
-            break 'outer;
+            break;
         }
-        if cfg.early_termination && best.is_some() && min_loi[e as usize] >= incumbent.get() {
-            break 'outer;
+        if cfg.early_termination && best.as_ref().is_some_and(|b| min_loi[e as usize] >= b.loi) {
+            break;
         }
-        // Enumerate and sort the bucket — identical to the sequential path.
-        let (bucket, complete) =
-            collect_sorted_bucket(&space, cfg, e, stats.abstractions_enumerated);
-        stats.truncated |= !complete;
-
-        // How many candidates the sequential loop would consider before
-        // `max_candidates`, and which prefix of those is eligible for a
-        // privacy evaluation (`loi < l_best`; everything, under the
-        // `prioritize_loi: false` ablation).
         let budget = cfg
             .max_candidates
             .saturating_sub(stats.abstractions_enumerated);
-        let considered = bucket.len().min(budget);
-        let l_best = incumbent.get();
+        let (bucket, complete) = space.sorted_bucket(e, budget, |_| true);
+        stats.abstractions_enumerated += bucket.len();
+        stats.loi_evaluations += bucket.len();
+        // The candidates that get a privacy evaluation: the prefix with
+        // `loi < l_best`, or all of them under the `prioritize_loi: false`
+        // ablation.
+        let l_best = best.as_ref().map_or(f64::INFINITY, |b| b.loi);
         let eval_len = if cfg.prioritize_loi {
-            bucket[..considered].partition_point(|(loi, _)| *loi < l_best)
+            bucket.partition_point(|(loi, _)| *loi < l_best)
         } else {
-            considered
+            bucket.len()
         };
-        stats.abstractions_enumerated += considered;
-        stats.loi_evaluations += considered;
 
-        // Evaluate the first eligible candidate inline: whenever it
-        // succeeds it decides the whole bucket (everything after it has an
-        // equal or larger LOI), so spinning up the pool — and its
-        // speculative work — would be pure waste.
-        // Mirror the sequential trace's per-candidate deadline check: the
-        // budget may have expired during enumeration and sorting, and the
-        // next privacy evaluation can take seconds.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            stats.truncated = true;
-            break 'outer;
-        }
-        let mut winner: Option<(usize, usize)> = None;
-        let mut pool_start = 0usize;
-        if cfg.prioritize_loi && eval_len > 0 {
-            pool_start = 1;
-            let (loi, lifts) = &bucket[0];
-            if *loi < incumbent.get() {
-                let abs = space.to_abstraction(bound, lifts);
-                let (rows, misses, hits) = abstracted_rows(bound, &abs, cfg);
-                stats.rows_abstracted += misses;
-                stats.abs_cache_hits += hits;
-                stats.privacy_evaluations += 1;
-                let out = compute_privacy(bound, &rows, &cfg.privacy, cache);
-                stats.privacy_stats.absorb(&out.stats);
-                if let Some(p) = out.privacy {
-                    winner = Some((0, p));
-                }
-            }
-        }
-
-        // Parallel evaluation of the rest of the eligible prefix.
-        let next = AtomicUsize::new(pool_start);
-        let best_success = AtomicUsize::new(usize::MAX);
-        let timed_out = AtomicBool::new(false);
-        // Lowest index a worker claimed but abandoned on the deadline. A
-        // success above this floor must not be committed: the abandoned
-        // candidate could have been the positional winner.
+        let next = AtomicUsize::new(0);
+        let first_success = AtomicUsize::new(usize::MAX);
+        // Lowest index claimed but abandoned on the deadline. A success
+        // above this floor must not be committed: the abandoned candidate
+        // could have been the positional winner.
         let timeout_floor = AtomicUsize::new(usize::MAX);
-        let pool = workers.min(eval_len.saturating_sub(pool_start));
-        let run_pool = winner.is_none() && pool > 0;
-        let worker_results: Vec<WorkerReport> = if !run_pool {
-            Vec::new()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..pool)
-                    .map(|_| {
-                        let (space, bucket) = (&space, &bucket);
-                        let (next, best_success, timed_out, timeout_floor) =
-                            (&next, &best_success, &timed_out, &timeout_floor);
-                        s.spawn(move || {
-                            let mut report = WorkerReport {
-                                successes: Vec::new(),
-                                privacy_stats: PrivacyStats::default(),
-                                evals: 0,
-                                rows_abstracted: 0,
-                                abs_cache_hits: 0,
-                            };
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= eval_len {
-                                    break;
-                                }
-                                // Indices only grow, so once a success below
-                                // `i` exists nothing this worker can claim
-                                // will ever win: stop.
-                                if cfg.prioritize_loi && best_success.load(Ordering::Acquire) < i {
-                                    break;
-                                }
-                                if deadline.is_some_and(|d| Instant::now() >= d) {
-                                    timed_out.store(true, Ordering::Release);
-                                    timeout_floor.fetch_min(i, Ordering::AcqRel);
-                                    break;
-                                }
-                                // Every index below `eval_len` already has
-                                // `loi < l_best` (the partition point), and
-                                // the incumbent cannot improve while the
-                                // pool runs — commits happen after join —
-                                // so no further LOI re-check is needed.
-                                let (_, lifts) = &bucket[i];
-                                let abs = space.to_abstraction(bound, lifts);
-                                let (rows, misses, hits) = abstracted_rows(bound, &abs, cfg);
-                                report.rows_abstracted += misses;
-                                report.abs_cache_hits += hits;
-                                report.evals += 1;
-                                let out = compute_privacy(bound, &rows, &cfg.privacy, cache);
-                                report.privacy_stats.absorb(&out.stats);
-                                if let Some(p) = out.privacy {
-                                    report.successes.push((i, p));
-                                    best_success.fetch_min(i, Ordering::AcqRel);
-                                }
-                            }
-                            report
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("search worker panicked"))
-                    .collect()
-            })
-        };
-
-        for report in worker_results {
-            stats.privacy_evaluations += report.evals;
-            stats.rows_abstracted += report.rows_abstracted;
-            stats.abs_cache_hits += report.abs_cache_hits;
-            stats.privacy_stats.absorb(&report.privacy_stats);
-            for (i, p) in report.successes {
-                // Eligibility re-check for the no-pruning ablation: a
-                // success can only displace the incumbent with a strictly
-                // smaller LOI.
-                if bucket[i].0 < l_best && winner.is_none_or(|(w, _)| i < w) {
-                    winner = Some((i, p));
+        // The claim loop over indices below `end`. Returns the claimant's
+        // counters and its least success `(index, privacy)`.
+        let claim = |end: usize| {
+            let mut stats = SearchStats::default();
+            let mut success = None;
+            while let Ok(i) = next.fetch_update(Ordering::AcqRel, Ordering::Acquire, |i| {
+                (i < end).then_some(i + 1)
+            }) {
+                // Indices only grow, so once a success below `i` exists
+                // nothing this claimant can take will ever win.
+                if cfg.prioritize_loi && first_success.load(Ordering::Acquire) < i {
+                    break;
+                }
+                if out_of_time() {
+                    timeout_floor.fetch_min(i, Ordering::AcqRel);
+                    break;
+                }
+                if let Some(p) = step(&bucket[i].1, &mut stats) {
+                    success.get_or_insert((i, p));
+                    first_success.fetch_min(i, Ordering::AcqRel);
                 }
             }
+            (stats, success)
+        };
+        // The first eligible candidate runs alone: whenever it succeeds (or
+        // meets the deadline) it decides the bucket, so starting the pool,
+        // and its speculation, would be waste.
+        let mut claims = Vec::new();
+        if cfg.prioritize_loi {
+            claims.push(claim(eval_len.min(1)));
         }
-        // Discard a winner above the timeout floor: some lower-indexed
-        // candidate went unevaluated, so the positional first-success of
-        // this bucket is unknown. (The run is truncated below either way.)
-        if winner.is_some_and(|(idx, _)| idx >= timeout_floor.load(Ordering::Acquire)) {
-            winner = None;
+        let undecided = first_success.load(Ordering::Acquire) == usize::MAX
+            && timeout_floor.load(Ordering::Acquire) == usize::MAX;
+        let pool = if undecided {
+            workers.min(eval_len - next.load(Ordering::Acquire))
+        } else {
+            0
+        };
+        match pool {
+            0 => {}
+            1 => claims.push(claim(eval_len)),
+            pool => std::thread::scope(|s| {
+                let handles: Vec<_> = (0..pool).map(|_| s.spawn(|| claim(eval_len))).collect();
+                claims.extend(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("search worker panicked")),
+                );
+            }),
         }
-        if let Some((idx, privacy)) = winner {
-            let (loi, lifts) = &bucket[idx];
+
+        for (claim_stats, _) in &claims {
+            stats.absorb(claim_stats);
+        }
+        // The least success wins if it improves on the incumbent (only the
+        // no-pruning ablation evaluates candidates that cannot) and no
+        // candidate below it went unevaluated.
+        let floor = timeout_floor.load(Ordering::Acquire);
+        let winner = claims.iter().filter_map(|(_, success)| *success).min();
+        if let Some((i, privacy)) = winner.filter(|&(i, _)| bucket[i].0 < l_best && i < floor) {
+            let (loi, lifts) = &bucket[i];
             let abs = space.to_abstraction(bound, lifts);
-            incumbent.publish_min(*loi);
-            best = Some(BestAbstraction {
-                edges_used: abs.edges_used(),
-                abstraction: abs,
-                loi: *loi,
-                privacy,
-            });
+            best = Some(BestAbstraction::new(abs, *loi, privacy));
         }
-        if timed_out.load(Ordering::Acquire) {
+        // An incomplete bucket means the candidate cap was reached.
+        if !complete || floor != usize::MAX {
             stats.truncated = true;
-            break 'outer;
-        }
-        if considered < bucket.len() || stats.abstractions_enumerated >= cfg.max_candidates {
-            stats.truncated = true;
-            break 'outer;
-        }
-        if !complete {
-            break 'outer;
+            break;
         }
     }
     SearchOutcome { best, stats }
@@ -1154,14 +991,24 @@ mod tests {
     }
 
     #[test]
-    fn shared_incumbent_orders_like_f64() {
-        let inc = SharedIncumbent::new();
-        assert_eq!(inc.get(), f64::INFINITY);
-        inc.publish_min(2.7);
-        assert_eq!(inc.get(), 2.7);
-        inc.publish_min(3.1); // larger: no effect
-        assert_eq!(inc.get(), 2.7);
-        inc.publish_min(0.0);
-        assert_eq!(inc.get(), 0.0);
+    fn zero_candidate_cap_enumerates_nothing_at_every_worker_count() {
+        for parallelism in [Some(0), Some(1), Some(4)] {
+            for sort_abstractions in [true, false] {
+                let out = search_with(SearchConfig {
+                    privacy: PrivacyConfig {
+                        threshold: 1,
+                        ..Default::default()
+                    },
+                    sort_abstractions,
+                    max_candidates: 0,
+                    parallelism,
+                    ..Default::default()
+                });
+                let at = format!("{parallelism:?} sorted={sort_abstractions}");
+                assert_eq!(out.stats.abstractions_enumerated, 0, "{at}");
+                assert_eq!(out.stats.privacy_evaluations, 0, "{at}");
+                assert!(out.stats.truncated && out.best.is_none(), "{at}");
+            }
+        }
     }
 }

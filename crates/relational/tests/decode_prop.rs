@@ -1,6 +1,6 @@
 //! Fail-closed property tests for the untrusted-input boundaries: the
-//! snapshot and delta decoders and the query parser must answer every input
-//! with `Ok` or `Err`, never a panic.
+//! snapshot and delta decoders, the WAL frame layer and the query parser
+//! must answer every input with `Ok` or `Err`, never a panic.
 //!
 //! Decoder inputs are random byte strings plus single-byte mutations and
 //! truncations of valid `encode_database`/`encode_delta` outputs (so most
@@ -9,12 +9,20 @@
 //! query texts. A snapshot that does decode must re-encode and decode back
 //! to the same state.
 //!
+//! WAL replay gets random files, every truncation and every single-byte
+//! overwrite of a valid multi-transaction log: a truncation must replay
+//! exactly the transactions whose commit frame it keeps, and an overwrite
+//! must replay a prefix of them or fail with `StorageError::Corrupt`.
+//!
 //! Each proptest case draws one seed; everything else derives from it
 //! through the deterministic `TestRng`, so failures reproduce exactly.
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use provabs_relational::storage::{decode_database, decode_delta, encode_database, encode_delta};
+use provabs_relational::storage::{
+    decode_database, decode_delta, encode_database, encode_delta, MemVfs, StorageError, Vfs, Wal,
+    PAGE_PAYLOAD,
+};
 use provabs_relational::{parse_cq, parse_ucq, Database, Delta, RelId, Tuple, Value};
 
 fn pick(rng: &mut TestRng, n: usize) -> usize {
@@ -88,6 +96,42 @@ fn corrupt(rng: &mut TestRng, valid: &[u8]) -> Vec<u8> {
             bytes
         }
     }
+}
+
+/// One committed WAL transaction: `(txn id, payload)`.
+type Txn = (u64, Vec<u8>);
+
+/// A valid WAL of one to four committed transactions with ascending ids,
+/// written through `Wal::append_txn` on `MemVfs`; a quarter of the logs hold
+/// one payload that spans two data frames. Returns the file, the
+/// transactions and the log length after each commit.
+fn rand_wal(rng: &mut TestRng) -> (Vec<u8>, Vec<Txn>, Vec<u64>) {
+    let mut vfs = MemVfs::new();
+    let mut wal = Wal::create("wal");
+    let (mut txns, mut ends) = (Vec::new(), Vec::new());
+    let n = 1 + pick(rng, 4);
+    let long = (pick(rng, 4) == 0).then(|| pick(rng, n));
+    let mut id = 0;
+    for t in 0..n {
+        id += 1 + pick(rng, 3) as u64;
+        let len = if long == Some(t) {
+            PAGE_PAYLOAD + 1 + pick(rng, 32)
+        } else {
+            pick(rng, 48)
+        };
+        let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        wal.append_txn(&mut vfs, id, &payload).unwrap();
+        txns.push((id, payload));
+        ends.push(wal.len());
+    }
+    (vfs.raw("wal").unwrap().to_vec(), txns, ends)
+}
+
+/// Replays `bytes` as the WAL file of a fresh `MemVfs`.
+fn replay(bytes: &[u8]) -> Result<(Wal, Vec<Txn>), StorageError> {
+    let mut vfs = MemVfs::new();
+    vfs.write_at("wal", 0, bytes).unwrap();
+    Wal::open_replay(&mut vfs, "wal")
 }
 
 /// The characters queries are written in, plus a few that are not.
@@ -175,6 +219,51 @@ proptest! {
             };
             let _ = parse_cq(&text, db.schema());
             let _ = parse_ucq(&text, db.schema());
+        }
+    }
+}
+
+proptest! {
+    // A case replays the log once per truncation and once per overwritten
+    // byte, so this block runs fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// WAL replay never panics; a torn log replays exactly the transactions
+    /// it still commits, and a corrupted one replays a prefix or fails
+    /// closed.
+    #[test]
+    fn damaged_wals_replay_a_prefix_or_fail_closed(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::for_case(seed.wrapping_add(0x3a1_f000));
+        let (valid, txns, ends) = rand_wal(&mut rng);
+        let (wal, all) = replay(&valid).unwrap();
+        prop_assert_eq!(&all, &txns);
+        prop_assert_eq!(wal.len(), valid.len() as u64);
+        let noise: Vec<u8> = (0..pick(&mut rng, 96)).map(|_| rng.next_u64() as u8).collect();
+        let _ = replay(&noise);
+        for cut in 0..=valid.len() {
+            let kept = ends.iter().filter(|&&end| end <= cut as u64).count();
+            let (wal, got) = replay(&valid[..cut]).unwrap();
+            prop_assert_eq!(&got[..], &txns[..kept], "cut at {}, seed {}", cut, seed);
+            prop_assert_eq!(wal.len(), if kept == 0 { 0 } else { ends[kept - 1] });
+        }
+        for at in 0..valid.len() {
+            let mut bytes = valid.clone();
+            bytes[at] ^= 1 + pick(&mut rng, 255) as u8;
+            match replay(&bytes) {
+                Ok((_, got)) => prop_assert!(
+                    txns.starts_with(&got),
+                    "overwrite at {} replayed a non-prefix, seed {}",
+                    at,
+                    seed
+                ),
+                Err(e) => prop_assert!(
+                    matches!(e, StorageError::Corrupt(_)),
+                    "overwrite at {}: {:?}, seed {}",
+                    at,
+                    e,
+                    seed
+                ),
+            }
         }
     }
 }
