@@ -5,23 +5,20 @@ use provabs_relational::{monomial_connected, Database, ValueId};
 use provabs_semiring::AnnotId;
 
 /// The number of concretizations of an abstracted row: the product over its
-/// symbols of `|L_T(sym)|` (Prop. 3.5 item 1, per row).
+/// symbols of `|L_T(sym)|` (Prop. 3.5 item 1, per row), saturating.
 pub fn row_concretization_count(bound: &Bound<'_>, row: &AbsRow) -> u128 {
-    row.syms
-        .iter()
-        .map(|s| match s {
-            Sym::Leaf(_) => 1u128,
-            Sym::Abs(n) => u128::from(bound.tree.leaf_count(*n)),
-        })
-        .product()
+    row.syms.iter().fold(1, |count, s| match s {
+        Sym::Leaf(_) => count,
+        Sym::Abs(n) => count.saturating_mul(u128::from(bound.tree.leaf_count(*n))),
+    })
 }
 
 /// The number of concretizations of a whole abstracted example
-/// (Prop. 3.5 item 1).
+/// (Prop. 3.5 item 1), saturating.
 pub fn concretization_count(bound: &Bound<'_>, rows: &[AbsRow]) -> u128 {
-    rows.iter()
-        .map(|r| row_concretization_count(bound, r))
-        .product()
+    rows.iter().fold(1, |count, row| {
+        count.saturating_mul(row_concretization_count(bound, row))
+    })
 }
 
 /// Enumerates the concretizations of one abstracted row: every assignment of
@@ -34,24 +31,48 @@ pub fn for_each_row_concretization(
     max: usize,
     mut visit: impl FnMut(&[AnnotId]) -> bool,
 ) -> bool {
-    // Choice lists per symbol.
-    let choices: Vec<&[AnnotId]> = row
-        .syms
+    let choices = choices(bound, row);
+    let mut idx = vec![0usize; choices.len()];
+    let mut current: Vec<AnnotId> = choices.iter().map(|c| c[0]).collect();
+    for _ in 0..max {
+        if !visit(&current) {
+            return false;
+        }
+        if !advance(&choices, &mut idx, &mut current) {
+            return true;
+        }
+    }
+    false
+}
+
+/// The candidate leaves of each symbol of `row`.
+fn choices<'r>(bound: &Bound<'r>, row: &'r AbsRow) -> Vec<&'r [AnnotId]> {
+    row.syms
         .iter()
         .map(|s| match s {
             Sym::Leaf(a) => std::slice::from_ref(a),
             Sym::Abs(n) => bound.tree.leaves_under(*n),
         })
-        .collect();
-    let mut current: Vec<AnnotId> = choices.iter().map(|c| c[0]).collect();
-    let mut produced = 0usize;
-    odometer(&choices, 0, &mut current, &mut |occs| {
-        if produced >= max {
-            return false;
-        }
-        produced += 1;
-        visit(occs)
-    })
+        .collect()
+}
+
+/// Advances the odometer `idx` over `choices`, the last position turning
+/// fastest, and keeps `current[p]` at `choices[p][idx[p]]`; `false` once
+/// every assignment was visited.
+fn advance(choices: &[&[AnnotId]], idx: &mut [usize], current: &mut [AnnotId]) -> bool {
+    let Some(p) = (0..idx.len())
+        .rev()
+        .find(|&p| idx[p] + 1 < choices[p].len())
+    else {
+        return false;
+    };
+    idx[p] += 1;
+    current[p] = choices[p][idx[p]];
+    for q in p + 1..idx.len() {
+        idx[q] = 0;
+        current[q] = choices[q][0];
+    }
+    true
 }
 
 /// The concretizations of one abstracted row that survive the connectivity
@@ -61,8 +82,9 @@ pub fn for_each_row_concretization(
 pub struct RowConcretizations {
     /// The kept occurrence lists, concatenated (each `width` long).
     occs: Vec<AnnotId>,
+    /// Each kept list's position in the unfiltered enumeration.
+    positions: Vec<usize>,
     width: usize,
-    len: usize,
     /// Whether the enumeration ran to its end (`false` when the cap cut it).
     pub complete: bool,
     /// Concretizations visited, kept or not (at most the cap).
@@ -72,17 +94,28 @@ pub struct RowConcretizations {
 impl RowConcretizations {
     /// Number of kept concretizations.
     pub fn len(&self) -> usize {
-        self.len
+        self.positions.len()
     }
 
     /// Whether no concretization was kept.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.positions.is_empty()
+    }
+
+    /// The `k`-th kept occurrence list.
+    pub(crate) fn get(&self, k: usize) -> &[AnnotId] {
+        &self.occs[k * self.width..(k + 1) * self.width]
+    }
+
+    /// The position of the `k`-th kept list in the unfiltered enumeration
+    /// of [`for_each_row_concretization`].
+    pub(crate) fn position(&self, k: usize) -> usize {
+        self.positions[k]
     }
 
     /// The kept occurrence lists, in enumeration order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[AnnotId]> + '_ {
-        (0..self.len).map(|k| &self.occs[k * self.width..(k + 1) * self.width])
+        (0..self.len()).map(|k| self.get(k))
     }
 }
 
@@ -102,19 +135,12 @@ pub fn connected_row_concretizations(
     max: usize,
     connectivity_filter: bool,
 ) -> RowConcretizations {
-    let choices: Vec<&[AnnotId]> = row
-        .syms
-        .iter()
-        .map(|s| match s {
-            Sym::Leaf(a) => std::slice::from_ref(a),
-            Sym::Abs(n) => bound.tree.leaves_under(*n),
-        })
-        .collect();
+    let choices = choices(bound, row);
     let width = choices.len();
     let mut out = RowConcretizations {
         occs: Vec::new(),
+        positions: Vec::new(),
         width,
-        len: 0,
         complete: true,
         produced: 0,
     };
@@ -128,29 +154,17 @@ pub fn connected_row_concretizations(
             out.complete = false;
             return out;
         }
-        out.produced += 1;
         let keep = match &mut sets {
             Some(sets) => sets.connected(&idx),
             None => !check || monomial_connected(bound.db, &current),
         };
         if keep {
             out.occs.extend_from_slice(&current);
-            out.len += 1;
+            out.positions.push(out.produced);
         }
-        // Advance the odometer: the last symbol turns fastest.
-        let mut p = width;
-        loop {
-            if p == 0 {
-                return out;
-            }
-            p -= 1;
-            idx[p] += 1;
-            if idx[p] < choices[p].len() {
-                current[p] = choices[p][idx[p]];
-                break;
-            }
-            idx[p] = 0;
-            current[p] = choices[p][0];
+        out.produced += 1;
+        if !advance(&choices, &mut idx, &mut current) {
+            return out;
         }
     }
 }
@@ -262,63 +276,6 @@ fn share(a: &[ValueId], b: &[ValueId]) -> bool {
     false
 }
 
-fn odometer(
-    choices: &[&[AnnotId]],
-    i: usize,
-    current: &mut Vec<AnnotId>,
-    visit: &mut impl FnMut(&[AnnotId]) -> bool,
-) -> bool {
-    if i == choices.len() {
-        return visit(current);
-    }
-    for &c in choices[i] {
-        current[i] = c;
-        if !odometer(choices, i + 1, current, visit) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Enumerates the concretizations of a list of abstracted rows (the
-/// cartesian product of per-row concretizations). `visit` receives one
-/// occurrence list per row; the same early-exit protocol as
-/// [`for_each_row_concretization`] applies.
-pub fn for_each_concretization(
-    bound: &Bound<'_>,
-    rows: &[AbsRow],
-    max: usize,
-    mut visit: impl FnMut(&[Vec<AnnotId>]) -> bool,
-) -> bool {
-    let mut current: Vec<Vec<AnnotId>> = Vec::with_capacity(rows.len());
-    let mut produced = 0usize;
-    rec_rows(bound, rows, 0, &mut current, max, &mut produced, &mut visit)
-}
-
-fn rec_rows(
-    bound: &Bound<'_>,
-    rows: &[AbsRow],
-    i: usize,
-    current: &mut Vec<Vec<AnnotId>>,
-    max: usize,
-    produced: &mut usize,
-    visit: &mut impl FnMut(&[Vec<AnnotId>]) -> bool,
-) -> bool {
-    if i == rows.len() {
-        if *produced >= max {
-            return false;
-        }
-        *produced += 1;
-        return visit(current);
-    }
-    for_each_row_concretization(bound, &rows[i], usize::MAX, |occs| {
-        current.push(occs.to_vec());
-        let cont = rec_rows(bound, rows, i + 1, current, max, produced, visit);
-        current.pop();
-        cont
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,11 +305,10 @@ mod tests {
         let abs = abs_lifting(&b, &[("h1", 1), ("h2", 1)]);
         let rows = abs.apply(&b).rows;
         assert_eq!(concretization_count(&b, &rows), 15);
-        let mut seen = 0;
-        assert!(for_each_concretization(&b, &rows, usize::MAX, |_| {
-            seen += 1;
-            true
-        }));
+        let seen: usize = rows
+            .iter()
+            .map(|row| connected_row_concretizations(&b, row, usize::MAX, false).len())
+            .product();
         assert_eq!(seen, 15);
     }
 
@@ -374,13 +330,11 @@ mod tests {
         let abs = Abstraction::identity(&b);
         let rows = abs.apply(&b).rows;
         assert_eq!(concretization_count(&b, &rows), 1);
-        let mut seen = Vec::new();
-        for_each_concretization(&b, &rows, usize::MAX, |c| {
-            seen.push(c.to_vec());
-            true
-        });
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0][0], b.row_occurrences(0));
+        for (r, row) in rows.iter().enumerate() {
+            let seen = connected_row_concretizations(&b, row, usize::MAX, false);
+            assert_eq!(seen.len(), 1);
+            assert_eq!(seen.get(0), b.row_occurrences(r));
+        }
     }
 
     #[test]
@@ -412,12 +366,20 @@ mod tests {
         let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
         let abs = abs_lifting(&b, &[("h1", 1), ("h2", 1)]);
         let rows = abs.apply(&b).rows;
+        let row = rows
+            .iter()
+            .find(|row| row_concretization_count(&b, row) > 3)
+            .unwrap();
         let mut seen = 0;
-        let complete = for_each_concretization(&b, &rows, 7, |_| {
+        let complete = for_each_row_concretization(&b, row, 3, |_| {
             seen += 1;
             true
         });
         assert!(!complete);
-        assert_eq!(seen, 7);
+        assert_eq!(seen, 3);
+        let capped = connected_row_concretizations(&b, row, 3, false);
+        assert!(!capped.complete);
+        assert_eq!((capped.produced, capped.len()), (3, 3));
+        assert_eq!(capped.position(2), 2);
     }
 }

@@ -1,18 +1,17 @@
 //! Algorithm 1: computing the privacy of an abstracted K-example.
 //!
 //! The privacy of `Ã` is the number of unique CIM queries w.r.t. `Ã`
-//! (Def. 3.12). The algorithm concretizes row by row, keeping only the
-//! "good" concretization prefixes that admit consistent connected queries,
-//! filtering disconnected concretizations, and caching per-concretization
-//! results (§4.1). Every optimization component carries a config flag so the
-//! Figure 19 ablation can disable it.
+//! (Def. 3.12). One GoodConc loop computes it (§4.1): each step extends the
+//! "good" concretization prefixes by the connected concretizations of one
+//! row or of all rows, and a consistency step (CQ or UCQ) keeps the
+//! prefixes that admit consistent connected queries. Consistent CQs are
+//! cached per concretization. Every optimization component carries a
+//! config flag so the Figure 19 ablation can disable it.
 
-use crate::concretize::{
-    connected_row_concretizations, for_each_concretization, RowConcretizations,
-};
+use crate::concretize::{concretization_count, connected_row_concretizations, RowConcretizations};
 use crate::sharded::ShardedMap;
 use crate::{AbsRow, Bound};
-use provabs_relational::{monomial_connected, ConcreteRow, Cq, Tuple, Ucq};
+use provabs_relational::{ConcreteRow, Cq, Tuple, Ucq};
 use provabs_reveng::ucq::{cim_ucqs, find_consistent_ucqs, UcqOptions};
 use provabs_reveng::{cim_queries, find_consistent_queries, ContainmentMode, Frontier, RevOptions};
 use provabs_semiring::{AnnotId, SemiringKind};
@@ -42,9 +41,9 @@ pub struct PrivacyConfig {
     pub query_class: QueryClass,
     /// Exclude trivial UCQs (variable-free disjuncts), §4 orange cell.
     pub exclude_trivial: bool,
-    /// §4.1 component 1 (of the privacy computation): process rows
-    /// incrementally, pruning prefixes that admit no consistent connected
-    /// query. Disabled = concretize the whole example at once.
+    /// §4.1 component 1 (of the privacy computation): extend GoodConc one
+    /// row per step, pruning prefixes that admit no consistent connected
+    /// query. Disabled (and always for UCQ) = one step over all rows.
     pub row_by_row: bool,
     /// §4.1 component 2: drop disconnected concretizations.
     pub connectivity_filter: bool,
@@ -54,10 +53,11 @@ pub struct PrivacyConfig {
     pub caching: bool,
     /// Cap on alignments per consistency call.
     pub max_alignments: usize,
-    /// Cap on concretizations per enumeration: each row enumeration of the
-    /// row-by-row path, its candidate list per row, and the whole-example
-    /// enumeration of the direct and UCQ paths. When hit, the returned
-    /// privacy is a lower bound and `stats.truncated` is set.
+    /// Cap on concretizations: each row's enumeration, the candidates of
+    /// each one-row extension step, and the concretizations of a step over
+    /// all rows (those ranked below the cap in the odometer order of the
+    /// whole example). When hit, the returned privacy is a lower bound and
+    /// `stats.truncated` is set.
     pub max_concretizations: usize,
     /// Extra expansion degree for exponent-dropping semirings.
     pub max_expansion_extra: u32,
@@ -94,7 +94,7 @@ pub struct PrivacyStats {
     /// Concretizations the enumerators visited; a row served from the
     /// bound's row memo visits none.
     pub concretizations_enumerated: usize,
-    /// Concretizations surviving the connectivity filter.
+    /// Candidate prefixes built from rows that pass the connectivity filter.
     pub concretizations_kept: usize,
     /// Consistency-cache hits / misses.
     pub consistency_cache_hits: usize,
@@ -465,74 +465,84 @@ pub struct PrivacyOutcome {
 
 /// Computes the privacy of the abstracted rows `abs_rows` of `bound`
 /// (Algorithm 1). Returns `None` privacy when it falls below
-/// `cfg.threshold`.
+/// `cfg.threshold`. A CQ row by row with more than one row takes one row
+/// per step, the first only seeding GoodConc (line 1); every other
+/// evaluation (one row, the Figure 19 ablation, UCQ) takes one step over
+/// all rows.
 pub fn compute_privacy(
     bound: &Bound<'_>,
     abs_rows: &[AbsRow],
     cfg: &PrivacyConfig,
     cache: &PrivacyCache,
 ) -> PrivacyOutcome {
-    let ev = Eval {
+    let mut ev = Eval {
         bound,
         cfg,
         cache,
+        rows: abs_rows,
         stats: PrivacyStats::default(),
         sorted: Vec::new(),
-        outputs: Vec::new(),
+        outputs: abs_rows
+            .iter()
+            .map(|r| Arc::new(r.output.clone()))
+            .collect(),
     };
-    match cfg.query_class {
-        QueryClass::Cq => {
-            if cfg.row_by_row && abs_rows.len() > 1 {
-                privacy_row_by_row(ev, abs_rows)
-            } else {
-                privacy_direct(ev, abs_rows)
-            }
+    let n = abs_rows.len();
+    let by_row = cfg.row_by_row && cfg.query_class == QueryClass::Cq && n > 1;
+    let (mut good, mut found) = (vec![Vec::new()], None);
+    for end in if by_row { 1..=n } else { n..=n } {
+        let start = if by_row { end - 1 } else { 0 };
+        good = ev.step(good, &abs_rows[start..end]);
+        if by_row && end == 1 {
+            continue;
         }
-        QueryClass::Ucq => privacy_ucq(ev, abs_rows),
+        found = match cfg.query_class {
+            QueryClass::Cq => ev.cq_step(&mut good),
+            QueryClass::Ucq => ev.ucq_step(&good),
+        };
+        if found.is_none() {
+            break;
+        }
+    }
+    // Below the threshold, privacy is the paper's `-1`.
+    let (privacy, cim) = match found {
+        Some((p, cim)) if p >= cfg.threshold => (Some(p), cim),
+        _ => (None, Vec::new()),
+    };
+    PrivacyOutcome {
+        privacy,
+        cim,
+        stats: ev.stats,
     }
 }
 
-fn rev_options(cfg: &PrivacyConfig) -> RevOptions {
+fn rev_options(cfg: &PrivacyConfig, connected_only: bool) -> RevOptions {
     RevOptions {
         semiring: cfg.semiring,
         max_alignments: cfg.max_alignments,
         max_expansion_extra: cfg.max_expansion_extra,
-        connected_only: false,
+        connected_only,
     }
 }
 
-fn containment_mode(cfg: &PrivacyConfig) -> ContainmentMode {
-    ContainmentMode::for_semiring(cfg.semiring)
-}
+/// A concrete prefix: one occurrence list per concretized row.
+type Prefix = Vec<Vec<AnnotId>>;
 
 /// One privacy evaluation: its inputs, its counters and scratch space.
 struct Eval<'e, 'db> {
     bound: &'e Bound<'db>,
     cfg: &'e PrivacyConfig,
     cache: &'e PrivacyCache,
+    /// The abstracted rows under evaluation.
+    rows: &'e [AbsRow],
     stats: PrivacyStats,
     /// Reused buffer for sorting an occurrence list before a cache probe.
     sorted: Vec<AnnotId>,
-    /// The shared output of each abstracted row, filled on first probe.
+    /// The shared output of each row, copied once per evaluation.
     outputs: Vec<Arc<Tuple>>,
 }
 
-impl Eval<'_, '_> {
-    /// The outcome of this evaluation: `cim` when it meets the threshold,
-    /// the paper's `-1` otherwise.
-    fn finish(self, cim: Vec<Cq>) -> PrivacyOutcome {
-        let (privacy, cim) = if cim.len() < self.cfg.threshold {
-            (None, Vec::new())
-        } else {
-            (Some(cim.len()), cim)
-        };
-        PrivacyOutcome {
-            privacy,
-            cim,
-            stats: self.stats,
-        }
-    }
-
+impl<'db> Eval<'_, 'db> {
     /// The interned id of the sorted occurrence list `occs`. Probing the
     /// interner allocates nothing; only a list seen for the first time is
     /// copied into it.
@@ -544,27 +554,6 @@ impl Eval<'_, '_> {
             Some(id) => id,
             None => self.cache.occs.intern(self.sorted.clone()),
         }
-    }
-
-    /// The shared output of row `r` of the evaluation's abstracted rows,
-    /// copied once per evaluation.
-    fn output(&mut self, abs_rows: &[AbsRow], r: usize) -> Arc<Tuple> {
-        while self.outputs.len() <= r {
-            let output = abs_rows[self.outputs.len()].output.clone();
-            self.outputs.push(Arc::new(output));
-        }
-        Arc::clone(&self.outputs[r])
-    }
-
-    /// Row connectivity of one concretization of the direct path
-    /// (uncached: the direct path visits each whole-example concretization
-    /// once).
-    fn row_connected(&mut self, occs: &[AnnotId]) -> bool {
-        if !self.cfg.connectivity_filter {
-            return true;
-        }
-        self.stats.connectivity_cache_misses += 1;
-        monomial_connected(self.bound.db, occs)
     }
 
     /// The connected concretizations of `row` from an enumeration capped at
@@ -588,14 +577,109 @@ impl Eval<'_, '_> {
         concs
     }
 
+    /// Lines 3–6: every good prefix extended with the connected
+    /// concretizations of `rows` taken together that rank below the cap in
+    /// the odometer order of all their concretizations (row 0 turns
+    /// slowest). The rank is Σ posᵣ·Π_{s>r} Nₛ, with `posᵣ` a row's position
+    /// in its unfiltered enumeration and `Nₛ` the concretization count of
+    /// row `s`; the cap is hit iff Π Nᵣ exceeds it. Extending nonempty
+    /// prefixes also stops at `cap` candidates, which marks the evaluation
+    /// truncated (a row with `cap` connected concretizations fills it with
+    /// the first prefix's extensions alone). A row is enumerated once per
+    /// step, not once per prefix, and once per bound with caching on.
+    fn step(&mut self, good: Vec<Prefix>, rows: &[AbsRow]) -> Vec<Prefix> {
+        let Some(extending) = good.first().map(|prefix| !prefix.is_empty()) else {
+            return good;
+        };
+        let cap = self.cfg.max_concretizations;
+        self.stats.truncated |= concretization_count(self.bound, rows) > cap as u128;
+        // Each candidate carries the least rank of its completions, which
+        // grows in odometer order: the first one at the cap ends the step.
+        let mut candidates: Vec<(Prefix, u128)> = good.into_iter().map(|p| (p, 0)).collect();
+        for (r, row) in rows.iter().enumerate() {
+            let weight = concretization_count(self.bound, &rows[r + 1..]);
+            let concs = &self.connected_concretizations(row);
+            candidates = candidates
+                .iter()
+                .flat_map(|(prefix, least)| {
+                    (0..concs.len()).map(move |k| {
+                        let mut next = Vec::with_capacity(prefix.len() + 1);
+                        next.extend_from_slice(prefix);
+                        next.push(concs.get(k).to_vec());
+                        let rank = (concs.position(k) as u128).saturating_mul(weight);
+                        (next, rank.saturating_add(*least))
+                    })
+                })
+                .take_while(|&(_, rank)| rank < cap as u128)
+                .take(cap)
+                .collect();
+        }
+        self.stats.truncated |= extending && candidates.len() >= cap;
+        self.stats.concretizations_kept += candidates.len();
+        candidates.into_iter().map(|(prefix, _)| prefix).collect()
+    }
+
+    /// Lines 7–22 for CQs: the consistent connected queries of every
+    /// candidate, deduplicated by the keys the frontiers carry, and their
+    /// CIM queries with the privacy; `None` on the threshold exits of lines
+    /// 14–15 and 20–22. The candidates that created queries stay good
+    /// (lines 16–19).
+    fn cq_step(&mut self, good: &mut Vec<Prefix>) -> Option<(usize, Vec<Cq>)> {
+        let frontiers: Vec<Arc<Frontier>> =
+            good.iter().map(|conc| self.consistent_of(conc)).collect();
+        let mut qconn: BTreeMap<&str, &Cq> = BTreeMap::new();
+        for (key, q) in frontiers.iter().flat_map(|f| &f.queries) {
+            qconn.entry(key).or_insert(q);
+        }
+        if qconn.len() < self.cfg.threshold {
+            return None;
+        }
+        let mut created = frontiers.iter().map(|f| !f.is_empty());
+        good.retain(|_| created.next() == Some(true));
+        let conn: Vec<Cq> = qconn.into_values().cloned().collect();
+        let cim = cim_queries(&conn, ContainmentMode::for_semiring(self.cfg.semiring));
+        (cim.len() >= self.cfg.threshold).then_some((cim.len(), cim))
+    }
+
+    /// The UCQ consistency step (Table 4 orange/green cells): the
+    /// consistent UCQs of every resolved candidate, uncached, with the
+    /// trivial-query exclusion and the "disconnected UCQ" rule, then their
+    /// CIM UCQs, their number the privacy. Reports the CQ disjuncts of the
+    /// first CIM UCQ for display. UCQ evaluation is a single step, so
+    /// GoodConc is not read after it.
+    fn ucq_step(&mut self, candidates: &[Prefix]) -> Option<(usize, Vec<Cq>)> {
+        let opts = UcqOptions {
+            rev: rev_options(self.cfg, false),
+            exclude_trivial: self.cfg.exclude_trivial,
+            max_ucqs: 10_000,
+        };
+        let mut frontier: Vec<Ucq> = Vec::new();
+        let mut seen: HashSet<String> = HashSet::new();
+        for conc in candidates {
+            let Some(resolved) = self.resolve(conc) else {
+                continue;
+            };
+            let found = find_consistent_ucqs(&resolved, &opts);
+            self.stats.truncated |= !found.complete;
+            for (key, u) in found.ucqs {
+                if u.is_connected() && seen.insert(key) {
+                    frontier.push(u);
+                }
+            }
+        }
+        let cim = cim_ucqs(&frontier, ContainmentMode::for_semiring(self.cfg.semiring));
+        let shown = cim.first().map(|u| u.disjuncts.clone()).unwrap_or_default();
+        Some((cim.len(), shown))
+    }
+
     /// Consistent-query frontier of a concrete prefix, with caching. A
     /// frontier cut short by the alignment cap marks the evaluation
     /// truncated, whether it was computed or served from the cache.
-    fn consistent_of(&mut self, abs_rows: &[AbsRow], conc: &[Vec<AnnotId>]) -> Arc<Frontier> {
+    fn consistent_of(&mut self, conc: &[Vec<AnnotId>]) -> Arc<Frontier> {
         let key: Option<ConcKey> = self.cfg.caching.then(|| {
             conc.iter()
                 .enumerate()
-                .map(|(r, occs)| (self.output(abs_rows, r), self.occ_id(occs)))
+                .map(|(r, occs)| (Arc::clone(&self.outputs[r]), self.occ_id(occs)))
                 .collect()
         });
         let cached = key
@@ -608,12 +692,18 @@ impl Eval<'_, '_> {
             }
             None => {
                 self.stats.consistency_cache_misses += 1;
-                let f = Arc::new(self.find_consistent(abs_rows, conc));
+                // The CQ step reads only the connected queries (line 13),
+                // so the cache keeps just those; a row that does not
+                // resolve yields an empty frontier.
+                let opts = rev_options(self.cfg, true);
+                let f = self.resolve(conc).map_or_else(Frontier::default, |rows| {
+                    find_consistent_queries(&rows, &opts)
+                });
                 match key {
                     // First insert wins; racing workers converge on the
                     // stored value.
-                    Some(k) => self.cache.store_consistent(k, self.cfg.epoch, f),
-                    None => f,
+                    Some(k) => self.cache.store_consistent(k, self.cfg.epoch, Arc::new(f)),
+                    None => Arc::new(f),
                 }
             }
         };
@@ -621,165 +711,13 @@ impl Eval<'_, '_> {
         frontier
     }
 
-    /// Runs `reveng` on the resolved concrete rows and keeps the connected
-    /// queries (an empty frontier when some row does not resolve).
-    fn find_consistent(&self, abs_rows: &[AbsRow], conc: &[Vec<AnnotId>]) -> Frontier {
-        let rows: Vec<ConcreteRow> = conc
-            .iter()
-            .enumerate()
-            .filter_map(|(r, occs)| ConcreteRow::resolve(self.bound.db, &abs_rows[r].output, occs))
-            .collect();
-        if rows.len() == conc.len() {
-            // Both CQ paths read only the connected queries (line 13), so
-            // the cache keeps just those.
-            let opts = RevOptions {
-                connected_only: true,
-                ..rev_options(self.cfg)
-            };
-            find_consistent_queries(&rows, &opts)
-        } else {
-            Frontier::default()
-        }
-    }
-}
-
-/// The incremental Algorithm 1 (lines 1–23).
-fn privacy_row_by_row(mut ev: Eval<'_, '_>, abs_rows: &[AbsRow]) -> PrivacyOutcome {
-    let cap = ev.cfg.max_concretizations;
-    let mode = containment_mode(ev.cfg);
-    // GoodConc: concrete prefixes, starting from the concretizations of the
-    // first row (line 1 holds the abstract row; its concretization happens
-    // here).
-    let first = ev.connected_concretizations(&abs_rows[0]);
-    ev.stats.truncated |= !first.complete;
-    ev.stats.concretizations_kept += first.len();
-    let mut good: Vec<Vec<Vec<AnnotId>>> = first.iter().map(|occs| vec![occs.to_vec()]).collect();
-    let mut last_cim: Vec<Cq> = Vec::new();
-    for i in 1..abs_rows.len() {
-        // Lines 3–6: extend every good prefix with the connected
-        // concretizations of row i. The row is enumerated at most once per
-        // bound, not once per prefix. A row with `cap` connected
-        // concretizations fills the candidate cap with the first prefix's
-        // extensions alone, which marks the evaluation truncated.
-        let mut candidates: Vec<Vec<Vec<AnnotId>>> = Vec::new();
-        if !good.is_empty() {
-            let row = ev.connected_concretizations(&abs_rows[i]);
-            ev.stats.truncated |= !row.complete;
-            'extend: for gc in &good {
-                for occs in row.iter() {
-                    ev.stats.concretizations_kept += 1;
-                    let mut prefix = Vec::with_capacity(i + 1);
-                    prefix.extend_from_slice(gc);
-                    prefix.push(occs.to_vec());
-                    candidates.push(prefix);
-                    if candidates.len() >= cap {
-                        ev.stats.truncated = true;
-                        break 'extend;
-                    }
-                }
-            }
-        }
-        // Lines 7–13: consistent connected queries per concretization,
-        // deduplicated by the keys the frontiers carry.
-        let frontiers: Vec<Arc<Frontier>> = candidates
-            .iter()
-            .map(|prefix| ev.consistent_of(&abs_rows[..=i], prefix))
-            .collect();
-        let mut qconn: BTreeMap<&str, &Cq> = BTreeMap::new();
-        for (key, q) in frontiers.iter().flat_map(|f| &f.queries) {
-            qconn.entry(key).or_insert(q);
-        }
-        // Lines 14–15.
-        if qconn.len() < ev.cfg.threshold {
-            return ev.finish(Vec::new());
-        }
-        // Lines 16–19: keep only the concretizations that created queries.
-        good = candidates
-            .into_iter()
-            .zip(&frontiers)
-            .filter_map(|(prefix, f)| (!f.is_empty()).then_some(prefix))
-            .collect();
-        // Lines 20–22.
-        let conn: Vec<Cq> = qconn.into_values().cloned().collect();
-        last_cim = cim_queries(&conn, mode);
-        if last_cim.len() < ev.cfg.threshold {
-            return ev.finish(Vec::new());
-        }
-    }
-    ev.finish(last_cim)
-}
-
-/// Single-shot evaluation: concretize the full example at once (also the
-/// path for 1-row examples and the row-by-row ablation).
-fn privacy_direct(mut ev: Eval<'_, '_>, abs_rows: &[AbsRow]) -> PrivacyOutcome {
-    let mode = containment_mode(ev.cfg);
-    let mut qall: BTreeMap<String, Cq> = BTreeMap::new();
-    let (bound, cap) = (ev.bound, ev.cfg.max_concretizations);
-    let complete = for_each_concretization(bound, abs_rows, cap, |conc| {
-        ev.stats.concretizations_enumerated += 1;
-        if !conc.iter().all(|occs| ev.row_connected(occs)) {
-            return true;
-        }
-        ev.stats.concretizations_kept += 1;
-        let frontier = ev.consistent_of(abs_rows, conc);
-        for (key, q) in &frontier.queries {
-            if !qall.contains_key(key) {
-                qall.insert(key.clone(), q.clone());
-            }
-        }
-        true
-    });
-    ev.stats.truncated |= !complete;
-    let conn: Vec<Cq> = qall.into_values().collect();
-    let cim = cim_queries(&conn, mode);
-    ev.finish(cim)
-}
-
-/// UCQ privacy (Table 4 orange/green cells): direct evaluation with the
-/// trivial-query exclusion and the "disconnected UCQ" rule.
-fn privacy_ucq(mut ev: Eval<'_, '_>, abs_rows: &[AbsRow]) -> PrivacyOutcome {
-    let (bound, cfg) = (ev.bound, ev.cfg);
-    let mode = containment_mode(cfg);
-    let opts = UcqOptions {
-        rev: rev_options(cfg),
-        exclude_trivial: cfg.exclude_trivial,
-        max_ucqs: 10_000,
-    };
-    let mut frontier: Vec<Ucq> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let complete = for_each_concretization(bound, abs_rows, cfg.max_concretizations, |conc| {
-        ev.stats.concretizations_enumerated += 1;
-        let rows: Vec<ConcreteRow> = conc
-            .iter()
-            .enumerate()
-            .filter_map(|(r, occs)| ConcreteRow::resolve(bound.db, &abs_rows[r].output, occs))
-            .collect();
-        if rows.len() != conc.len() {
-            return true;
-        }
-        if cfg.connectivity_filter && !rows.iter().all(ConcreteRow::is_connected) {
-            return true;
-        }
-        ev.stats.concretizations_kept += 1;
-        let found = find_consistent_ucqs(&rows, &opts);
-        ev.stats.truncated |= !found.complete;
-        for (key, u) in found.ucqs {
-            if u.is_connected() && seen.insert(key) {
-                frontier.push(u);
-            }
-        }
-        true
-    });
-    ev.stats.truncated |= !complete;
-    let cim = cim_ucqs(&frontier, mode);
-    if cim.len() < cfg.threshold {
-        return ev.finish(Vec::new());
-    }
-    // Report the CQ disjuncts of the first CIM UCQ for display purposes.
-    PrivacyOutcome {
-        privacy: Some(cim.len()),
-        cim: cim.first().map(|u| u.disjuncts.clone()).unwrap_or_default(),
-        stats: ev.stats,
+    /// The concrete rows of the prefix `conc`, `None` when some annotation
+    /// tags no tuple.
+    fn resolve(&self, conc: &[Vec<AnnotId>]) -> Option<Vec<ConcreteRow<'db>>> {
+        conc.iter()
+            .zip(self.rows)
+            .map(|(occs, row)| ConcreteRow::resolve(self.bound.db, &row.output, occs))
+            .collect()
     }
 }
 

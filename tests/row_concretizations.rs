@@ -2,7 +2,7 @@
 //! instances: the connectivity kernel against the plain enumerator plus
 //! `monomial_connected`, the bound's row memo against a fresh enumeration,
 //! and whole privacy evaluations on warm bounds, fresh bounds and with
-//! caching off.
+//! caching off, row by row and over the whole example at once.
 
 use proptest::prelude::*;
 use provabs::core::concretize::{
@@ -150,6 +150,25 @@ fn reference(
     (kept, complete, produced)
 }
 
+/// How many of the first `cap` whole-example concretizations, in odometer
+/// order (row 0 turns slowest), have every row pass `monomial_connected`
+/// (all of them when `filter` is off): nested plain row enumerations.
+fn whole_example_kept(bound: &Bound<'_>, rows: &[AbsRow], cap: usize, filter: bool) -> usize {
+    // Per whole-example prefix, in odometer order: whether its rows pass.
+    let mut prefixes = vec![true];
+    for row in rows {
+        let mut next = Vec::new();
+        for &connected in &prefixes {
+            for_each_row_concretization(bound, row, usize::MAX, |occs| {
+                next.push(connected && (!filter || monomial_connected(bound.db, occs)));
+                true
+            });
+        }
+        prefixes = next;
+    }
+    prefixes.into_iter().take(cap).filter(|&kept| kept).count()
+}
+
 /// What every evaluation mode must agree on.
 fn observable(o: &PrivacyOutcome) -> (Option<usize>, Vec<String>, bool, usize) {
     let mut cim: Vec<String> = o.cim.iter().map(canonical_key).collect();
@@ -197,7 +216,11 @@ proptest! {
     }
 
     /// Privacy is the same on a warm bound (its row memo filled by an
-    /// earlier evaluation), on a fresh bound, and with caching off.
+    /// earlier evaluation), on a fresh bound, and with caching off. With a
+    /// cap that never binds, row-by-row and whole-example evaluation agree
+    /// with and without the connectivity filter; a whole-example
+    /// evaluation keeps exactly the connected concretizations among the
+    /// first `cap` of the whole example.
     #[test]
     fn privacy_agrees_on_warm_and_fresh_bounds(seed in 0u64..u64::MAX) {
         let mut rng = Rng(seed);
@@ -217,7 +240,8 @@ proptest! {
             rows = abs.apply(&warm).rows;
         }
         for cap in CAPS {
-            for (row_by_row, filter) in [(true, true), (true, false), (false, true)] {
+            let mut modes = Vec::new();
+            for (row_by_row, filter) in [(true, true), (true, false), (false, true), (false, false)] {
                 let cfg = PrivacyConfig {
                     threshold: 1,
                     row_by_row,
@@ -242,6 +266,17 @@ proptest! {
                     f.connectivity_cache_hits + f.connectivity_cache_misses
                 );
                 prop_assert!(w.concretizations_enumerated <= f.concretizations_enumerated);
+                if !row_by_row {
+                    let kept = whole_example_kept(&warm, &rows, cap, filter);
+                    prop_assert_eq!(f.concretizations_kept, kept, "{}", context);
+                }
+                let (privacy, cim, truncated, _) = observable(&fresh);
+                modes.push((privacy, cim, truncated));
+            }
+            if cap == 1_000_000 {
+                for m in &modes[1..] {
+                    prop_assert_eq!(m, &modes[0], "seed {} modes disagree", seed);
+                }
             }
         }
     }
