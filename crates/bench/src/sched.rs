@@ -23,8 +23,9 @@
 //!   nothing.
 //!
 //! Determinism notes: shard routing is unkeyed (see
-//! `provabs_core::sharded`), every scenario touches a single annotation /
-//! relation so no `HashSet` iteration order leaks into lock sequences, and
+//! `provabs_relational::sharded`), every scenario touches a single
+//! annotation / relation so no `HashSet` iteration order leaks into lock
+//! sequences, and
 //! the explorer configs are pinned here — the `PROVABS_SCHED_BUDGET` env
 //! knob deepens the *test-suite* sweeps, never the gate's.
 

@@ -1,9 +1,8 @@
 //! Binding a K-example to its database and abstraction tree.
 
 use crate::concretize::{connected_row_concretizations, RowConcretizations};
-use crate::sharded::ShardedMap;
 use crate::{AbsExample, AbsRow, Abstraction, CoreError, CoreResult, Sym};
-use provabs_relational::{Database, KExample};
+use provabs_relational::{Database, KExample, ShardedMap};
 use provabs_semiring::{AnnotId, PolyId, ProvStore};
 use provabs_tree::{AbstractionTree, NodeId};
 use std::sync::atomic::{AtomicU32, Ordering};

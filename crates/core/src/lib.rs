@@ -59,7 +59,6 @@ pub mod loi;
 pub mod persist;
 pub mod privacy;
 pub mod search;
-mod sharded;
 
 pub use abstraction::{AbsExample, AbsRow, Abstraction, Sym};
 pub use bound::Bound;

@@ -3,15 +3,16 @@
 //! The privacy of `Ã` is the number of unique CIM queries w.r.t. `Ã`
 //! (Def. 3.12). One GoodConc loop computes it (§4.1): each step extends the
 //! "good" concretization prefixes by the connected concretizations of one
-//! row or of all rows, and a consistency step (CQ or UCQ) keeps the
-//! prefixes that admit consistent connected queries. Consistent CQs are
-//! cached per concretization. Every optimization component carries a
-//! config flag so the Figure 19 ablation can disable it.
+//! row or of all rows. Between rows the prefixes that admit no consistent
+//! query are dropped; a consistency step (CQ or UCQ) over the whole
+//! concretizations then counts their consistent connected queries.
+//! Consistent connected CQs are cached per concretization. Every
+//! optimization component carries a config flag so the Figure 19 ablation
+//! can disable it.
 
 use crate::concretize::{concretization_count, connected_row_concretizations, RowConcretizations};
-use crate::sharded::ShardedMap;
 use crate::{AbsRow, Bound};
-use provabs_relational::{ConcreteRow, Cq, Tuple, Ucq};
+use provabs_relational::{ConcreteRow, Cq, EpochMap, ShardedMap, Tuple, Ucq};
 use provabs_reveng::ucq::{cim_ucqs, find_consistent_ucqs, UcqOptions};
 use provabs_reveng::{cim_queries, find_consistent_queries, ContainmentMode, Frontier, RevOptions};
 use provabs_semiring::{AnnotId, SemiringKind};
@@ -42,8 +43,8 @@ pub struct PrivacyConfig {
     /// Exclude trivial UCQs (variable-free disjuncts), §4 orange cell.
     pub exclude_trivial: bool,
     /// §4.1 component 1 (of the privacy computation): extend GoodConc one
-    /// row per step, pruning prefixes that admit no consistent connected
-    /// query. Disabled (and always for UCQ) = one step over all rows.
+    /// row per step, pruning prefixes that admit no consistent query.
+    /// Disabled (and always for UCQ) = one step over all rows.
     pub row_by_row: bool,
     /// §4.1 component 2: drop disconnected concretizations.
     pub connectivity_filter: bool,
@@ -131,11 +132,12 @@ impl PrivacyStats {
 /// [`Bound`] instead ([`Bound::row_concretizations_cached`]): symbols name
 /// nodes of one tree, and a cache may be shared across trees.
 ///
-/// The cache is `Send + Sync` (internally a sharded concurrent map), so one
-/// cache is shared by every worker of the parallel search — candidates that
-/// revisit a concretization another worker already solved get the memoized
-/// result — and can likewise be reused across searches by an experiment
-/// harness. All methods take `&self`.
+/// The cache is `Send + Sync` (an [`EpochMap`] over sharded concurrent
+/// maps), so one cache is shared by every worker of the parallel search —
+/// candidates that revisit a concretization another worker already solved
+/// get the memoized result — and can likewise be reused across searches by
+/// an experiment harness, or across sessions pinned to different snapshot
+/// epochs. All methods take `&self`.
 ///
 /// ```
 /// use provabs_core::privacy::{compute_privacy, PrivacyCache, PrivacyConfig};
@@ -158,63 +160,15 @@ impl PrivacyStats {
 /// fn assert_send_sync<T: Send + Sync>(_: &T) {}
 /// assert_send_sync(&cache);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PrivacyCache {
     /// Interns sorted occurrence lists to small ids: the cache keys by
     /// [`OccId`] instead of hashed owned annotation vectors, so repeat
     /// lookups hash a handful of `u32`s rather than whole concretizations.
     occs: OccInterner,
     /// The keyed frontier of connected consistent queries per
-    /// concretization.
-    consistent: ShardedMap<ConcKey, Vec<Stamped<Arc<Frontier>>>>,
-    /// Sorted invalidation epochs per occurrence id (fed by
-    /// [`PrivacyCache::invalidate_at`]): the lifetime fences a late insert
-    /// by a pinned old-epoch reader must not outlive.
-    retirements: ShardedMap<OccId, Vec<u64>>,
-}
-
-/// The lock hierarchy of the cache (enforced by the schedule-enumeration
-/// harness's lock-order audit): a `consistent` shard may be held while a
-/// `retirements` shard is acquired — the value store reads the retirement
-/// fences from inside its shard `update` — never the reverse,
-/// and the interner's shards nest inside nothing.
-impl Default for PrivacyCache {
-    fn default() -> Self {
-        Self {
-            occs: OccInterner::default(),
-            consistent: ShardedMap::labeled("privacy.consistent.shard"),
-            retirements: ShardedMap::labeled("privacy.retirements.shard"),
-        }
-    }
-}
-
-/// One cached value version: valid for epochs `born <= e < dead`
-/// (`dead == u64::MAX` means still live).
-#[derive(Debug, Clone)]
-struct Stamped<V> {
-    born: u64,
-    dead: u64,
-    value: V,
-}
-
-/// The version of `vs` visible at `epoch`. Versions may overlap when a
-/// pinned old-epoch reader inserts after later versions exist; the
-/// max-born rule picks deterministically (overlapping versions hold equal
-/// values — both were computed from the same snapshot state).
-fn version_at<V: Clone>(vs: &[Stamped<V>], epoch: u64) -> Option<V> {
-    vs.iter()
-        .filter(|s| s.born <= epoch && epoch < s.dead)
-        .max_by_key(|s| s.born)
-        .map(|s| s.value.clone())
-}
-
-/// Ends, at `epoch`, the life of every version born before it.
-fn clamp<V>(vs: &mut [Stamped<V>], epoch: u64) {
-    for s in vs {
-        if s.born < epoch && s.dead > epoch {
-            s.dead = epoch;
-        }
-    }
+    /// concretization, depending on the annotations it resolves through.
+    consistent: EpochMap<ConcKey, AnnotId, Arc<Frontier>>,
 }
 
 /// An interned sorted occurrence list (id space private to one
@@ -224,7 +178,7 @@ type OccId = u32;
 /// A sharded interner: sorted occurrence vector → dense-ish id. First
 /// insert wins under races, so every equal vector resolves to one canonical
 /// id (racing workers may burn a counter value — ids stay unique, which is
-/// all the keying needs).
+/// all the keying needs). Its shards nest inside nothing.
 #[derive(Debug)]
 struct OccInterner {
     ids: ShardedMap<Vec<AnnotId>, OccId>,
@@ -248,21 +202,6 @@ impl OccInterner {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         self.ids.insert(key, id)
     }
-
-    /// Drops every interned list intersecting `touched`, returning the
-    /// evicted ids.
-    fn invalidate(&self, touched: &HashSet<AnnotId>) -> HashSet<OccId> {
-        let mut evicted = HashSet::new();
-        self.ids.retain_kv(|key, &id| {
-            if key.iter().any(|a| touched.contains(a)) {
-                evicted.insert(id);
-                false
-            } else {
-                true
-            }
-        });
-        evicted
-    }
 }
 
 impl PrivacyCache {
@@ -281,100 +220,15 @@ impl PrivacyCache {
         self.consistent.is_empty()
     }
 
-    /// Provenance-aware invalidation after a database delta: drops exactly
-    /// the entries whose annotations intersect `touched` (the deleted and
-    /// inserted tuples of an [`AppliedDelta`](provabs_relational::AppliedDelta)).
-    ///
-    /// Keys are interned occurrence-list ids; the interner is the single
-    /// source of truth for which annotations an id covers, so invalidation
-    /// evicts the intersecting ids there and then drops exactly the cache
-    /// entries referencing them. Cached values depend only on the tuples
-    /// those annotations tag — consistent queries on the resolved rows — so
-    /// entries disjoint from the delta stay exactly valid and survive.
-    /// Inserted annotations are fresh and appear in no key; they are
-    /// accepted here so callers can pass the whole touched set.
-    pub fn invalidate(&self, touched: &std::collections::HashSet<AnnotId>) {
-        if touched.is_empty() {
-            return;
-        }
-        let evicted = self.occs.invalidate(touched);
-        if evicted.is_empty() {
-            return;
-        }
-        self.consistent
-            .retain(|key| !key.iter().any(|(_, id)| evicted.contains(id)));
-        self.retirements.retain(|id| !evicted.contains(id));
-    }
-
-    /// Epoch-aware invalidation for snapshot-isolated sharing: a delta
-    /// committing as snapshot `epoch` **retires** — rather than evicts —
-    /// every entry whose annotations intersect `touched`, for epochs at or
-    /// after `epoch` only. A reader pinned to an older snapshot (its
-    /// [`PrivacyConfig::epoch`] `< epoch`) keeps hitting its cached
-    /// entries bit-for-bit; readers at or after `epoch` recompute against
-    /// the new state and their results are stored as new versions under
-    /// the same keys. Nothing is removed: occurrence ids stay interned
-    /// (keys must remain stable across epochs) and [`PrivacyCache::len`]
-    /// does not shrink.
-    ///
-    /// The epoch-oblivious [`PrivacyCache::invalidate`] remains the right
-    /// call for single-session callers that do not version their reads —
-    /// it frees the memory outright.
-    pub fn invalidate_at(&self, touched: &std::collections::HashSet<AnnotId>, epoch: u64) {
-        if touched.is_empty() {
-            return;
-        }
-        // Affected ids, *without* evicting them from the interner.
-        let mut affected: HashSet<OccId> = HashSet::new();
-        self.occs.ids.for_each(|key, &id| {
-            if key.iter().any(|a| touched.contains(a)) {
-                affected.insert(id);
-            }
-        });
-        if affected.is_empty() {
-            return;
-        }
-        // Record the fence first: a concurrent insert either sees the
-        // retirement (and bounds its version's lifetime itself) or
-        // publishes before the clamp pass below (which then bounds it).
-        // Either way no version born before `epoch` survives past it.
-        for &id in &affected {
-            self.retirements.update(id, Vec::new, |rs| {
-                if rs.last().copied() != Some(epoch) {
-                    rs.push(epoch);
-                }
-            });
-        }
-        self.consistent.for_each_mut(|key, vs| {
-            if key.iter().any(|(_, id)| affected.contains(id)) {
-                clamp(vs, epoch);
-            }
-        });
-    }
-
-    /// The cached consistent queries of `key` as seen at `epoch`.
-    fn consistent_at(&self, key: &ConcKey, epoch: u64) -> Option<Arc<Frontier>> {
-        self.consistent
-            .read(key, |vs| version_at(vs, epoch))
-            .flatten()
-    }
-
-    /// Stores `value` under `key` at `epoch` (first insert wins) and
-    /// returns the canonical stored value.
-    fn store_consistent(&self, key: ConcKey, epoch: u64, value: Arc<Frontier>) -> Arc<Frontier> {
-        let ids: Vec<OccId> = key.iter().map(|&(_, id)| id).collect();
-        self.consistent.update(key, Vec::new, |vs| {
-            if let Some(v) = version_at(vs, epoch) {
-                return v;
-            }
-            let dead = self.retirement_after(&ids, epoch);
-            vs.push(Stamped {
-                born: epoch,
-                dead,
-                value: Arc::clone(&value),
-            });
-            value
-        })
+    /// Provenance-aware invalidation of a delta committing as snapshot
+    /// `epoch`, called before publishing it: **retires**, for epochs
+    /// `>= epoch` ([`EpochMap::retire`]), exactly the entries whose
+    /// annotations intersect `touched` (an
+    /// [`AppliedDelta`](provabs_relational::AppliedDelta)'s deleted and
+    /// inserted tuples). Readers pinned earlier ([`PrivacyConfig::epoch`])
+    /// keep hitting them; nothing is evicted.
+    pub fn invalidate_at(&self, touched: &HashSet<AnnotId>, epoch: u64) {
+        self.consistent.retire(touched.iter().copied(), epoch);
     }
 
     /// The frontier cached for the concrete rows `conc` (output tuple and
@@ -396,13 +250,14 @@ impl PrivacyCache {
             let id = self.occs.ids.get_borrowed(sorted(occs).as_slice())?;
             key.push((Arc::new(output.clone()), id));
         }
-        self.consistent_at(&key, epoch)
+        self.consistent.get(&key, epoch)
     }
 
     /// Records `frontier` for the concrete rows `conc` at `epoch` (first
     /// insert per epoch wins; the canonical stored value is returned). The
     /// version is born at `epoch` and dies at the earliest retirement fence
-    /// recorded after it, exactly like the internal store path.
+    /// recorded after it on any of its annotations, exactly like the
+    /// internal store path.
     pub fn consistent_record(
         &self,
         conc: &[(Tuple, Vec<AnnotId>)],
@@ -413,25 +268,8 @@ impl PrivacyCache {
             .iter()
             .map(|(output, occs)| (Arc::new(output.clone()), self.occs.intern(sorted(occs))))
             .collect();
-        self.store_consistent(key, epoch, Arc::new(frontier))
-    }
-
-    /// The earliest recorded retirement strictly after `epoch` across
-    /// `ids` — the epoch at which a version born at `epoch` stops being
-    /// valid. A pinned old-epoch reader inserting after later
-    /// invalidations have been recorded lands its version inside the
-    /// right fences instead of claiming liveness forever.
-    fn retirement_after(&self, ids: &[OccId], epoch: u64) -> u64 {
-        let mut dead = u64::MAX;
-        for &id in ids {
-            if let Some(Some(d)) = self
-                .retirements
-                .read(&id, |rs| rs.iter().copied().find(|&r| r > epoch))
-            {
-                dead = dead.min(d);
-            }
-        }
-        dead
+        let deps = conc.iter().flat_map(|(_, occs)| occs.clone()).collect();
+        self.consistent.insert(key, deps, epoch, Arc::new(frontier))
     }
 }
 
@@ -466,9 +304,11 @@ pub struct PrivacyOutcome {
 /// Computes the privacy of the abstracted rows `abs_rows` of `bound`
 /// (Algorithm 1). Returns `None` privacy when it falls below
 /// `cfg.threshold`. A CQ row by row with more than one row takes one row
-/// per step, the first only seeding GoodConc (line 1); every other
-/// evaluation (one row, the Figure 19 ablation, UCQ) takes one step over
-/// all rows.
+/// per step, the first only seeding GoodConc (line 1) and each later one
+/// but the last pruning it; every other evaluation (one row, the Figure 19
+/// ablation, UCQ) takes one step over all rows. Only the last step applies
+/// the threshold exits, so every evaluation mode agrees on the privacy
+/// when no cap binds.
 pub fn compute_privacy(
     bound: &Bound<'_>,
     abs_rows: &[AbsRow],
@@ -489,21 +329,24 @@ pub fn compute_privacy(
     };
     let n = abs_rows.len();
     let by_row = cfg.row_by_row && cfg.query_class == QueryClass::Cq && n > 1;
-    let (mut good, mut found) = (vec![Vec::new()], None);
+    let mut good = vec![Vec::new()];
     for end in if by_row { 1..=n } else { n..=n } {
         let start = if by_row { end - 1 } else { 0 };
         good = ev.step(good, &abs_rows[start..end]);
-        if by_row && end == 1 {
-            continue;
-        }
-        found = match cfg.query_class {
-            QueryClass::Cq => ev.cq_step(&mut good),
-            QueryClass::Ucq => ev.ucq_step(&good),
-        };
-        if found.is_none() {
-            break;
+        // The first row only seeds GoodConc (line 1) and the last is
+        // decided below. In between, lines 16–19 keep the prefixes that
+        // admit a consistent query, connected or not: a query consistent
+        // with a whole concretization is consistent with its prefixes, but
+        // a prefix's most-specific query can make a join column a constant
+        // that a later row turns back into a shared variable.
+        if 1 < end && end < n {
+            good.retain(|conc| !ev.frontier(conc, false).is_empty());
         }
     }
+    let found = match cfg.query_class {
+        QueryClass::Cq => ev.cq_step(&good),
+        QueryClass::Ucq => ev.ucq_step(&good),
+    };
     // Below the threshold, privacy is the paper's `-1`.
     let (privacy, cim) = match found {
         Some((p, cim)) if p >= cfg.threshold => (Some(p), cim),
@@ -619,14 +462,15 @@ impl<'db> Eval<'_, 'db> {
         candidates.into_iter().map(|(prefix, _)| prefix).collect()
     }
 
-    /// Lines 7–22 for CQs: the consistent connected queries of every
-    /// candidate, deduplicated by the keys the frontiers carry, and their
-    /// CIM queries with the privacy; `None` on the threshold exits of lines
-    /// 14–15 and 20–22. The candidates that created queries stay good
-    /// (lines 16–19).
-    fn cq_step(&mut self, good: &mut Vec<Prefix>) -> Option<(usize, Vec<Cq>)> {
-        let frontiers: Vec<Arc<Frontier>> =
-            good.iter().map(|conc| self.consistent_of(conc)).collect();
+    /// Lines 7–22 for CQs over whole concretizations: the consistent
+    /// connected queries of every candidate, deduplicated by the keys the
+    /// frontiers carry, and their CIM queries with the privacy; `None` on
+    /// the threshold exits of lines 14–15 and 20–22.
+    fn cq_step(&mut self, candidates: &[Prefix]) -> Option<(usize, Vec<Cq>)> {
+        let frontiers: Vec<Arc<Frontier>> = candidates
+            .iter()
+            .map(|conc| self.consistent_of(conc))
+            .collect();
         let mut qconn: BTreeMap<&str, &Cq> = BTreeMap::new();
         for (key, q) in frontiers.iter().flat_map(|f| &f.queries) {
             qconn.entry(key).or_insert(q);
@@ -634,8 +478,6 @@ impl<'db> Eval<'_, 'db> {
         if qconn.len() < self.cfg.threshold {
             return None;
         }
-        let mut created = frontiers.iter().map(|f| !f.is_empty());
-        good.retain(|_| created.next() == Some(true));
         let conn: Vec<Cq> = qconn.into_values().cloned().collect();
         let cim = cim_queries(&conn, ContainmentMode::for_semiring(self.cfg.semiring));
         (cim.len() >= self.cfg.threshold).then_some((cim.len(), cim))
@@ -684,31 +526,36 @@ impl<'db> Eval<'_, 'db> {
         });
         let cached = key
             .as_ref()
-            .and_then(|k| self.cache.consistent_at(k, self.cfg.epoch));
-        let frontier = match cached {
-            Some(f) => {
-                self.stats.consistency_cache_hits += 1;
-                f
-            }
-            None => {
-                self.stats.consistency_cache_misses += 1;
-                // The CQ step reads only the connected queries (line 13),
-                // so the cache keeps just those; a row that does not
-                // resolve yields an empty frontier.
-                let opts = rev_options(self.cfg, true);
-                let f = self.resolve(conc).map_or_else(Frontier::default, |rows| {
-                    find_consistent_queries(&rows, &opts)
-                });
-                match key {
-                    // First insert wins; racing workers converge on the
-                    // stored value.
-                    Some(k) => self.cache.store_consistent(k, self.cfg.epoch, Arc::new(f)),
-                    None => Arc::new(f),
-                }
-            }
-        };
-        self.stats.truncated |= !frontier.complete;
-        frontier
+            .and_then(|k| self.cache.consistent.get(k, self.cfg.epoch));
+        if let Some(f) = cached {
+            self.stats.consistency_cache_hits += 1;
+            self.stats.truncated |= !f.complete;
+            return f;
+        }
+        // The CQ step reads only the connected queries (line 13), so the
+        // cache keeps just those. First insert wins; racing workers
+        // converge on the stored value.
+        let f = Arc::new(self.frontier(conc, true));
+        match key {
+            Some(k) => self
+                .cache
+                .consistent
+                .insert(k, conc.concat(), self.cfg.epoch, f),
+            None => f,
+        }
+    }
+
+    /// The consistent queries of a concrete prefix (the connected ones
+    /// under `connected_only`), computed uncached; a row that does not
+    /// resolve yields an empty frontier. Counts a consistency miss.
+    fn frontier(&mut self, conc: &[Vec<AnnotId>], connected_only: bool) -> Frontier {
+        self.stats.consistency_cache_misses += 1;
+        let opts = rev_options(self.cfg, connected_only);
+        let f = self.resolve(conc).map_or_else(Frontier::default, |rows| {
+            find_consistent_queries(&rows, &opts)
+        });
+        self.stats.truncated |= !f.complete;
+        f
     }
 
     /// The concrete rows of the prefix `conc`, `None` when some annotation
@@ -860,68 +707,88 @@ mod tests {
         assert_eq!(second.stats.consistency_cache_misses, 0);
     }
 
+    fn at_epoch(e: u64) -> PrivacyConfig {
+        PrivacyConfig {
+            threshold: 1,
+            epoch: e,
+            ..Default::default()
+        }
+    }
+
+    /// The two-row concretizations a row-by-row evaluation of the two
+    /// `rows` caches: every pair of connected row concretizations.
+    fn two_row_cells(b: &Bound<'_>, rows: &[AbsRow]) -> Vec<Vec<(Tuple, Vec<AnnotId>)>> {
+        let [c0, c1] = [0, 1].map(|r| connected_row_concretizations(b, &rows[r], usize::MAX, true));
+        let cell = |i, j| {
+            vec![
+                (rows[0].output.clone(), c0.get(i).to_vec()),
+                (rows[1].output.clone(), c1.get(j).to_vec()),
+            ]
+        };
+        (0..c0.len())
+            .flat_map(|i| (0..c1.len()).map(move |j| (i, j)))
+            .map(|(i, j)| cell(i, j))
+            .collect()
+    }
+
     #[test]
     fn invalidation_is_provenance_aware() {
         let fx = running_example();
         let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
         let abs = abs_lifting(&b, &[("h1", 1), ("h2", 1)]);
         let rows = abs.apply(&b).rows;
-        let cfg = PrivacyConfig {
-            threshold: 1,
-            ..Default::default()
-        };
         let cache = PrivacyCache::new();
-        let first = compute_privacy(&b, &rows, &cfg, &cache);
+        let first = compute_privacy(&b, &rows, &at_epoch(0), &cache);
         let populated = cache.len();
         assert!(populated > 0);
-        // A delta touching nothing the example concretizes to: no eviction.
-        let ghost = std::collections::HashSet::from([provabs_semiring::AnnotId(u32::MAX)]);
-        cache.invalidate(&ghost);
-        assert_eq!(cache.len(), populated);
-        // Touching h1 evicts every concretization that resolves through it
-        // (here: all of them — h1 appears unabstracted or as a candidate
-        // leaf in each), but the cache stays usable.
-        let h1 = std::collections::HashSet::from([fx.db.annotations().get("h1").unwrap()]);
-        cache.invalidate(&h1);
-        assert!(cache.len() < populated);
-        let again = compute_privacy(&b, &rows, &cfg, &cache);
+        // A delta touching nothing the example concretizes to is a no-op:
+        // a reader at the fenced epoch still hits everything.
+        let ghost = HashSet::from([provabs_semiring::AnnotId(u32::MAX)]);
+        cache.invalidate_at(&ghost, 1);
+        let ghosted = compute_privacy(&b, &rows, &at_epoch(1), &cache);
+        assert_eq!(ghosted.stats.consistency_cache_misses, 0);
+        // Touching h1 retires every concretization that resolves through
+        // it, but the cache stays usable and keeps every version.
+        let h1 = HashSet::from([fx.db.annotations().get("h1").unwrap()]);
+        cache.invalidate_at(&h1, 2);
+        let again = compute_privacy(&b, &rows, &at_epoch(2), &cache);
         assert_eq!(again.privacy, first.privacy);
+        assert!(again.stats.consistency_cache_misses > 0);
+        assert_eq!(cache.len(), populated, "retire, never evict");
     }
 
     #[test]
-    fn invalidate_evicts_exactly_the_intersecting_entries() {
-        // Regression for the interned-id key scheme: eviction must still be
-        // *exact* — precisely the entries whose annotations intersect the
-        // touched set disappear, nothing more, nothing less. We verify
-        // behaviorally: after invalidating, a re-run recomputes exactly the
-        // evicted consistency entries (misses == evicted) and answers the
-        // survivors from cache.
+    fn invalidate_at_retires_exactly_the_intersecting_entries() {
+        // Retirement is exact on the interned-id key scheme: at and after
+        // the fenced epoch precisely the concretizations whose annotations
+        // intersect the touched set stop being served, and the disjoint
+        // ones still are.
         let fx = running_example();
         let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
         let abs = abs_lifting(&b, &[("h1", 1), ("h2", 1)]);
         let rows = abs.apply(&b).rows;
-        let cfg = PrivacyConfig {
-            threshold: 1,
-            ..Default::default()
-        };
         let cache = PrivacyCache::new();
-        let first = compute_privacy(&b, &rows, &cfg, &cache);
-        let populated = cache.len();
-        assert!(populated > 0);
-        let h2 = std::collections::HashSet::from([fx.db.annotations().get("h2").unwrap()]);
-        cache.invalidate(&h2);
-        let surviving = cache.len();
-        let evicted = populated - surviving;
-        assert!(evicted > 0, "h2 appears in concretizations — must evict");
-        assert!(surviving > 0, "h1-only concretizations must survive");
-        let second = compute_privacy(&b, &rows, &cfg, &cache);
+        let first = compute_privacy(&b, &rows, &at_epoch(0), &cache);
+        let cells = two_row_cells(&b, &rows);
+        assert_eq!(cells.len(), cache.len(), "every pair is cached");
+        let h2 = fx.db.annotations().get("h2").unwrap();
+        cache.invalidate_at(&HashSet::from([h2]), 1);
+        let touching = |c: &[(Tuple, Vec<AnnotId>)]| c.iter().any(|(_, o)| o.contains(&h2));
+        let retired = cells.iter().filter(|c| touching(c)).count();
+        assert!(retired > 0, "h2 appears in concretizations");
+        assert!(retired < cells.len(), "h1-only concretizations survive");
+        for cell in &cells {
+            assert!(cache.consistent_probe(cell, 0).is_some());
+            for e in [1, 5] {
+                let served = cache.consistent_probe(cell, e).is_some();
+                assert_eq!(served, !touching(cell), "epoch {e}: {cell:?}");
+            }
+        }
+        // A re-run at the fenced epoch recomputes exactly the retired ones.
+        let second = compute_privacy(&b, &rows, &at_epoch(1), &cache);
         assert_eq!(second.privacy, first.privacy);
-        assert_eq!(
-            second.stats.consistency_cache_misses, evicted,
-            "re-run must recompute exactly the evicted entries"
-        );
-        // The cache is fully warm again: a third run misses nothing.
-        let third = compute_privacy(&b, &rows, &cfg, &cache);
+        assert_eq!(second.stats.consistency_cache_misses, retired);
+        let third = compute_privacy(&b, &rows, &at_epoch(1), &cache);
         assert_eq!(third.stats.consistency_cache_misses, 0);
     }
 
@@ -935,17 +802,12 @@ mod tests {
         let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
         let abs = abs_lifting(&b, &[("h1", 1), ("h2", 1)]);
         let rows = abs.apply(&b).rows;
-        let at_epoch = |e: u64| PrivacyConfig {
-            threshold: 1,
-            epoch: e,
-            ..Default::default()
-        };
         let cache = PrivacyCache::new();
         let first = compute_privacy(&b, &rows, &at_epoch(0), &cache);
         let populated = cache.len();
         assert!(populated > 0);
         // A delta touching h2 commits as epoch 1.
-        let h2 = std::collections::HashSet::from([fx.db.annotations().get("h2").unwrap()]);
+        let h2 = HashSet::from([fx.db.annotations().get("h2").unwrap()]);
         cache.invalidate_at(&h2, 1);
         // Nothing is evicted — entries are retired per epoch, not dropped.
         assert_eq!(cache.len(), populated);
@@ -978,34 +840,28 @@ mod tests {
 
     #[test]
     fn late_insert_by_pinned_reader_respects_later_fences() {
-        // A pinned epoch-0 reader that *populates* the cache after an
-        // invalidation at epoch 1 has been recorded must not publish
-        // entries claiming validity beyond the fence.
+        // The fence on h1 at epoch 1 is recorded while the cache is still
+        // cold; a pinned epoch-0 reader then populates it. Its entries
+        // through h1 must die at the fence: an epoch-1 reader recomputes
+        // them, while the epoch-0 reader stays warm.
         let fx = running_example();
         let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
         let abs = abs_lifting(&b, &[("h1", 1), ("h2", 1)]);
         let rows = abs.apply(&b).rows;
-        let at_epoch = |e: u64| PrivacyConfig {
-            threshold: 1,
-            epoch: e,
-            ..Default::default()
-        };
         let cache = PrivacyCache::new();
-        // Warm the *interner* only (ids must exist for the fence to bind
-        // to) by computing once, then retire h1 at epoch 1, then clear and
-        // recompute at epoch 0 to exercise the late-insert path.
-        compute_privacy(&b, &rows, &at_epoch(0), &cache);
-        let h1 = std::collections::HashSet::from([fx.db.annotations().get("h1").unwrap()]);
-        cache.invalidate_at(&h1, 1);
-        // The epoch-0 reader misses nothing (its versions survived), but
-        // an epoch-1 reader recomputes; its new entries are then visible
-        // to a *second* epoch-1 reader while epoch-0 stays warm too.
-        let e1a = compute_privacy(&b, &rows, &at_epoch(1), &cache);
-        assert!(e1a.stats.consistency_cache_misses > 0);
-        let e1b = compute_privacy(&b, &rows, &at_epoch(1), &cache);
-        assert_eq!(e1b.stats.consistency_cache_misses, 0);
+        let h1 = fx.db.annotations().get("h1").unwrap();
+        cache.invalidate_at(&HashSet::from([h1]), 1);
         let e0 = compute_privacy(&b, &rows, &at_epoch(0), &cache);
-        assert_eq!(e0.stats.consistency_cache_misses, 0);
+        let through_h1 = two_row_cells(&b, &rows)
+            .iter()
+            .filter(|c| c.iter().any(|(_, o)| o.contains(&h1)))
+            .count();
+        assert!(through_h1 > 0);
+        let e1 = compute_privacy(&b, &rows, &at_epoch(1), &cache);
+        assert_eq!(e1.privacy, e0.privacy);
+        assert_eq!(e1.stats.consistency_cache_misses, through_h1);
+        let again0 = compute_privacy(&b, &rows, &at_epoch(0), &cache);
+        assert_eq!(again0.stats.consistency_cache_misses, 0);
     }
 
     #[test]
@@ -1225,6 +1081,44 @@ mod tests {
             assert_eq!(at(0), Some(false));
         });
         outcome.expect_clean();
+        assert!(
+            outcome.lock_cycle().is_none(),
+            "privacy cache lock order must be acyclic: {:?}",
+            outcome.lock_edges
+        );
+    }
+
+    /// Model-checked cold late insert: the cache is empty when the writer
+    /// fences annotation 7 and publishes epoch 1, while a reader probes and
+    /// records on a miss. A reader at epoch 0 that records after the fence
+    /// must store a version that dies at it, so epoch 1 never resolves to
+    /// the epoch-0 verdict.
+    #[test]
+    fn sched_cold_late_record_respects_the_fence() {
+        use provabs_sched as sched;
+        use provabs_sched::sync::atomic::{AtomicU64 as SchedU64, Ordering as SchedOrdering};
+        let outcome = sched::explore_with(sched::Config::unbounded(), || {
+            let annot = provabs_semiring::AnnotId(7);
+            let cell = sched_cell(annot);
+            let cache = Arc::new(PrivacyCache::new());
+            let published = Arc::new(SchedU64::labeled("privacy.epoch", 0));
+            let (c2, p2) = (Arc::clone(&cache), Arc::clone(&published));
+            let writer = sched::thread::spawn(move || {
+                let touched = HashSet::from([annot]);
+                c2.invalidate_at(&touched, 1);
+                p2.store(1, SchedOrdering::SeqCst);
+            });
+            let epoch = published.load(SchedOrdering::SeqCst);
+            let truth = epoch >= 1;
+            if cache.consistent_probe(&cell, epoch).is_none() {
+                cache.consistent_record(&cell, epoch, verdict(truth));
+            }
+            writer.join().unwrap();
+            let at1 = cache.consistent_probe(&cell, 1).map(|f| f.complete);
+            assert_ne!(at1, Some(false), "stale privacy verdict at epoch 1");
+        });
+        outcome.expect_clean();
+        assert!(outcome.complete, "sweep must be exhaustive: {outcome:?}");
         assert!(
             outcome.lock_cycle().is_none(),
             "privacy cache lock order must be acyclic: {:?}",

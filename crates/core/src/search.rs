@@ -446,9 +446,11 @@ pub fn find_optimal_abstraction_with_cache(
 /// LOI, ties resolve to the incumbent instead of the first in enumeration
 /// order.
 ///
-/// Pass the [`PrivacyCache`] already invalidated for the delta
-/// ([`PrivacyCache::invalidate`]); `warm` abstractions that no longer fit
-/// the bound (row or occurrence shape changed) are ignored.
+/// Pass the [`PrivacyCache`] already fenced for the delta
+/// ([`PrivacyCache::invalidate_at`] with the delta's epoch) and search at
+/// that epoch (`cfg.privacy.epoch`), or a fresh cache; `warm` abstractions
+/// that no longer fit the bound (row or occurrence shape changed) are
+/// ignored.
 pub fn find_optimal_abstraction_incremental(
     bound: &Bound<'_>,
     cfg: &SearchConfig,

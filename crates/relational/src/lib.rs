@@ -32,6 +32,7 @@
 
 mod database;
 mod delta;
+pub mod epochmap;
 mod eval;
 mod evaluator;
 mod exec;
@@ -44,6 +45,7 @@ pub mod plancache;
 mod query;
 mod schema;
 pub mod session;
+pub mod sharded;
 pub mod storage;
 mod tuple;
 mod value;
@@ -53,6 +55,7 @@ pub use database::{Database, TupleRef};
 pub use delta::{
     AppliedDelta, Delta, DeltaEvalOutcome, DeltaInsert, IDeltaEvalOutcome, KRelationDelta,
 };
+pub use epochmap::EpochMap;
 pub use eval::{EvalLimits, EvalWork, KRelation};
 pub use evaluator::{Evaluator, InternedEvaluator, Updater};
 pub use exec::{Execution, DEFAULT_BLOCK_SIZE};
@@ -64,6 +67,7 @@ pub use plancache::{PlanCache, PlanCacheStats};
 pub use query::{Atom, Cq, RelId, Term, Ucq, VarId};
 pub use schema::{RelationSchema, Schema};
 pub use session::{PublishStats, SessionDb, SessionRegistry, SnapshotWriter};
+pub use sharded::ShardedMap;
 pub use tuple::Tuple;
 pub use value::Value;
 pub use vintern::{hash_width, ValueId, ValueInterner, ID_WIDTH, VALUE_MOVE_WIDTH};

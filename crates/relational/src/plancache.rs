@@ -2,9 +2,8 @@
 //!
 //! `provabsd` re-planned every request from scratch even when thousands of
 //! sessions issue the same query templates against the same epoch. The
-//! [`PlanCache`] memoizes [`QueryPlan`]s under a
-//! `(query fingerprint, stats fingerprint)` key with per-epoch version
-//! stamps, mirroring the `PrivacyCache` snapshot-sharing model exactly:
+//! [`PlanCache`] memoizes [`QueryPlan`]s in an [`EpochMap`] under a
+//! `(query fingerprint, stats fingerprint)` key:
 //!
 //! * **Query fingerprint** — the plan mode plus the query's head and body
 //!   structure (relations, constants, variable identities), hashed with
@@ -15,29 +14,24 @@
 //!   agreeing on these plan the query identically, so a cache hit returns a
 //!   plan byte-identical to what a cold plan would compute — hit and miss
 //!   paths produce identical results and identical work counters.
-//! * **Epoch stamps** — every cached version carries `born`/`dead` epochs.
+//! * **Epochs** — a plan depends on the relations its body reads.
 //!   [`PlanCache::invalidate_at`] **retires** (never evicts) the versions
 //!   of every key touching a written relation, for epochs at or after the
-//!   committing epoch. A reader pinned to an older snapshot keeps hitting
-//!   its versions bit-for-bit; readers at newer epochs re-plan on first
-//!   touch. The writer fences the cache *before* publishing the new epoch
-//!   (the same ordering the `PrivacyCache` fence uses in `provabsd`), so no
-//!   reader can pin the new epoch and still hit a stale plan.
+//!   committing epoch, under the [`EpochMap`] fence protocol: a reader
+//!   pinned to an older snapshot keeps hitting its versions bit-for-bit,
+//!   and the writer fences *before* publishing the new epoch, so no reader
+//!   can pin the new epoch and still hit a stale plan.
 //!
 //! Determinism contract: hits, misses and invalidations are pure functions
 //! of the operation sequence (no time, no capacity eviction, no RNG), so
 //! the service-level counters are bench-gate material like every other
 //! counter in the system.
 
+use crate::epochmap::EpochMap;
 use crate::plan::{plan_cq, PlanMode, QueryPlan};
 use crate::{Cq, Database, RelId, Term, Value};
 use provabs_sched::sync::atomic::{AtomicU64, Ordering};
-use provabs_sched::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Shard count (power of two; routing is a mask on the query fingerprint).
-const SHARDS: usize = 16;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -74,22 +68,6 @@ struct PlanKey {
     stats_fp: u64,
 }
 
-/// One cached plan version: valid for epochs `born <= e < dead`
-/// (`dead == u64::MAX` means still live).
-#[derive(Debug, Clone)]
-struct Stamped {
-    born: u64,
-    dead: u64,
-    plan: Arc<QueryPlan>,
-}
-
-/// The relations a cached entry reads, plus its stamped versions.
-#[derive(Debug)]
-struct Entry {
-    rels: Vec<RelId>,
-    versions: Vec<Stamped>,
-}
-
 /// Monotonic counters of one [`PlanCache`] — surfaced through
 /// `provabsd::stats()`. Deterministic for a deterministic op sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -102,17 +80,14 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
 }
 
-/// A sharded, epoch-aware cache of [`QueryPlan`]s (see the module docs).
+/// An epoch-aware cache of [`QueryPlan`]s (see the module docs).
 ///
 /// `Send + Sync`; one cache is shared by every session of a
 /// [`SessionRegistry`](crate::SessionRegistry) and consulted through
 /// [`Evaluator::plan_cache`](crate::Evaluator::plan_cache).
 #[derive(Debug)]
 pub struct PlanCache {
-    shards: Vec<Mutex<HashMap<PlanKey, Entry>>>,
-    /// Sorted retirement epochs per relation: the fences a late insert by a
-    /// pinned old-epoch reader must not outlive.
-    retirements: Mutex<HashMap<RelId, Vec<u64>>>,
+    plans: EpochMap<PlanKey, RelId, Arc<QueryPlan>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -121,25 +96,12 @@ pub struct PlanCache {
 impl Default for PlanCache {
     fn default() -> Self {
         Self {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::labeled("plancache.shard", HashMap::new()))
-                .collect(),
-            retirements: Mutex::labeled("plancache.retirements", HashMap::new()),
+            plans: EpochMap::default(),
             hits: AtomicU64::labeled("plancache.hits", 0),
             misses: AtomicU64::labeled("plancache.misses", 0),
             invalidations: AtomicU64::labeled("plancache.invalidations", 0),
         }
     }
-}
-
-/// The version of `vs` visible at `epoch` (max-born wins; overlapping
-/// versions hold equal plans — both were computed from the same snapshot
-/// statistics).
-fn version_at(vs: &[Stamped], epoch: u64) -> Option<Arc<QueryPlan>> {
-    vs.iter()
-        .filter(|s| s.born <= epoch && epoch < s.dead)
-        .max_by_key(|s| s.born)
-        .map(|s| Arc::clone(&s.plan))
 }
 
 impl PlanCache {
@@ -148,24 +110,15 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Total cached plan versions across shards (retired versions included
-    /// — invalidation retires, never evicts).
+    /// Total cached plan versions (retired versions included —
+    /// invalidation retires, never evicts).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("plan cache shard poisoned")
-                    .values()
-                    .map(|e| e.versions.len())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.plans.versions()
     }
 
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.plans.is_empty()
     }
 
     /// A snapshot of the hit/miss/invalidation counters.
@@ -196,100 +149,29 @@ impl PlanCache {
             query_fp: query_fingerprint(q, mode),
             stats_fp: stats_fingerprint(db, q),
         };
-        let shard = &self.shards[(key.query_fp as usize) & (SHARDS - 1)];
-        if let Some(plan) = shard
-            .lock()
-            .expect("plan cache shard poisoned")
-            .get(&key)
-            .and_then(|e| version_at(&e.versions, epoch))
-        {
+        if let Some(plan) = self.plans.get(&key, epoch) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (plan, true);
         }
-        // Plan outside the lock: planning probes the dictionary and is the
-        // expensive part this cache exists to amortize.
+        // Plan outside any lock: planning probes the dictionary and is the
+        // expensive part this cache exists to amortize. A racing miss may
+        // insert first; its plan is equal (same fingerprints ⇒ same planner
+        // inputs) and the stored one is kept.
         let plan = Arc::new(plan_cq(db, q, mode, None));
-        let mut rels: Vec<RelId> = q.body.iter().map(|a| a.rel).collect();
-        rels.sort_unstable();
-        rels.dedup();
-        let dead = self.retirement_after(&rels, epoch);
-        let mut shard = shard.lock().expect("plan cache shard poisoned");
-        let entry = shard.entry(key).or_insert_with(|| Entry {
-            rels,
-            versions: Vec::new(),
-        });
-        // A racing miss may have inserted first; its plan is equal (same
-        // fingerprints ⇒ same planner inputs), keep the stored one.
-        if let Some(stored) = version_at(&entry.versions, epoch) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return (stored, false);
-        }
-        entry.versions.push(Stamped {
-            born: epoch,
-            dead,
-            plan: Arc::clone(&plan),
-        });
+        let rels: Vec<RelId> = q.body.iter().map(|a| a.rel).collect();
+        let plan = self.plans.insert(key, rels, epoch, plan);
         self.misses.fetch_add(1, Ordering::Relaxed);
         (plan, false)
     }
 
     /// Retires, for epochs `>= epoch`, every cached version whose query
-    /// reads a relation in `touched`. Nothing is evicted: readers pinned
-    /// at older epochs keep hitting their versions bit-for-bit, exactly
-    /// like the `PrivacyCache` epoch fence. The writer must call this
-    /// **before** publishing `epoch` so no reader pins the new epoch and
-    /// hits a stale plan.
+    /// reads a relation in `touched` ([`EpochMap::retire`]). Readers pinned
+    /// at older epochs keep hitting their versions bit-for-bit. The writer
+    /// must call this **before** publishing `epoch` so no reader pins the
+    /// new epoch and hits a stale plan.
     pub fn invalidate_at(&self, touched: &[RelId], epoch: u64) {
-        if touched.is_empty() {
-            return;
-        }
-        // Record the fence first: a concurrent insert either sees the
-        // retirement (and bounds its own version's lifetime) or publishes
-        // before the clamp pass below (which then bounds it).
-        {
-            let mut ret = self.retirements.lock().expect("retirements poisoned");
-            for &rel in touched {
-                let rs = ret.entry(rel).or_default();
-                if rs.last().copied() != Some(epoch) {
-                    rs.push(epoch);
-                }
-            }
-        }
-        let mut retired = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("plan cache shard poisoned");
-            for entry in shard.values_mut() {
-                if !entry.rels.iter().any(|r| touched.contains(r)) {
-                    continue;
-                }
-                for s in &mut entry.versions {
-                    if s.born < epoch && s.dead > epoch {
-                        s.dead = epoch;
-                        retired += 1;
-                    }
-                }
-            }
-        }
+        let retired = self.plans.retire(touched.iter().copied(), epoch);
         self.invalidations.fetch_add(retired, Ordering::Relaxed);
-    }
-
-    /// The earliest recorded retirement strictly after `epoch` across
-    /// `rels` — the epoch at which a version born at `epoch` stops being
-    /// valid. A pinned old-epoch reader inserting after later fences have
-    /// been recorded lands its version inside them instead of claiming
-    /// liveness forever.
-    fn retirement_after(&self, rels: &[RelId], epoch: u64) -> u64 {
-        let ret = self.retirements.lock().expect("retirements poisoned");
-        let mut dead = u64::MAX;
-        for rel in rels {
-            if let Some(d) = ret
-                .get(rel)
-                .and_then(|rs| rs.iter().copied().find(|&r| r > epoch))
-            {
-                dead = dead.min(d);
-            }
-        }
-        dead
     }
 }
 
@@ -437,21 +319,6 @@ mod tests {
         assert!(cache.lookup_or_plan(&db, &q_r, PlanMode::CostBased, 0).1);
         assert!(cache.lookup_or_plan(&db, &q_r, PlanMode::CostBased, 1).1);
         assert_eq!(cache.len(), 3, "retire, never evict");
-    }
-
-    #[test]
-    fn late_insert_by_pinned_reader_respects_later_fences() {
-        let db = db();
-        let r = db.schema().relation_id("R").unwrap();
-        let q = parse_cq("Q(a) :- R(a, b)", db.schema()).unwrap();
-        let cache = PlanCache::new();
-        // The fence at epoch 2 is recorded before any epoch-0 insert.
-        cache.invalidate_at(&[r], 2);
-        let (_, hit) = cache.lookup_or_plan(&db, &q, PlanMode::CostBased, 0);
-        assert!(!hit);
-        // The late insert is valid at epochs 0 and 1 but dead at 2.
-        assert!(cache.lookup_or_plan(&db, &q, PlanMode::CostBased, 1).1);
-        assert!(!cache.lookup_or_plan(&db, &q, PlanMode::CostBased, 2).1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! A sharded concurrent hash map — the `Send + Sync` storage behind
-//! [`PrivacyCache`](crate::privacy::PrivacyCache).
+//! A sharded concurrent hash map — the workspace's one `Send + Sync` map:
+//! the storage of every [`EpochMap`](crate::epochmap::EpochMap) (the plan
+//! and privacy caches) and of the `Bound` memos in `provabs-core`.
 //!
 //! Keys are routed to one of a fixed number of shards by their hash; each
 //! shard is an independent `RwLock<HashMap>`. Concurrent readers of
@@ -31,27 +32,27 @@ type ShardHasher = BuildHasherDefault<DefaultHasher>;
 ///
 /// The shard locks are `provabs_sched` shims: plain `std` rwlocks in
 /// production, scheduling points under the model checker. All shards share
-/// the `core.sharded.shard` lock-order label — the map acquires one shard at
+/// the `sharded.shard` lock-order label — the map acquires one shard at
 /// a time, never two, so the label can never appear on both sides of a
 /// held-while-acquiring edge from this type itself.
 #[derive(Debug)]
-pub(crate) struct ShardedMap<K, V> {
+pub struct ShardedMap<K, V> {
     shards: Vec<RwLock<HashMap<K, V>>>,
     hasher: ShardHasher,
 }
 
 impl<K, V> Default for ShardedMap<K, V> {
     fn default() -> Self {
-        Self::labeled("core.sharded.shard")
+        Self::labeled("sharded.shard")
     }
 }
 
 impl<K, V> ShardedMap<K, V> {
     /// A map whose shard locks carry `label` in schedule traces and in the
     /// lock-order audit graph. Maps that nest (one acquired while a shard of
-    /// another is held — e.g. the privacy cache's value stores reading the
-    /// retirement fences from inside an `update`) must use distinct labels
-    /// so the audit sees the hierarchy instead of a self-edge.
+    /// another is held — e.g. an [`EpochMap`](crate::epochmap::EpochMap)
+    /// reading its fences from inside an entry `update`) must use distinct
+    /// labels so the audit sees the hierarchy instead of a self-edge.
     pub fn labeled(label: &'static str) -> Self {
         Self {
             shards: (0..SHARDS)
@@ -63,11 +64,6 @@ impl<K, V> ShardedMap<K, V> {
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
-        let h = self.hasher.hash_one(key) as usize;
-        &self.shards[h & (SHARDS - 1)]
-    }
-
     /// A clone of the value under `key`, if present.
     pub fn get(&self, key: &K) -> Option<V> {
         self.get_borrowed(key)
@@ -82,12 +78,7 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let h = self.hasher.hash_one(key) as usize;
-        self.shards[h & (SHARDS - 1)]
-            .read()
-            .expect("shard lock poisoned")
-            .get(key)
-            .cloned()
+        self.read(key, V::clone)
     }
 
     /// Inserts `value` under `key`. If another thread inserted first, the
@@ -101,6 +92,13 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
             .or_insert(value)
             .clone()
     }
+}
+
+impl<K: Eq + Hash, V> ShardedMap<K, V> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &RwLock<HashMap<K, V>> {
+        let h = self.hasher.hash_one(key) as usize;
+        &self.shards[h & (SHARDS - 1)]
+    }
 
     /// Runs `f` on the value under `key` without cloning it, holding the
     /// shard read lock for the duration. Returns `None` when the key is
@@ -110,8 +108,7 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let h = self.hasher.hash_one(key) as usize;
-        self.shards[h & (SHARDS - 1)]
+        self.shard(key)
             .read()
             .expect("shard lock poisoned")
             .get(key)
@@ -145,24 +142,6 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
             for (k, v) in shard.write().expect("shard lock poisoned").iter_mut() {
                 f(k, v);
             }
-        }
-    }
-
-    /// Keeps only the entries whose key satisfies `f`, shard by shard.
-    /// Writers of other shards proceed concurrently; the predicate runs
-    /// under one shard's write lock at a time, so it must not touch the map.
-    pub fn retain(&self, mut f: impl FnMut(&K) -> bool) {
-        self.retain_kv(|k, _| f(k));
-    }
-
-    /// [`ShardedMap::retain`] with the value visible to the predicate —
-    /// lets an interner collect the ids it evicts in one pass.
-    pub fn retain_kv(&self, mut f: impl FnMut(&K, &V) -> bool) {
-        for shard in &self.shards {
-            shard
-                .write()
-                .expect("shard lock poisoned")
-                .retain(|k, v| f(k, v));
         }
     }
 
@@ -203,18 +182,6 @@ mod tests {
         assert_eq!(m.insert(7, 71), 70);
         assert_eq!(m.get(&7), Some(70));
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn retain_filters_across_shards() {
-        let m: ShardedMap<usize, usize> = ShardedMap::default();
-        for i in 0..64 {
-            m.insert(i, i);
-        }
-        m.retain(|&k| k % 2 == 0);
-        assert_eq!(m.len(), 32);
-        assert_eq!(m.get(&2), Some(2));
-        assert_eq!(m.get(&3), None);
     }
 
     #[test]
@@ -273,10 +240,11 @@ mod tests {
         );
     }
 
-    /// Model-checked: `update` accumulation racing `retain` never loses a
-    /// completed mutation and never deadlocks, in any schedule.
+    /// Model-checked: `update` accumulation racing a `for_each_mut` pass
+    /// (the shape of an epoch-map retirement racing an insert) never loses
+    /// a completed mutation and never deadlocks, in any schedule.
     #[test]
-    fn sched_update_vs_retain_has_no_lost_mutations() {
+    fn sched_update_vs_for_each_mut_has_no_lost_mutations() {
         use provabs_sched as sched;
         let outcome = sched::explore_with(sched::Config::unbounded(), || {
             let m: std::sync::Arc<ShardedMap<u32, Vec<u32>>> =
@@ -286,11 +254,15 @@ mod tests {
             let t = sched::thread::spawn(move || {
                 m1.update(1, Vec::new, |v| v.push(1));
             });
-            m.retain(|&k| k == 1);
+            m.for_each_mut(|_, v| v.iter_mut().for_each(|x| *x += 10));
             t.join().unwrap();
-            // retain keeps key 1, and the racing update must land exactly
-            // once regardless of whether it ran before or after the retain.
-            assert_eq!(m.get(&1), Some(vec![0, 1]));
+            // The pass lands exactly once on the seed value, and on the
+            // racing push exactly when the push ran first.
+            let v = m.get(&1).unwrap();
+            assert!(
+                v == vec![10, 1] || v == vec![10, 11],
+                "lost mutation: {v:?}"
+            );
         });
         outcome.expect_clean();
         assert!(outcome.lock_cycle().is_none());

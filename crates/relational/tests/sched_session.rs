@@ -186,6 +186,51 @@ fn mutant_dropped_plan_cache_fence_is_caught() {
     assert_eq!(replayed.message.as_deref(), Some(v.message.as_str()));
 }
 
+/// The cold-cache late insert: nothing is cached when the writer fences
+/// `S` and publishes epoch 1, while a reader pins, looks up and (missing)
+/// inserts. A reader pinned at epoch 0 may read no fence before it plans;
+/// its insert must still die at the fence, so an epoch-1 lookup re-plans.
+fn plan_cache_cold_late_insert_scenario() {
+    let db = seed_db();
+    let s_rel = db.schema().relation_id("S").unwrap();
+    let (registry, mut writer) = SessionRegistry::shared(db.clone());
+    let q = parse_cq("q(a) :- S(a)", db.schema()).unwrap();
+    let reg_w = Arc::clone(&registry);
+    let wdb = db.clone();
+    let w = sched::thread::spawn(move || {
+        reg_w.plan_cache().invalidate_at(&[s_rel], 1);
+        writer.publish(&wdb);
+    });
+    let session = registry.pin();
+    registry
+        .plan_cache()
+        .lookup_or_plan(&session, &q, PlanMode::CostBased, session.epoch());
+    w.join().unwrap();
+    if session.epoch() == 0 {
+        let (_, hit) = registry
+            .plan_cache()
+            .lookup_or_plan(&db, &q, PlanMode::CostBased, 1);
+        assert!(
+            !hit,
+            "stale plan served at fenced epoch 1 after a late insert"
+        );
+    }
+}
+
+/// Every schedule of the cold late insert keeps the epoch-0 plan out of
+/// epoch 1: the insert reads the fences under the entry's shard lock.
+#[test]
+fn cold_late_plan_insert_never_outlives_the_fence() {
+    let outcome = sched::explore_with(Config::unbounded(), plan_cache_cold_late_insert_scenario);
+    outcome.expect_clean();
+    assert!(outcome.complete, "sweep must be exhaustive: {outcome:?}");
+    assert!(
+        outcome.lock_cycle().is_none(),
+        "plan cache locks must be cycle-free: {:?}",
+        outcome.lock_edges
+    );
+}
+
 /// A minimal model of the *other* publication-ordering bug: a registry
 /// whose epoch counter and database live in separate cells. Staging the
 /// data before publishing the epoch keeps the reader invariant

@@ -8,7 +8,6 @@
 //! variable-free disjunct, e.g. the plain union of the ground rows — can be
 //! excluded (line 20 / Def. 3.10 adjustment).
 
-use crate::cim::minimal_queries;
 use crate::containment::{contained_in, ContainmentMode};
 use crate::most_specific::{find_consistent_queries, RevOptions};
 use provabs_relational::{ConcreteRow, Cq, Tuple, Ucq};
@@ -254,12 +253,6 @@ pub fn find_consistent_agg_queries<'db>(
         .into_iter()
         .map(|(_, cq)| AggCq { cq, op: agg_op })
         .collect()
-}
-
-/// Convenience: minimal CQs of a frontier (re-export for Algorithm 1's
-/// UCQ/AGG variants).
-pub fn minimal_cqs(frontier: &[Cq], mode: ContainmentMode) -> Vec<Cq> {
-    minimal_queries(frontier, mode)
 }
 
 #[cfg(test)]

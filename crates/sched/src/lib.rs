@@ -1,8 +1,9 @@
 //! Loom-style cooperative model checker for the provabs workspace.
 //!
 //! The concurrency seams of the engine — `SessionRegistry` publication,
-//! `PlanCache` / `PrivacyCache` retirement fences, the sharded maps in
-//! `core`, `provabsd` admission — are built on the shims in [`sync`] and
+//! the `EpochMap` retirement fence behind the `PlanCache` and the
+//! `PrivacyCache`, the `ShardedMap` it and the `Bound` memos are stored
+//! in, `provabsd` admission — are built on the shims in [`sync`] and
 //! [`thread`]. In production those shims cost one relaxed atomic load and
 //! delegate straight to `std`. Under [`explore`], every acquire / release /
 //! load / store becomes a *scheduling point*: virtual threads run one at a

@@ -36,8 +36,8 @@ impl Rng {
 /// A random database of 1–3 relations (arity 1–3, 1–5 tuples over a
 /// 4-value domain, so tuples often share values), a tree of depth ≤ 3 over
 /// its annotations plus leaves that tag no tuple, and a 1–3 row example
-/// whose rows all join tuples of one relation sequence, as a query's output
-/// rows do.
+/// (mostly 2–3) whose rows all join tuples of one relation sequence, as a
+/// query's output rows do.
 struct Instance {
     db: Database,
     tree: AbstractionTree,
@@ -85,20 +85,26 @@ fn instance(rng: &mut Rng) -> Instance {
     }
     let tree = tb.build();
     // Each row: one tuple per relation of the sequence (repeats are
-    // self-joins); the output is the first tuple's first value.
+    // self-joins); the output is the first tuple's first value. A row
+    // whose output repeats an earlier row's is redrawn, up to 8 draws, so
+    // an example has the 2–3 rows it asks for unless the first relation
+    // holds too few distinct first values.
     let shape: Vec<usize> = (0..1 + rng.below(3))
         .map(|_| rng.below(by_rel.len()))
         .collect();
     let mut rows: Vec<(Tuple, Monomial)> = Vec::new();
-    for _ in 0..1 + rng.below(3) {
-        let picks: Vec<AnnotId> = shape
-            .iter()
-            .map(|&r| by_rel[r][rng.below(by_rel[r].len())])
-            .collect();
-        let (_, first) = db.tuple_by_annot(picks[0]).unwrap();
-        let output = Tuple::new([first.values()[0].clone()]);
-        if rows.iter().all(|(o, _)| *o != output) {
-            rows.push((output, Monomial::from_annots(picks)));
+    for _ in 0..2 + rng.below(2) {
+        for _ in 0..8 {
+            let picks: Vec<AnnotId> = shape
+                .iter()
+                .map(|&r| by_rel[r][rng.below(by_rel[r].len())])
+                .collect();
+            let (_, first) = db.tuple_by_annot(picks[0]).unwrap();
+            let output = Tuple::new([first.values()[0].clone()]);
+            if rows.iter().all(|(o, _)| *o != output) {
+                rows.push((output, Monomial::from_annots(picks)));
+                break;
+            }
         }
     }
     let example = KExample::new(rows);
