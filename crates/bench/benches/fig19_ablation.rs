@@ -1,5 +1,6 @@
 //! Criterion companion to Figure 19: each §4.1 component standalone against
-//! the brute-force baseline on a tiny scenario.
+//! the brute-force baseline on a tiny scenario, with 3-row K-examples like
+//! `figures::fig19` (the smallest row count with a row-by-row pruning step).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use provabs_bench::{run_search, tpch_scenarios, HarnessCaps, ScenarioSettings};
@@ -10,6 +11,7 @@ fn bench(c: &mut Criterion) {
         tree_leaves: 60,
         tree_height: 3,
         tpch_lineitems: 400,
+        rows: 3,
         ..Default::default()
     };
     let caps = HarnessCaps {

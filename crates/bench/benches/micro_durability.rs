@@ -25,7 +25,6 @@ const BASE: &str = "bench";
 
 fn opts() -> DurableOptions {
     DurableOptions {
-        cache_pages: 64,
         checkpoint_every: 0,
     }
 }

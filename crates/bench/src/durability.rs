@@ -44,8 +44,6 @@ pub struct DurabilitySettings {
     pub lineitem_rows: usize,
     /// Churn batches persisted per scenario (one WAL transaction each).
     pub batches: usize,
-    /// Pager cache capacity, in pages.
-    pub cache_pages: usize,
     /// Generator / stream seed.
     pub seed: u64,
 }
@@ -55,7 +53,6 @@ impl Default for DurabilitySettings {
         Self {
             lineitem_rows: 400,
             batches: 4,
-            cache_pages: 64,
             seed: 42,
         }
     }
@@ -126,10 +123,7 @@ fn run_scenario(sc: &Scenario, settings: &DurabilitySettings) -> GateEntry {
     };
     let (deltas, oracle) = recovery_stream(&db, &cfg, settings.batches);
 
-    let opts = DurableOptions {
-        cache_pages: settings.cache_pages,
-        checkpoint_every: 0,
-    };
+    let opts = DurableOptions::default();
     let vfs: SharedVfs = shared(MemVfs::new());
     let mut ddb = DurableDatabase::create(vfs.clone(), BASE, db, opts)
         .expect("create on a fault-free MemVfs");

@@ -202,9 +202,9 @@ impl GateEntry {
     }
 }
 
-/// Serializes a gate report. Hand-rolled (the vendored serde stub does not
-/// serialize): one scalar per line, stable key order — the exact shape
-/// [`parse_gate_json`] reads back.
+/// Serializes a gate report. Hand-rolled (the workspace has no
+/// serialization dependency): one scalar per line, stable key order — the
+/// exact shape [`parse_gate_json`] reads back.
 pub fn render_gate_json(bench: &str, entries: &[GateEntry]) -> String {
     let mut out = format!("{{\n  \"schema\": 1,\n  \"bench\": \"{bench}\",\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {

@@ -4,7 +4,6 @@ use crate::Bound;
 use provabs_relational::Tuple;
 use provabs_semiring::{AnnotId, AnnotRegistry};
 use provabs_tree::NodeId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A symbol of an abstracted provenance expression: either an original
@@ -67,7 +66,7 @@ impl AbsExample {
 /// `lifts[r][i]` is the number of tree edges occurrence `(r, i)` is lifted:
 /// 0 keeps the annotation, `d` replaces it by its `d`-th ancestor. Lifting a
 /// non-leaf occurrence is invalid (checked by [`Abstraction::validate`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Abstraction {
     /// Per-row, per-occurrence lifts.
     pub lifts: Vec<Vec<u32>>,
@@ -99,11 +98,6 @@ impl Abstraction {
     /// abstraction size" metric, Figures 10/13/15).
     pub fn edges_used(&self) -> u32 {
         self.lifts.iter().flatten().sum()
-    }
-
-    /// Number of occurrences actually abstracted (lift > 0).
-    pub fn num_abstracted(&self) -> usize {
-        self.lifts.iter().flatten().filter(|&&l| l > 0).count()
     }
 
     /// The target of occurrence `(r, i)`: `None` when kept, `Some(node)`
@@ -168,7 +162,6 @@ mod tests {
         let abs = Abstraction::identity(&b);
         assert!(abs.validate(&b));
         assert_eq!(abs.edges_used(), 0);
-        assert_eq!(abs.num_abstracted(), 0);
         let ae = abs.apply(&b);
         assert!(ae
             .rows

@@ -15,8 +15,8 @@ use std::sync::Arc;
 /// variable occurrence) and, per occurrence, the tree leaf and its maximal
 /// lift (depth). All core algorithms operate on a `Bound`.
 ///
-/// The bound also owns a [`ProvStore`] interning each row's provenance: two
-/// rows with the same monomial share one [`PolyId`], and the memoized
+/// Binding interns each row's provenance in a [`ProvStore`]: two rows with
+/// the same monomial share one [`PolyId`], and the memoized
 /// abstraction application ([`Bound::apply_abstraction_cached`]) is keyed by
 /// that id, so the search abstracts each distinct polynomial under each
 /// distinct per-row lift vector exactly once for the bound's lifetime —
@@ -41,9 +41,8 @@ pub struct Bound<'a> {
     occ_annots: Vec<Vec<AnnotId>>,
     /// Per row/occurrence: the tree leaf, when the annotation is in `L_T`.
     leaf_nodes: Vec<Vec<Option<NodeId>>>,
-    /// Arena interning the rows' provenance (immutable after binding).
-    store: ProvStore,
-    /// Per row: the interned provenance polynomial.
+    /// Per row: the interned provenance polynomial (rows with equal
+    /// monomials share one id).
     row_polys: Vec<PolyId>,
     /// Interns per-row lift vectors to fingerprints: probed by `&[u32]`
     /// (no allocation on the hot path), first insert wins so every equal
@@ -109,7 +108,6 @@ impl<'a> Bound<'a> {
             example,
             occ_annots,
             leaf_nodes,
-            store,
             row_polys,
             lift_ids: ShardedMap::default(),
             next_lift: AtomicU32::new(0),
@@ -153,24 +151,6 @@ impl<'a> Bound<'a> {
     /// Total occurrence count.
     pub fn num_occurrences(&self) -> usize {
         self.occ_annots.iter().map(Vec::len).sum()
-    }
-
-    /// The arena interning the rows' provenance.
-    pub fn prov_store(&self) -> &ProvStore {
-        &self.store
-    }
-
-    /// The interned provenance polynomial of row `r`. Rows with equal
-    /// monomials share one id (and therefore share abstraction-application
-    /// memo entries).
-    pub fn row_poly(&self, r: usize) -> PolyId {
-        self.row_polys[r]
-    }
-
-    /// Number of distinct `(row provenance, per-row lifts)` pairs the
-    /// abstraction-application memo holds.
-    pub fn abs_memo_len(&self) -> usize {
-        self.abs_rows.len()
     }
 
     /// The fingerprint of a per-row lift vector: interned, probed by slice

@@ -93,44 +93,6 @@ pub fn loss_of_information(bound: &Bound<'_>, abs: &Abstraction, dist: &LoiDistr
     total
 }
 
-/// Incrementally maintained loss of information: recomputes the per-
-/// occurrence entropy terms only where the lift changed between two
-/// abstractions, instead of resolving the tree target of every occurrence.
-///
-/// `prev_loi` must be `loss_of_information(bound, prev, dist)`. The result
-/// equals `loss_of_information(bound, next, dist)` up to floating-point
-/// associativity (tests pin a 1e-9 agreement). This is an exported
-/// building block for callers that maintain a score across a sequence of
-/// small abstraction edits (e.g. a local-search or repair loop over an
-/// incumbent); the batch search itself re-scores candidates from scratch,
-/// where the sorted-bucket LOI tables already amortize the work.
-pub fn delta_loss_of_information(
-    bound: &Bound<'_>,
-    prev: &Abstraction,
-    prev_loi: f64,
-    next: &Abstraction,
-    dist: &LoiDistribution,
-) -> f64 {
-    let occ_term = |abs: &Abstraction, r: usize, i: usize| -> f64 {
-        match abs.target(bound, r, i) {
-            Some(node) => match dist {
-                LoiDistribution::Uniform => (bound.tree.leaf_count(node) as f64).ln(),
-                LoiDistribution::Weighted(w) => w.node_entropy(bound, node),
-            },
-            None => 0.0,
-        }
-    };
-    let mut total = prev_loi;
-    for r in 0..bound.num_rows() {
-        for i in 0..bound.row_occurrences(r).len() {
-            if prev.lifts[r][i] != next.lifts[r][i] {
-                total += occ_term(next, r, i) - occ_term(prev, r, i);
-            }
-        }
-    }
-    total
-}
-
 /// Convenience: the uniform-distribution LOI of lifting one occurrence of a
 /// leaf at depth `leaf_depth` by `lift` edges — used by the search's
 /// lower-bound tables.
@@ -249,36 +211,6 @@ mod tests {
         let a = fx.tree.leaves()[0];
         assert_eq!(w1.weight(a), w2.weight(a));
         assert_ne!(w1.weight(a), w3.weight(a));
-    }
-
-    #[test]
-    fn delta_loi_matches_full_recomputation() {
-        let fx = running_example();
-        let b = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
-        let steps: [&[(&str, u32)]; 4] = [
-            &[("h1", 1), ("h2", 1)],
-            &[("h1", 2), ("h2", 1)],
-            &[("i1", 1), ("i2", 1)],
-            &[],
-        ];
-        for dist in [
-            LoiDistribution::Uniform,
-            LoiDistribution::Weighted(LeafWeights::random(fx.tree.leaves(), 3)),
-        ] {
-            let mut prev = Abstraction::identity(&b);
-            let mut prev_loi = loss_of_information(&b, &prev, &dist);
-            for lifts in steps {
-                let next = abs_lifting(&b, lifts);
-                let incremental = delta_loss_of_information(&b, &prev, prev_loi, &next, &dist);
-                let full = loss_of_information(&b, &next, &dist);
-                assert!(
-                    (incremental - full).abs() < 1e-9,
-                    "incremental {incremental} vs full {full}"
-                );
-                prev = next;
-                prev_loi = incremental;
-            }
-        }
     }
 
     #[test]

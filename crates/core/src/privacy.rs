@@ -40,8 +40,6 @@ pub struct PrivacyConfig {
     pub semiring: SemiringKind,
     /// CQ or UCQ privacy.
     pub query_class: QueryClass,
-    /// Exclude trivial UCQs (variable-free disjuncts), §4 orange cell.
-    pub exclude_trivial: bool,
     /// §4.1 component 1 (of the privacy computation): extend GoodConc one
     /// row per step, pruning prefixes that admit no consistent query.
     /// Disabled (and always for UCQ) = one step over all rows.
@@ -60,8 +58,6 @@ pub struct PrivacyConfig {
     /// whole example). When hit, the returned privacy is a lower bound and
     /// `stats.truncated` is set.
     pub max_concretizations: usize,
-    /// Extra expansion degree for exponent-dropping semirings.
-    pub max_expansion_extra: u32,
     /// The snapshot epoch this evaluation reads at (see
     /// [`PrivacyCache::invalidate_at`]). Single-session callers leave the
     /// default 0; a reader session pinned to a
@@ -77,13 +73,11 @@ impl Default for PrivacyConfig {
             threshold: 5,
             semiring: SemiringKind::NX,
             query_class: QueryClass::Cq,
-            exclude_trivial: true,
             row_by_row: true,
             connectivity_filter: true,
             caching: true,
             max_alignments: 100_000,
             max_concretizations: 1_000_000,
-            max_expansion_extra: 1,
             epoch: 0,
         }
     }
@@ -363,7 +357,6 @@ fn rev_options(cfg: &PrivacyConfig, connected_only: bool) -> RevOptions {
     RevOptions {
         semiring: cfg.semiring,
         max_alignments: cfg.max_alignments,
-        max_expansion_extra: cfg.max_expansion_extra,
         connected_only,
     }
 }
@@ -492,7 +485,7 @@ impl<'db> Eval<'_, 'db> {
     fn ucq_step(&mut self, candidates: &[Prefix]) -> Option<(usize, Vec<Cq>)> {
         let opts = UcqOptions {
             rev: rev_options(self.cfg, false),
-            exclude_trivial: self.cfg.exclude_trivial,
+            exclude_trivial: true,
             max_ucqs: 10_000,
         };
         let mut frontier: Vec<Ucq> = Vec::new();

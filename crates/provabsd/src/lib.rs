@@ -13,10 +13,11 @@
 //!   either bound the service fails fast with the typed
 //!   [`ServiceError::Overloaded`] instead of building an unbounded
 //!   backlog.
-//! * **Deterministic cancellation.** Each request carries a work budget
-//!   enforced on the engine's [`EvalWork`] derivation counters — never
-//!   wall-clock — so a cancelled request is cancelled at exactly the
-//!   same point in every replay ([`ServiceError::BudgetExhausted`]).
+//! * **Deterministic cancellation.** Every request runs under
+//!   [`ServiceConfig::work_budget`], enforced on the engine's [`EvalWork`]
+//!   derivation counters — never wall-clock — so a cancelled request is
+//!   cancelled at exactly the same point in every replay
+//!   ([`ServiceError::BudgetExhausted`]).
 //! * **Bounded retry with deterministic backoff.** Transient storage
 //!   failures in the writer loop are retried up to
 //!   [`ServiceConfig::max_retries`] times; between attempts the writer
@@ -28,9 +29,10 @@
 //!   parked: reads keep serving the last published snapshot, writes
 //!   return [`ServiceError::Degraded`], and [`Provabsd::health`]
 //!   reports the poison cause.
-//! * **Shared epoch-aware cache.** One
-//!   [`PrivacyCache`] is shared by
-//!   every session; commits retire entries *at* the new epoch
+//! * **One epoch per commit.** Every committed delta publishes a new
+//!   snapshot epoch. Before publishing it, the writer fences the shared
+//!   [`PrivacyCache`] on the annotations the delta touched and the plan
+//!   cache on the relations it changed, both *at* the new epoch
 //!   (`invalidate_at`), so sessions pinned at older epochs keep hitting
 //!   the entries that are still valid for their snapshot.
 //!
@@ -77,13 +79,13 @@ use provabs_relational::storage::{
     DurableDatabase, DurableOptions, RecoveryInfo, SharedVfs, StorageError,
 };
 use provabs_relational::{
-    AppliedDelta, Cq, Database, Delta, EvalLimits, EvalWork, Evaluator, KRelation, RelId,
-    SessionDb, SessionRegistry, SnapshotWriter,
+    AppliedDelta, Cq, Database, Delta, EvalLimits, EvalWork, Evaluator, KRelation, SessionDb,
+    SessionRegistry, SnapshotWriter,
 };
 use provabs_sched::sync::atomic::{AtomicU64, Ordering};
 use provabs_sched::sync::Mutex as SchedMutex;
 use provabs_semiring::AnnotId;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -97,9 +99,8 @@ pub struct ServiceConfig {
     /// request whose budget would push the in-flight total past this bound
     /// is rejected.
     pub inflight_budget: u64,
-    /// Default per-request work budget (maximum [`EvalWork::derivations`]
-    /// before the request is cancelled with
-    /// [`ServiceError::BudgetExhausted`]).
+    /// Per-request work budget (maximum [`EvalWork::derivations`] before
+    /// the request is cancelled with [`ServiceError::BudgetExhausted`]).
     pub work_budget: u64,
     /// Transient-failure retries of one writer commit before the service
     /// degrades to read-only.
@@ -108,9 +109,6 @@ pub struct ServiceConfig {
     /// syncs through the VFS — observable in the op-sequence counters, so
     /// the schedule replays deterministically.
     pub backoff_base: u32,
-    /// Publish a new snapshot epoch after this many committed
-    /// transactions (clamped to at least 1).
-    pub publish_every: u64,
     /// Storage engine options.
     pub durable: DurableOptions,
 }
@@ -123,7 +121,6 @@ impl Default for ServiceConfig {
             work_budget: 1 << 20,
             max_retries: 3,
             backoff_base: 2,
-            publish_every: 1,
             durable: DurableOptions::default(),
         }
     }
@@ -308,14 +305,6 @@ struct WriterState {
     degraded: Option<String>,
     /// Committed transactions (mirrored so health works while degraded).
     committed: u64,
-    /// Commits since the last published epoch.
-    txns_since_publish: u64,
-    /// Annotations touched by committed-but-unpublished transactions;
-    /// retired in the cache when their epoch publishes.
-    pending_touched: HashSet<AnnotId>,
-    /// Relations changed by committed-but-unpublished transactions;
-    /// retired in the plan cache when their epoch publishes.
-    pending_rels: BTreeSet<RelId>,
 }
 
 #[derive(Debug)]
@@ -362,14 +351,6 @@ impl Drop for Permit {
     }
 }
 
-/// Per-query knobs; the default runs the engine defaults under the
-/// service-wide work budget.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryOptions {
-    /// Work budget override (`None` = [`ServiceConfig::work_budget`]).
-    pub budget: Option<u64>,
-}
-
 /// The result of one admitted, completed query.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
@@ -412,20 +393,14 @@ impl Session {
         }
     }
 
-    /// Evaluates `q` under the default [`QueryOptions`]: admission, then
-    /// evaluation under the service-wide work budget.
-    pub fn query(&self, q: &Cq) -> Result<QueryOutcome, ServiceError> {
-        self.query_opts(q, &QueryOptions::default())
-    }
-
-    /// Evaluates `q` under explicit options. The request is admitted
-    /// first (reserving its budget), evaluated with
-    /// [`EvalLimits::max_derivations`] capped at the budget, and
+    /// Evaluates `q`. The request is admitted first (reserving
+    /// [`ServiceConfig::work_budget`]), evaluated with
+    /// [`EvalLimits::max_derivations`] capped at that budget, and
     /// cancelled with [`ServiceError::BudgetExhausted`] if the cap was
     /// reached — a deterministic decision on the derivation counter, not
     /// on time.
-    pub fn query_opts(&self, q: &Cq, opts: &QueryOptions) -> Result<QueryOutcome, ServiceError> {
-        let budget = opts.budget.unwrap_or(self.service.inner.config.work_budget);
+    pub fn query(&self, q: &Cq) -> Result<QueryOutcome, ServiceError> {
+        let budget = self.service.inner.config.work_budget;
         let _permit = self.service.acquire(budget)?;
         let limits = EvalLimits {
             max_derivations: usize::try_from(budget).unwrap_or(usize::MAX),
@@ -499,9 +474,6 @@ impl Provabsd {
                         base: base.to_owned(),
                         degraded: None,
                         committed,
-                        txns_since_publish: 0,
-                        pending_touched: HashSet::new(),
-                        pending_rels: BTreeSet::new(),
                     },
                 ),
                 admission: SchedMutex::labeled("provabsd.admission", Admission::default()),
@@ -572,11 +544,10 @@ impl Provabsd {
     /// writer, retrying transient storage failures up to
     /// [`ServiceConfig::max_retries`] times (reopening the durable
     /// database between attempts, with the op-sequence backoff described
-    /// in the module docs). On success the commit is acknowledged, and a
-    /// new epoch publishes once [`ServiceConfig::publish_every`] commits
-    /// have accumulated — retiring the touched cache entries *at* the
-    /// new epoch first, so no session can pin the epoch before the fences
-    /// are in place.
+    /// in the module docs). On success the commit is acknowledged and
+    /// published as a new epoch — after retiring the cache entries it
+    /// touched *at* that epoch, so no session can pin the epoch before the
+    /// fences are in place.
     ///
     /// Rejected deltas ([`StorageError::InvalidDelta`]) return
     /// immediately without retrying: nothing was logged, the writer stays
@@ -606,7 +577,7 @@ impl Provabsd {
                     }
                     Err(e) => {
                         if attempt >= cfg.max_retries {
-                            return Err(degrade(stats, &mut w, e.to_string()));
+                            return Err(degrade(&mut w, e.to_string()));
                         }
                         attempt += 1;
                         stats.writer_retries.fetch_add(1, Ordering::Relaxed);
@@ -619,27 +590,22 @@ impl Provabsd {
             match durable.apply_delta(delta) {
                 Ok(applied) => {
                     w.committed += 1;
-                    w.txns_since_publish += 1;
-                    w.pending_touched.extend(applied.touched());
-                    w.pending_rels.extend(applied.rels.iter().copied());
-                    if w.txns_since_publish >= cfg.publish_every.max(1) {
-                        let next = self.inner.registry.epoch() + 1;
-                        let touched = std::mem::take(&mut w.pending_touched);
-                        self.inner.cache.invalidate_at(&touched, next);
-                        // The plan cache is fenced before publication for
-                        // the same reason: no session may pin `next` and
-                        // still hit a plan computed from older statistics.
-                        let rels: Vec<RelId> =
-                            std::mem::take(&mut w.pending_rels).into_iter().collect();
-                        self.inner.registry.plan_cache().invalidate_at(&rels, next);
-                        let ws = &mut *w;
-                        let pstats = ws
-                            .publisher
-                            .publish(ws.durable.as_ref().expect("live handle").db());
-                        debug_assert_eq!(pstats.epoch, next, "publisher and registry agree");
-                        ws.txns_since_publish = 0;
-                        stats.epochs_published.fetch_add(1, Ordering::Relaxed);
-                    }
+                    // Both caches are fenced at `next` before it is
+                    // published: no session may pin `next` and still hit
+                    // a frontier or a plan computed before this delta.
+                    let next = self.inner.registry.epoch() + 1;
+                    let touched: HashSet<AnnotId> = applied.touched().collect();
+                    self.inner.cache.invalidate_at(&touched, next);
+                    self.inner
+                        .registry
+                        .plan_cache()
+                        .invalidate_at(&applied.rels, next);
+                    let ws = &mut *w;
+                    let pstats = ws
+                        .publisher
+                        .publish(ws.durable.as_ref().expect("live handle").db());
+                    debug_assert_eq!(pstats.epoch, next, "publisher and registry agree");
+                    stats.epochs_published.fetch_add(1, Ordering::Relaxed);
                     return Ok(applied);
                 }
                 Err(e @ StorageError::InvalidDelta(_)) => return Err(ServiceError::Storage(e)),
@@ -648,7 +614,7 @@ impl Provabsd {
                         w.durable = None;
                     }
                     if attempt >= cfg.max_retries {
-                        return Err(degrade(stats, &mut w, e.to_string()));
+                        return Err(degrade(&mut w, e.to_string()));
                     }
                     attempt += 1;
                     stats.writer_retries.fetch_add(1, Ordering::Relaxed);
@@ -748,8 +714,7 @@ impl Provabsd {
 
 /// Parks the writer: records the reason, drops the durable handle, and
 /// returns the typed error. Reads are untouched.
-fn degrade(stats: &StatCells, w: &mut WriterState, reason: String) -> ServiceError {
-    let _ = stats; // degradation itself is visible through `health`
+fn degrade(w: &mut WriterState, reason: String) -> ServiceError {
     w.degraded = Some(reason.clone());
     w.durable = None;
     ServiceError::Degraded { reason }
@@ -832,12 +797,14 @@ mod tests {
 
     #[test]
     fn budget_cancellation_is_deterministic() {
-        let svc = mem_service(ServiceConfig::default());
+        let svc = mem_service(ServiceConfig {
+            work_budget: 5,
+            ..Default::default()
+        });
         let session = svc.session();
         let q = parse_cq("q(a, b) :- R(a, x), R(b, x)", session.db().schema()).unwrap();
-        let opts = QueryOptions { budget: Some(5) };
-        let first = session.query_opts(&q, &opts).unwrap_err();
-        let second = session.query_opts(&q, &opts).unwrap_err();
+        let first = session.query(&q).unwrap_err();
+        let second = session.query(&q).unwrap_err();
         assert_eq!(first, second, "cancellation point replays bit-for-bit");
         match first {
             ServiceError::BudgetExhausted {
@@ -853,11 +820,13 @@ mod tests {
         assert_eq!(s.cancelled, 2);
         assert!(s.max_request_work <= 5);
         // A sufficient budget completes the same query.
-        let ok = session
-            .query_opts(&q, &QueryOptions { budget: Some(1000) })
-            .unwrap();
+        let roomy = mem_service(ServiceConfig {
+            work_budget: 1000,
+            ..Default::default()
+        });
+        let ok = roomy.session().query(&q).unwrap();
         assert_eq!(ok.rows.len(), 64);
-        assert_eq!(svc.stats().completed, 1);
+        assert_eq!(roomy.stats().completed, 1);
     }
 
     #[test]
@@ -977,17 +946,53 @@ mod tests {
     }
 
     #[test]
-    fn publish_every_batches_epochs_and_cache_fences() {
-        let svc = mem_service(ServiceConfig {
-            publish_every: 2,
-            ..Default::default()
-        });
+    fn every_commit_publishes_and_fences_its_delta() {
+        let svc = mem_service(ServiceConfig::default());
         let base = svc.session();
-        svc.apply(&ins(base.db(), "w0", "100")).unwrap();
-        assert_eq!(svc.session().epoch(), 0, "first commit not yet published");
-        svc.apply(&ins(base.db(), "w1", "101")).unwrap();
-        assert_eq!(svc.session().epoch(), 1, "second commit publishes");
-        assert_eq!(svc.health().committed_txns, 2);
+        let schema = base.db().schema();
+        let (r, s) = (
+            schema.relation_id("R").unwrap(),
+            schema.relation_id("S").unwrap(),
+        );
+        let qr = parse_cq("q(a) :- R(a, 'x')", schema).unwrap();
+        let qs = parse_cq("q(a) :- S(a)", schema).unwrap();
+        base.query(&qr).unwrap();
+        base.query(&qs).unwrap();
+        // Two epoch-0 cache entries: one through t0 (the first commit
+        // deletes it), one through t1 only.
+        let annot = |label: &str| base.db().annotations().get(label).unwrap();
+        let conc = |label: &str, a: &str| vec![(Tuple::parse(&[a]), vec![annot(label)])];
+        let (through_t0, through_t1) = (conc("t0", "0"), conc("t1", "1"));
+        let cache = svc.cache();
+        cache.consistent_record(&through_t0, 0, Default::default());
+        cache.consistent_record(&through_t1, 0, Default::default());
+
+        let mut delete_t0 = Delta::new();
+        delete_t0.delete(annot("t0"));
+        svc.apply(&delete_t0).unwrap();
+        assert_eq!(svc.session().epoch(), 1, "the first commit publishes");
         assert_eq!(svc.stats().epochs_published, 1);
+        assert!(cache.consistent_probe(&through_t0, 1).is_none());
+        assert!(cache.consistent_probe(&through_t0, 0).is_some());
+        assert!(cache.consistent_probe(&through_t1, 1).is_some());
+        assert_eq!(svc.stats().plan_cache_invalidations, 1, "only R's plan");
+
+        svc.session().query(&qr).unwrap();
+        let mut insert_s = Delta::new();
+        insert_s.insert(s, "s0", Tuple::parse(&["5"]));
+        svc.apply(&insert_s).unwrap();
+        assert_eq!(svc.session().epoch(), 2, "the second commit publishes");
+        assert_eq!(svc.stats().epochs_published, 2);
+        assert_eq!(svc.health().committed_txns, 2);
+        assert_eq!(
+            svc.stats().plan_cache_invalidations,
+            2,
+            "then only S's plan"
+        );
+        // R's epoch-1 plan survives the S commit.
+        let misses = svc.stats().plan_cache_misses;
+        svc.session().query(&qr).unwrap();
+        assert_eq!(svc.stats().plan_cache_misses, misses);
+        assert_eq!(svc.session().db().relation_len(r), 7);
     }
 }

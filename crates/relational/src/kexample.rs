@@ -2,7 +2,6 @@
 
 use crate::{Database, KRelation, RelId, Tuple, TupleRef, Value, ValueId};
 use provabs_semiring::{AnnotId, AnnotRegistry, Monomial};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One row of a K-example: an output tuple and one provenance monomial.
@@ -10,7 +9,7 @@ use std::fmt;
 /// Polynomials with several monomials are normalized into one row per
 /// monomial (each monomial of `O(t)` must be matched by a consistent query
 /// independently under the natural order of `N[X]`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KRow {
     /// The output tuple.
     pub output: Tuple,
@@ -19,7 +18,7 @@ pub struct KRow {
 }
 
 /// A K-example: a subset of the (hidden) query's results with provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KExample {
     /// The rows, in presentation order.
     pub rows: Vec<KRow>,

@@ -1,20 +1,19 @@
 //! Conjunctive queries and unions of conjunctive queries.
 
 use crate::{Schema, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A relation identifier within a [`Schema`](crate::Schema).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RelId(pub u16);
 
 /// A query variable identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub u32);
 
 /// A term of a query atom: a variable or a constant.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Term {
     /// A query variable.
     Var(VarId),
@@ -38,7 +37,7 @@ impl Term {
 }
 
 /// A relational atom `R(t1, ..., tn)` of a query body.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Atom {
     /// The relation.
     pub rel: RelId,
@@ -54,7 +53,7 @@ impl Atom {
 }
 
 /// A conjunctive query `Q(u) :- R1(v1), ..., Rl(vl)`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cq {
     /// Head name (purely cosmetic; defaults to `Q`).
     pub head_name: String,
@@ -277,7 +276,7 @@ impl fmt::Display for CqDisplay<'_> {
 }
 
 /// A union of conjunctive queries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ucq {
     /// The disjuncts. All must share the same head arity.
     pub disjuncts: Vec<Cq>,

@@ -1,13 +1,12 @@
 //! Database schemas.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 use crate::query::RelId;
 
 /// The schema of one relation: its name and column names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationSchema {
     /// Relation name (case-sensitive).
     pub name: String,

@@ -39,7 +39,7 @@
 
 use super::codec::{ByteReader, ByteWriter};
 use super::snapshot::{decode_database, decode_delta, encode_database, encode_delta};
-use super::{Pager, PagerStats, SharedVfs, StorageError, Wal, WalStats, PAGE_PAYLOAD};
+use super::{Pager, PagerStats, SharedVfs, StorageError, Wal, PAGE_PAYLOAD};
 use crate::{AppliedDelta, Database, Delta};
 use std::collections::HashSet;
 
@@ -47,22 +47,12 @@ const HEADER_MAGIC: u32 = 0x5044_4248; // "PDBH"
 const FORMAT_VERSION: u32 = 1;
 
 /// Tuning knobs for a [`DurableDatabase`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DurableOptions {
-    /// Page-cache capacity of each pager.
-    pub cache_pages: usize,
-    /// Checkpoint automatically after this many WAL transactions
-    /// (`0` = only on explicit [`DurableDatabase::checkpoint`] calls).
+    /// Checkpoint automatically after this many WAL transactions. `0`,
+    /// the default, checkpoints only on explicit
+    /// [`DurableDatabase::checkpoint`] calls.
     pub checkpoint_every: u64,
-}
-
-impl Default for DurableOptions {
-    fn default() -> Self {
-        Self {
-            cache_pages: 64,
-            checkpoint_every: 0,
-        }
-    }
 }
 
 /// What [`DurableDatabase::open`] found and did.
@@ -228,10 +218,10 @@ impl DurableDatabase {
             vfs,
             db,
             opts,
-            header_pager: Pager::new(header_file(base), 1),
+            header_pager: Pager::new(header_file(base)),
             snap_pagers: [
-                Pager::new(snap_file(base, 0), opts.cache_pages),
-                Pager::new(snap_file(base, 1), opts.cache_pages),
+                Pager::new(snap_file(base, 0)),
+                Pager::new(snap_file(base, 1)),
             ],
             wal: Wal::create(wal_file(base)),
             active_snap: 1, // first checkpoint flips to 0
@@ -251,10 +241,10 @@ impl DurableDatabase {
         base: &str,
         opts: DurableOptions,
     ) -> Result<(Self, RecoveryInfo), StorageError> {
-        let mut header_pager = Pager::new(header_file(base), 1);
+        let mut header_pager = Pager::new(header_file(base));
         let mut snap_pagers = [
-            Pager::new(snap_file(base, 0), opts.cache_pages),
-            Pager::new(snap_file(base, 1), opts.cache_pages),
+            Pager::new(snap_file(base, 0)),
+            Pager::new(snap_file(base, 1)),
         ];
         let (header, db, wal, replayed);
         {
@@ -337,11 +327,6 @@ impl DurableDatabase {
         &self.db
     }
 
-    /// Consumes the handle, returning the in-memory database.
-    pub fn into_database(self) -> Database {
-        self.db
-    }
-
     /// Committed transactions so far.
     pub fn committed_txns(&self) -> u64 {
         self.applied_txns
@@ -376,16 +361,8 @@ impl DurableDatabase {
             let s = p.stats();
             total.pages_read += s.pages_read;
             total.pages_written += s.pages_written;
-            total.cache_hits += s.cache_hits;
-            total.cache_misses += s.cache_misses;
-            total.evictions += s.evictions;
         }
         total
-    }
-
-    /// WAL counters.
-    pub fn wal_stats(&self) -> WalStats {
-        self.wal.stats()
     }
 
     /// Applies `delta` as one WAL transaction: validate, log, sync,
@@ -558,7 +535,6 @@ mod tests {
         let vfs = shared(MemVfs::new());
         let opts = DurableOptions {
             checkpoint_every: 2,
-            ..DurableOptions::default()
         };
         let mut ddb = DurableDatabase::create(vfs.clone(), "t", seed_db(), opts).unwrap();
         ddb.apply_delta(&delta_ins(ddb.db(), "r3", "3", "z"))

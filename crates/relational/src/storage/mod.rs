@@ -3,8 +3,8 @@
 //! The module cut follows the proven vfs / pager / wal shape: a [`Vfs`]
 //! trait abstracts the byte store (a real file backend, an in-memory
 //! backend for tests, and a fault-injecting decorator), a [`Pager`] reads
-//! and writes fixed-size checksummed pages through an LRU-pinned cache, and
-//! a [`Wal`] appends checksummed frames with explicit commit markers.
+//! and writes fixed-size checksummed pages, and a [`Wal`] appends
+//! checksummed frames with explicit commit markers.
 //!
 //! On top of those, [`DurableDatabase`] persists a
 //! [`Database`](crate::Database) — columnar segments, posting lists, the
@@ -37,7 +37,7 @@ pub use faulty::{Fault, FaultyVfs, OpKind, OpRecord};
 pub use pager::{Pager, PagerStats, PAGE_PAYLOAD, PAGE_SIZE};
 pub use snapshot::{decode_database, decode_delta, encode_database, encode_delta};
 pub use vfs::{shared, FileVfs, IoStats, MemVfs, SharedVfs, Vfs};
-pub use wal::{Wal, WalStats};
+pub use wal::Wal;
 
 use std::fmt;
 

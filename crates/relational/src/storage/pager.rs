@@ -1,4 +1,4 @@
-//! Fixed-size checksummed pages with an LRU-pinned cache.
+//! Fixed-size checksummed pages.
 //!
 //! Every durable structure except the WAL lives in 4 KiB pages. A page
 //! carries its payload length, its own page number (so a page read back
@@ -6,10 +6,11 @@
 //! number covering the header and payload; the zero padding is verified on
 //! read, so *any* flipped bit in a page is detected. One page is written
 //! with exactly one `write_at`, which makes page boundaries the crash
-//! granularity the fault-injection suite sweeps.
+//! granularity the fault-injection suite sweeps. The pager keeps no page
+//! cache: recovery reads each header and snapshot page once, and a
+//! checkpoint only writes.
 
 use super::{checksum64, StorageError, Vfs};
-use std::collections::{HashMap, HashSet};
 
 /// Size of one page on disk.
 pub const PAGE_SIZE: usize = 4096;
@@ -21,36 +22,19 @@ const PAGE_HEADER: usize = 16;
 /// Usable payload bytes per page.
 pub const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_HEADER;
 
-/// Deterministic pager counters (cache behaviour + physical page I/O).
+/// Deterministic pager counters (physical page I/O).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PagerStats {
     /// Pages physically read from the VFS.
     pub pages_read: u64,
     /// Pages physically written to the VFS.
     pub pages_written: u64,
-    /// Reads served from the cache.
-    pub cache_hits: u64,
-    /// Reads that missed the cache.
-    pub cache_misses: u64,
-    /// Cached pages evicted to respect the capacity.
-    pub evictions: u64,
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    payload: Vec<u8>,
-    stamp: u64,
-}
-
-/// A page-granular view of one VFS file, with checksums and an LRU cache
-/// whose pinned pages are never evicted.
+/// A page-granular view of one VFS file, with checksums.
 #[derive(Debug)]
 pub struct Pager {
     file: String,
-    capacity: usize,
-    cache: HashMap<u32, CacheEntry>,
-    pinned: HashSet<u32>,
-    tick: u64,
     stats: PagerStats,
 }
 
@@ -109,14 +93,10 @@ fn decode_page(page: u32, buf: &[u8]) -> Result<Vec<u8>, StorageError> {
 }
 
 impl Pager {
-    /// A pager over `file`, caching at most `capacity` pages (minimum 1).
-    pub fn new(file: impl Into<String>, capacity: usize) -> Self {
+    /// A pager over `file`.
+    pub fn new(file: impl Into<String>) -> Self {
         Self {
             file: file.into(),
-            capacity: capacity.max(1),
-            cache: HashMap::new(),
-            pinned: HashSet::new(),
-            tick: 0,
             stats: PagerStats::default(),
         }
     }
@@ -131,52 +111,8 @@ impl Pager {
         self.stats
     }
 
-    /// Pins `page`: it stays cached until [`Pager::unpin`].
-    pub fn pin(&mut self, page: u32) {
-        self.pinned.insert(page);
-    }
-
-    /// Unpins `page`.
-    pub fn unpin(&mut self, page: u32) {
-        self.pinned.remove(&page);
-    }
-
-    fn touch(&mut self, page: u32) {
-        self.tick += 1;
-        if let Some(e) = self.cache.get_mut(&page) {
-            e.stamp = self.tick;
-        }
-    }
-
-    fn evict_to_capacity(&mut self) {
-        while self.cache.len() > self.capacity {
-            // Oldest unpinned page goes; ties cannot happen (stamps are
-            // unique). If everything is pinned, the cache grows — pins are
-            // a correctness promise, capacity a performance target.
-            let victim = self
-                .cache
-                .iter()
-                .filter(|(p, _)| !self.pinned.contains(p))
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&p, _)| p);
-            match victim {
-                Some(p) => {
-                    self.cache.remove(&p);
-                    self.stats.evictions += 1;
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Reads `page`, from cache or (verified) from the VFS.
+    /// Reads `page` from the VFS and verifies it.
     pub fn read_page(&mut self, vfs: &mut dyn Vfs, page: u32) -> Result<Vec<u8>, StorageError> {
-        if self.cache.contains_key(&page) {
-            self.stats.cache_hits += 1;
-            self.touch(page);
-            return Ok(self.cache[&page].payload.clone());
-        }
-        self.stats.cache_misses += 1;
         let mut buf = vec![0u8; PAGE_SIZE];
         let n = vfs.read_at(&self.file, page as u64 * PAGE_SIZE as u64, &mut buf)?;
         if n != PAGE_SIZE {
@@ -186,20 +122,11 @@ impl Pager {
         }
         let payload = decode_page(page, &buf)?;
         self.stats.pages_read += 1;
-        self.tick += 1;
-        self.cache.insert(
-            page,
-            CacheEntry {
-                payload: payload.clone(),
-                stamp: self.tick,
-            },
-        );
-        self.evict_to_capacity();
         Ok(payload)
     }
 
-    /// Writes `payload` as `page` — exactly one VFS write (the crash
-    /// granularity) — and refreshes the cache.
+    /// Writes `payload` as `page`: exactly one VFS write (the crash
+    /// granularity).
     ///
     /// # Panics
     /// Panics if `payload` exceeds [`PAGE_PAYLOAD`] (a caller bug, not a
@@ -213,15 +140,6 @@ impl Pager {
         let buf = encode_page(page, payload);
         vfs.write_at(&self.file, page as u64 * PAGE_SIZE as u64, &buf)?;
         self.stats.pages_written += 1;
-        self.tick += 1;
-        self.cache.insert(
-            page,
-            CacheEntry {
-                payload: payload.to_vec(),
-                stamp: self.tick,
-            },
-        );
-        self.evict_to_capacity();
         Ok(())
     }
 }
@@ -234,76 +152,51 @@ mod tests {
     #[test]
     fn roundtrip_and_cache_counters() {
         let mut vfs = MemVfs::new();
-        let mut pager = Pager::new("p", 8);
+        let mut pager = Pager::new("p");
         pager.write_page(&mut vfs, 0, b"alpha").unwrap();
         pager.write_page(&mut vfs, 3, b"").unwrap(); // empty payload is legal
+        assert_eq!(pager.stats().pages_written, 2);
         assert_eq!(pager.read_page(&mut vfs, 0).unwrap(), b"alpha");
-        assert_eq!(pager.stats().cache_hits, 1, "write populated the cache");
-        let mut cold = Pager::new("p", 8);
+        assert_eq!(pager.read_page(&mut vfs, 3).unwrap(), b"");
+        // No cache: every read of a page is a physical read.
+        let mut cold = Pager::new("p");
         assert_eq!(cold.read_page(&mut vfs, 0).unwrap(), b"alpha");
-        assert_eq!(cold.read_page(&mut vfs, 3).unwrap(), b"");
+        assert_eq!(cold.read_page(&mut vfs, 0).unwrap(), b"alpha");
         assert_eq!(cold.stats().pages_read, 2);
-        assert_eq!(cold.stats().cache_misses, 2);
-    }
-
-    #[test]
-    fn lru_evicts_oldest_unpinned() {
-        let mut vfs = MemVfs::new();
-        let mut pager = Pager::new("p", 2);
-        for page in 0..3 {
-            pager.write_page(&mut vfs, page, &[page as u8]).unwrap();
-        }
-        assert_eq!(pager.stats().evictions, 1); // page 0 evicted
-        let mut reads = Pager::new("p", 2);
-        reads.pin(0);
-        reads.read_page(&mut vfs, 0).unwrap();
-        reads.read_page(&mut vfs, 1).unwrap();
-        reads.read_page(&mut vfs, 2).unwrap(); // would evict 0, but it's pinned
-        assert_eq!(reads.read_page(&mut vfs, 0).unwrap(), &[0]);
-        assert_eq!(
-            reads.stats().pages_read,
-            3,
-            "pinned page 0 never left the cache"
-        );
-        reads.unpin(0);
-        reads.read_page(&mut vfs, 1).unwrap(); // 0 is now the LRU victim
-        reads.read_page(&mut vfs, 2).unwrap();
-        reads.read_page(&mut vfs, 0).unwrap();
-        assert!(reads.stats().pages_read > 3, "unpinned page was evicted");
     }
 
     #[test]
     fn every_flipped_bit_is_detected() {
         let mut vfs = MemVfs::new();
-        let mut pager = Pager::new("p", 4);
+        let mut pager = Pager::new("p");
         pager.write_page(&mut vfs, 1, b"payload-bytes").unwrap();
         let page_start = PAGE_SIZE as u64;
         for offset in [0u64, 4, 8, 16, 20, PAGE_SIZE as u64 - 1] {
             let mut vfs2 = MemVfs::new();
-            let mut w = Pager::new("p", 4);
+            let mut w = Pager::new("p");
             w.write_page(&mut vfs2, 1, b"payload-bytes").unwrap();
             vfs2.corrupt_byte("p", page_start + offset, 0x40);
-            let mut r = Pager::new("p", 4);
+            let mut r = Pager::new("p");
             assert!(
                 matches!(r.read_page(&mut vfs2, 1), Err(StorageError::Corrupt(_))),
                 "flip at page offset {offset} must be detected"
             );
         }
         // The intact copy still reads fine.
-        let mut r = Pager::new("p", 4);
+        let mut r = Pager::new("p");
         assert_eq!(r.read_page(&mut vfs, 1).unwrap(), b"payload-bytes");
     }
 
     #[test]
     fn wrong_slot_and_short_pages_fail_closed() {
         let mut vfs = MemVfs::new();
-        let mut pager = Pager::new("p", 4);
+        let mut pager = Pager::new("p");
         pager.write_page(&mut vfs, 0, b"zero").unwrap();
         // A valid page 0 image copied into slot 2 fails the echo check.
         let mut image = vec![0u8; PAGE_SIZE];
         vfs.read_at("p", 0, &mut image).unwrap();
         vfs.write_at("p", 2 * PAGE_SIZE as u64, &image).unwrap();
-        let mut r = Pager::new("p", 4);
+        let mut r = Pager::new("p");
         assert!(matches!(
             r.read_page(&mut vfs, 2),
             Err(StorageError::Corrupt(_))

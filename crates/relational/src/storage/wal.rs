@@ -33,17 +33,6 @@ const FRAME_HEADER: usize = 21;
 /// pager's crash granularity).
 const MAX_FRAME_PAYLOAD: usize = PAGE_PAYLOAD;
 
-/// Deterministic WAL counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WalStats {
-    /// Frames appended (data + commit).
-    pub frames_written: u64,
-    /// Transactions committed through this handle.
-    pub txns_committed: u64,
-    /// Payload + header bytes appended.
-    pub bytes_written: u64,
-}
-
 /// One committed transaction as replay returns it: `(txn id, payload)`.
 pub type ReplayedTxn = (u64, Vec<u8>);
 
@@ -52,7 +41,6 @@ pub type ReplayedTxn = (u64, Vec<u8>);
 pub struct Wal {
     file: String,
     end: u64,
-    stats: WalStats,
 }
 
 fn encode_frame(kind: u8, txn: u64, payload: &[u8]) -> Vec<u8> {
@@ -79,18 +67,12 @@ impl Wal {
         Self {
             file: file.into(),
             end: 0,
-            stats: WalStats::default(),
         }
     }
 
     /// The log file name.
     pub fn file(&self) -> &str {
         &self.file
-    }
-
-    /// The counters.
-    pub fn stats(&self) -> WalStats {
-        self.stats
     }
 
     /// Current valid length of the log in bytes.
@@ -124,7 +106,6 @@ impl Wal {
         vfs.sync(&self.file)?;
         self.append_frame(vfs, FRAME_COMMIT, txn, &[])?;
         vfs.sync(&self.file)?;
-        self.stats.txns_committed += 1;
         Ok(())
     }
 
@@ -138,8 +119,6 @@ impl Wal {
         let frame = encode_frame(kind, txn, payload);
         vfs.write_at(&self.file, self.end, &frame)?;
         self.end += frame.len() as u64;
-        self.stats.frames_written += 1;
-        self.stats.bytes_written += frame.len() as u64;
         Ok(())
     }
 
@@ -254,7 +233,6 @@ impl Wal {
             Self {
                 file,
                 end: valid_end,
-                stats: WalStats::default(),
             },
             committed,
         ))
@@ -278,7 +256,6 @@ mod tests {
         wal.append_txn(&mut vfs, 1, b"first").unwrap();
         wal.append_txn(&mut vfs, 2, &big).unwrap();
         wal.append_txn(&mut vfs, 3, &[]).unwrap();
-        assert_eq!(wal.stats().txns_committed, 3);
         let (reopened, txns) = Wal::open_replay(&mut vfs, "w").unwrap();
         assert_eq!(txns.len(), 3);
         assert_eq!(txns[0], (1, b"first".to_vec()));

@@ -1,12 +1,11 @@
 //! Database tuples.
 
 use crate::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
 /// A database tuple: a fixed-arity vector of constants.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(pub Vec<Value>);
 
 impl Tuple {

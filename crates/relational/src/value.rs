@@ -1,6 +1,5 @@
 //! Constants of the database domain.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,37 +89,6 @@ impl From<i64> for Value {
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
         Value::str(s)
-    }
-}
-
-impl Serialize for Value {
-    fn serialize<S: serde::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
-        match self {
-            Value::Int(i) => ser.serialize_i64(*i),
-            Value::Str(s) => ser.serialize_str(s),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for Value {
-    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
-        struct V;
-        impl serde::de::Visitor<'_> for V {
-            type Value = Value;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("an integer or a string")
-            }
-            fn visit_i64<E>(self, v: i64) -> Result<Value, E> {
-                Ok(Value::Int(v))
-            }
-            fn visit_u64<E: serde::de::Error>(self, v: u64) -> Result<Value, E> {
-                i64::try_from(v).map(Value::Int).map_err(E::custom)
-            }
-            fn visit_str<E>(self, v: &str) -> Result<Value, E> {
-                Ok(Value::str(v))
-            }
-        }
-        de.deserialize_any(V)
     }
 }
 

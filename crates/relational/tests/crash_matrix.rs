@@ -28,7 +28,6 @@ const BASE: &str = "crash";
 
 fn opts() -> DurableOptions {
     DurableOptions {
-        cache_pages: 4,
         checkpoint_every: 0,
     }
 }

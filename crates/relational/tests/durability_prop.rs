@@ -27,7 +27,6 @@ const BASE: &str = "prop";
 
 fn opts() -> DurableOptions {
     DurableOptions {
-        cache_pages: 4,
         checkpoint_every: 0,
     }
 }

@@ -15,7 +15,7 @@
 //!   atom of `Q1` at least once (witness *sets* must match; repeats are
 //!   invisible).
 
-use provabs_relational::{Cq, Term, Value, VarId};
+use provabs_relational::{Cq, Term, VarId};
 use provabs_semiring::SemiringKind;
 use std::collections::HashMap;
 
@@ -153,11 +153,6 @@ pub fn equivalent(q1: &Cq, q2: &Cq, mode: ContainmentMode) -> bool {
 /// Whether `sub ⊊_K sup`: contained but not equivalent.
 pub fn strictly_contained(sub: &Cq, sup: &Cq, mode: ContainmentMode) -> bool {
     contained_in(sub, sup, mode) && !contained_in(sup, sub, mode)
-}
-
-/// Value helper used by tests: a constant term.
-pub fn const_term(v: &str) -> Term {
-    Term::Const(Value::parse(v))
 }
 
 #[cfg(test)]

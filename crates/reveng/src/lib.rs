@@ -41,4 +41,4 @@ pub use canonical::{canonical_cq, canonical_form, canonical_key};
 pub use cim::{cim_queries, minimal_queries};
 pub use containment::{contained_in, equivalent, strictly_contained, ContainmentMode};
 pub use enumerate::enumerate_consistent_queries;
-pub use most_specific::{find_consistent_queries, Frontier, RevOptions};
+pub use most_specific::{find_consistent_queries, Frontier, RevOptions, MAX_EXPANSION_EXTRA};

@@ -7,6 +7,11 @@ use provabs_semiring::SemiringKind;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
+/// For the exponent-dropping semirings: how many extra units of degree
+/// beyond the support size [`find_consistent_queries`] tries when
+/// expanding rows (`Table 4`, red cell).
+pub const MAX_EXPANSION_EXTRA: usize = 1;
+
 /// Options for [`find_consistent_queries`].
 #[derive(Debug, Clone)]
 pub struct RevOptions {
@@ -18,9 +23,6 @@ pub struct RevOptions {
     /// alignments factorial). When hit, the frontier is truncated — counts
     /// derived from it become lower bounds.
     pub max_alignments: usize,
-    /// For the exponent-dropping semirings: how many extra units of degree
-    /// beyond the support size to try when expanding (`Table 4`, red cell).
-    pub max_expansion_extra: u32,
     /// Keep only connected queries.
     pub connected_only: bool,
 }
@@ -30,7 +32,6 @@ impl Default for RevOptions {
         Self {
             semiring: SemiringKind::NX,
             max_alignments: 100_000,
-            max_expansion_extra: 1,
             connected_only: false,
         }
     }
@@ -125,7 +126,7 @@ pub fn find_consistent_queries(rows: &[ConcreteRow<'_>], opts: &RevOptions) -> F
             .map(|r| r.occurrences.len())
             .max()
             .unwrap_or(0);
-        for extra in 0..=opts.max_expansion_extra as usize {
+        for extra in 0..=MAX_EXPANSION_EXTRA {
             let d = min_degree + extra;
             // Cartesian product of per-row degree-d expansions.
             let per_row: Vec<Vec<ConcreteRow<'_>>> =
@@ -584,7 +585,6 @@ mod tests {
         let rows = rows_for(&db, &[("1", &["t1"]), ("2", &["t2"])]);
         let opts = RevOptions {
             semiring: provabs_semiring::SemiringKind::Why,
-            max_expansion_extra: 1,
             ..Default::default()
         };
         let qs = find_consistent_queries(&rows, &opts).into_cqs();

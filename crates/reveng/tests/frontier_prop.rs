@@ -13,7 +13,9 @@
 
 use proptest::prelude::*;
 use provabs_relational::{Atom, ConcreteRow, Cq, Database, RelId, Term, Tuple, Value, VarId};
-use provabs_reveng::{canonical_form, find_consistent_queries, Frontier, RevOptions};
+use provabs_reveng::{
+    canonical_form, find_consistent_queries, Frontier, RevOptions, MAX_EXPANSION_EXTRA,
+};
 use provabs_semiring::{AnnotId, SemiringKind};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -60,7 +62,7 @@ mod oracle {
                 .map(|r| r.occurrences.len())
                 .max()
                 .unwrap_or(0);
-            for extra in 0..=opts.max_expansion_extra as usize {
+            for extra in 0..=MAX_EXPANSION_EXTRA {
                 let d = min_degree + extra;
                 let per_row: Vec<Vec<Row>> = supports.iter().map(|r| expansions(r, d)).collect();
                 if per_row.iter().any(Vec::is_empty) {
@@ -401,7 +403,6 @@ proptest! {
             semiring: SEMIRINGS[semiring],
             // Cap 0 stands for an uncapped enumeration.
             max_alignments: if cap == 0 { 100_000 } else { cap },
-            max_expansion_extra: 1,
             connected_only,
         };
         let rows: Vec<ConcreteRow<'_>> = example

@@ -1,6 +1,5 @@
 //! Interned tuple annotations.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -9,7 +8,7 @@ use std::fmt;
 /// Annotations are the provenance "variables" of the paper (e.g. `p1`, `h1`,
 /// `i1` in the running example). They are interned through an
 /// [`AnnotRegistry`], so comparisons and hashing are integer operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AnnotId(pub u32);
 
 impl AnnotId {

@@ -1,14 +1,13 @@
 //! Monomials: products of annotations with exponents.
 
 use crate::{AnnotId, AnnotRegistry};
-use serde::{Deserialize, Serialize};
 
 /// A monomial over annotations: a product `x1^e1 * ... * xn^en`.
 ///
 /// Stored as a sorted vector of `(annotation, exponent)` pairs with strictly
 /// increasing annotations and strictly positive exponents, so structural
 /// equality coincides with algebraic equality.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Monomial {
     factors: Vec<(AnnotId, u32)>,
 }

@@ -1,7 +1,6 @@
 //! `N[X]` provenance polynomials.
 
 use crate::{AnnotId, AnnotRegistry, Monomial, SemiringKind};
-use serde::{Deserialize, Serialize};
 
 /// A provenance polynomial in `N[X]`: a finite sum of monomials with
 /// positive integer coefficients.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// equality is algebraic equality. `N[X]` is the most informative semiring of
 /// the provenance hierarchy; all coarser semirings are obtained by
 /// [`Polynomial::coarsen`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Polynomial {
     terms: Vec<(Monomial, u64)>,
 }

@@ -8,11 +8,10 @@
 //! leave the value part intact.
 
 use crate::{AnnotId, AnnotRegistry, Monomial};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An aggregate operation (the monoid the tensors are summed with).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggOp {
     /// Maximum.
     Max,
@@ -57,7 +56,7 @@ impl fmt::Display for AggOp {
 }
 
 /// A single tensor `monomial ⊗ value`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TensorTerm {
     /// The provenance monomial (annotation part). Abstraction functions
     /// rewrite this component.
@@ -70,7 +69,7 @@ pub struct TensorTerm {
 ///
 /// E.g. `(p1*h1*i1) ⊗ 27 +MAX (p2*h2*i2) ⊗ 31` for the MAX-age variant of
 /// the running example.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggValue {
     /// The aggregation monoid.
     pub op: AggOp,

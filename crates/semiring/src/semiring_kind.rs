@@ -1,6 +1,5 @@
 //! The provenance-semiring hierarchy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The semirings (and semiring families) of the provenance hierarchy used by
@@ -9,7 +8,7 @@ use std::fmt;
 /// `N[X]` (provenance polynomials) sits at the top; every other member is a
 /// surjective semiring homomorphism image of it, computed by
 /// [`Polynomial::coarsen`](crate::Polynomial::coarsen).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SemiringKind {
     /// `N[X]` — polynomials with coefficients and exponents.
     NX,
