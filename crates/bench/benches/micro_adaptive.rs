@@ -1,5 +1,5 @@
-//! Adaptive-execution microbenchmark: mid-join re-planning with sideways
-//! statistics versus the static cost-based plan, plus the epoch-keyed
+//! Adaptive-execution microbenchmark on the scalar engine: abort-and-restart
+//! re-planning versus the static cost-based plan, plus the epoch-keyed
 //! plan cache's hit path versus cold planning.
 //!
 //! Two axes mirror the `BENCH_9.json` perf-gate scenarios:

@@ -1,5 +1,5 @@
-//! The adaptive-execution axis: deterministic mid-join re-planning with
-//! sideways statistics versus the static cost-based plan, plus the
+//! The adaptive-execution axis: deterministic abort-and-restart
+//! re-planning versus the static cost-based plan, plus the
 //! epoch-keyed plan cache under a closed-loop service workload (the
 //! `micro_adaptive` bench and the `BENCH_9.json` CI perf gate both drive
 //! this).
@@ -11,7 +11,7 @@
 //!   distinct counts) points at the join order that explodes, because the
 //!   cheap-looking atoms owe their selectivity to cold keys the driving
 //!   scan never produces. The *same* query is evaluated twice on the
-//!   scalar engine — once statically planned, once with the adaptive
+//!   default block engine — once statically planned, once with the adaptive
 //!   trigger armed ([`Evaluator::adaptive`]) — and both outputs must be
 //!   bit-for-bit equal to each other *and* to the naive decoded-scan
 //!   oracle ([`provabs_relational::oracle`]). The compared counter is

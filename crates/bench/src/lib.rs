@@ -3,7 +3,7 @@
 //! One runner per figure/table; the `figures` binary drives them and prints
 //! the series each figure plots (plus CSV files under `results/`). Absolute
 //! numbers differ from the paper (Rust vs Java 13, synthetic vs raw
-//! datasets, laptop-scale sizes — see DESIGN.md §4); the reproduced claims
+//! datasets, laptop-scale sizes); the reproduced claims
 //! are the *shapes*: who wins, what grows, where the crossovers sit.
 
 #![forbid(unsafe_code)]

@@ -25,9 +25,7 @@
 //! Determinism notes: shard routing is unkeyed (see
 //! `provabs_relational::sharded`), every scenario touches a single
 //! annotation / relation so no `HashSet` iteration order leaks into lock
-//! sequences, and
-//! the explorer configs are pinned here — the `PROVABS_SCHED_BUDGET` env
-//! knob deepens the *test-suite* sweeps, never the gate's.
+//! sequences, and the explorer configs are pinned here.
 
 use crate::report::GateEntry;
 use provabs_core::privacy::PrivacyCache;
@@ -40,7 +38,6 @@ use provabsd::{Provabsd, ServiceConfig, ServiceError};
 use sched::sync::atomic::{AtomicU64, Ordering};
 use sched::sync::{Arc, Mutex};
 use sched::Config;
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// Shape of one schedule-enumeration sweep suite.
@@ -64,8 +61,7 @@ impl Default for SchedSettings {
 }
 
 impl SchedSettings {
-    /// The fixed configuration the CI gate replays (`BENCH_10.json`).
-    /// Deliberately *not* influenced by `PROVABS_SCHED_BUDGET`: gate
+    /// The fixed configuration the CI gate replays (`BENCH_10.json`): gate
     /// counters must be a pure function of the code under test.
     pub fn ci_gate() -> Self {
         Self::default()
@@ -133,11 +129,11 @@ fn plan_cache_body(fence_first: bool) {
     let wdb = db.clone();
     let w = sched::thread::spawn(move || {
         if fence_first {
-            reg_w.plan_cache().invalidate_at(&[s_rel], 1);
+            reg_w.plan_cache().invalidate_at([s_rel], 1);
             writer.publish(&wdb);
         } else {
             writer.publish(&wdb);
-            reg_w.plan_cache().invalidate_at(&[s_rel], 1);
+            reg_w.plan_cache().invalidate_at([s_rel], 1);
         }
     });
     let session = registry.pin();
@@ -187,9 +183,8 @@ fn privacy_unfenced_body() {
     let published = Arc::new(AtomicU64::labeled("privacy.epoch", 0));
     let (c2, p2) = (Arc::clone(&cache), Arc::clone(&published));
     let writer = sched::thread::spawn(move || {
-        let touched = HashSet::from([annot]);
         p2.store(1, Ordering::SeqCst);
-        c2.invalidate_at(&touched, 1);
+        c2.invalidate_at([annot], 1);
     });
     let epoch = published.load(Ordering::SeqCst);
     let truth = epoch >= 1;

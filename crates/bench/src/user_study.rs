@@ -4,7 +4,7 @@
 //! IMDB-Q3-style provenance: (1) infer the hidden query, (2) answer 10
 //! hypothetical deletion questions. Humans are unavailable to this
 //! reproduction, so both tasks are mechanized with the strongest strategy a
-//! rational subject could apply (DESIGN.md §4):
+//! rational subject could apply:
 //!
 //! * **Identification** — a subject holding provenance reverse-engineers the
 //!   CIM queries; the query is *identified* iff exactly one CIM query exists

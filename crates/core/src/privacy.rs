@@ -16,6 +16,7 @@ use provabs_relational::{ConcreteRow, Cq, EpochMap, ShardedMap, Tuple, Ucq};
 use provabs_reveng::ucq::{cim_ucqs, find_consistent_ucqs, UcqOptions};
 use provabs_reveng::{cim_queries, find_consistent_queries, ContainmentMode, Frontier, RevOptions};
 use provabs_semiring::{AnnotId, SemiringKind};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -221,8 +222,13 @@ impl PrivacyCache {
     /// [`AppliedDelta`](provabs_relational::AppliedDelta)'s deleted and
     /// inserted tuples). Readers pinned earlier ([`PrivacyConfig::epoch`])
     /// keep hitting them; nothing is evicted.
-    pub fn invalidate_at(&self, touched: &HashSet<AnnotId>, epoch: u64) {
-        self.consistent.retire(touched.iter().copied(), epoch);
+    pub fn invalidate_at(
+        &self,
+        touched: impl IntoIterator<Item = impl Borrow<AnnotId>>,
+        epoch: u64,
+    ) {
+        self.consistent
+            .retire(touched.into_iter().map(|a| *a.borrow()), epoch);
     }
 
     /// The frontier cached for the concrete rows `conc` (output tuple and
@@ -736,14 +742,12 @@ mod tests {
         assert!(populated > 0);
         // A delta touching nothing the example concretizes to is a no-op:
         // a reader at the fenced epoch still hits everything.
-        let ghost = HashSet::from([provabs_semiring::AnnotId(u32::MAX)]);
-        cache.invalidate_at(&ghost, 1);
+        cache.invalidate_at([provabs_semiring::AnnotId(u32::MAX)], 1);
         let ghosted = compute_privacy(&b, &rows, &at_epoch(1), &cache);
         assert_eq!(ghosted.stats.consistency_cache_misses, 0);
         // Touching h1 retires every concretization that resolves through
         // it, but the cache stays usable and keeps every version.
-        let h1 = HashSet::from([fx.db.annotations().get("h1").unwrap()]);
-        cache.invalidate_at(&h1, 2);
+        cache.invalidate_at([fx.db.annotations().get("h1").unwrap()], 2);
         let again = compute_privacy(&b, &rows, &at_epoch(2), &cache);
         assert_eq!(again.privacy, first.privacy);
         assert!(again.stats.consistency_cache_misses > 0);
@@ -765,7 +769,7 @@ mod tests {
         let cells = two_row_cells(&b, &rows);
         assert_eq!(cells.len(), cache.len(), "every pair is cached");
         let h2 = fx.db.annotations().get("h2").unwrap();
-        cache.invalidate_at(&HashSet::from([h2]), 1);
+        cache.invalidate_at([h2], 1);
         let touching = |c: &[(Tuple, Vec<AnnotId>)]| c.iter().any(|(_, o)| o.contains(&h2));
         let retired = cells.iter().filter(|c| touching(c)).count();
         assert!(retired > 0, "h2 appears in concretizations");
@@ -800,8 +804,7 @@ mod tests {
         let populated = cache.len();
         assert!(populated > 0);
         // A delta touching h2 commits as epoch 1.
-        let h2 = HashSet::from([fx.db.annotations().get("h2").unwrap()]);
-        cache.invalidate_at(&h2, 1);
+        cache.invalidate_at([fx.db.annotations().get("h2").unwrap()], 1);
         // Nothing is evicted — entries are retired per epoch, not dropped.
         assert_eq!(cache.len(), populated);
         // The pinned epoch-0 reader still hits everything.
@@ -843,7 +846,7 @@ mod tests {
         let rows = abs.apply(&b).rows;
         let cache = PrivacyCache::new();
         let h1 = fx.db.annotations().get("h1").unwrap();
-        cache.invalidate_at(&HashSet::from([h1]), 1);
+        cache.invalidate_at([h1], 1);
         let e0 = compute_privacy(&b, &rows, &at_epoch(0), &cache);
         let through_h1 = two_row_cells(&b, &rows)
             .iter()
@@ -1054,8 +1057,7 @@ mod tests {
             let (c2, p2) = (Arc::clone(&cache), Arc::clone(&published));
             let writer = sched::thread::spawn(move || {
                 // Fence first, publish second — the invariant under test.
-                let touched = std::collections::HashSet::from([annot]);
-                c2.invalidate_at(&touched, 1);
+                c2.invalidate_at([annot], 1);
                 p2.store(1, SchedOrdering::SeqCst);
             });
             let epoch = published.load(SchedOrdering::SeqCst);
@@ -1097,8 +1099,7 @@ mod tests {
             let published = Arc::new(SchedU64::labeled("privacy.epoch", 0));
             let (c2, p2) = (Arc::clone(&cache), Arc::clone(&published));
             let writer = sched::thread::spawn(move || {
-                let touched = HashSet::from([annot]);
-                c2.invalidate_at(&touched, 1);
+                c2.invalidate_at([annot], 1);
                 p2.store(1, SchedOrdering::SeqCst);
             });
             let epoch = published.load(SchedOrdering::SeqCst);
@@ -1136,9 +1137,8 @@ mod tests {
             let (c2, p2) = (Arc::clone(&cache), Arc::clone(&published));
             let writer = sched::thread::spawn(move || {
                 // MUTANT: publish first, fence second.
-                let touched = std::collections::HashSet::from([annot]);
                 p2.store(1, SchedOrdering::SeqCst);
-                c2.invalidate_at(&touched, 1);
+                c2.invalidate_at([annot], 1);
             });
             let epoch = published.load(SchedOrdering::SeqCst);
             let truth = epoch >= 1;

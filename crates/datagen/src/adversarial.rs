@@ -91,9 +91,7 @@ pub fn adversarial_workloads(db: &Database, workloads: &[Workload]) -> Vec<Workl
 /// cardinalities reveal the cheap one.
 #[derive(Debug, Clone)]
 pub struct CorrelatedSkewConfig {
-    /// Hot keys in `Anchor` (the driving scan). Keep ≤ 64 so the adaptive
-    /// engine's sideways distinct-set (capped at 64 values per variable)
-    /// never overflows back to planted statistics.
+    /// Hot keys in `Anchor` (the driving scan).
     pub anchor_keys: usize,
     /// `Bloat` rows per anchor key — the mis-estimated fan-out that trips
     /// the re-plan trigger at depth 1.
@@ -151,9 +149,10 @@ impl Default for CorrelatedSkewConfig {
 /// singleton keys `Anchor` never produces — on anchor keys it fans out
 /// [`wide_per_key`](CorrelatedSkewConfig::wide_per_key)×, while `Narrow`
 /// is almost empty there. `Bloat` has the same camouflage, so its real
-/// fan-out trips the adaptive re-plan trigger at depth 1; the suffix
-/// re-plan then consults sideways-observed postings for the anchor keys
-/// actually seen and flips `Narrow` ahead of `Wide`, collapsing the work.
+/// fan-out trips the adaptive trigger at depth 1; the restart floors
+/// `Bloat`'s estimate at its observed cardinality, `Wide` then trips the
+/// trigger in turn, and the final attempt runs `Narrow` ahead of both,
+/// collapsing the work.
 ///
 /// Deterministic for a fixed config (the RNG only picks narrow-hit keys).
 pub fn correlated_skew(cfg: &CorrelatedSkewConfig) -> (Database, Workload) {
@@ -229,7 +228,7 @@ pub fn correlated_skew(cfg: &CorrelatedSkewConfig) -> (Database, Workload) {
 mod tests {
     use super::*;
     use crate::tpch::{generate, tpch_queries, TpchConfig};
-    use provabs_relational::{plan_cq, Evaluator, KRelation, PlanMode};
+    use provabs_relational::{plan_cq, Evaluator, Execution, KRelation, PlanMode};
 
     fn eval_cq(db: &Database, q: &Cq) -> KRelation {
         Evaluator::new(db).eval_cq(q).0
@@ -291,23 +290,26 @@ mod tests {
     #[test]
     fn correlated_skew_rewards_adaptivity() {
         let (db, w) = correlated_skew(&CorrelatedSkewConfig::default());
-        let (static_rows, static_work) = Evaluator::new(&db).eval_cq(&w.query);
-        let (adaptive_rows, adaptive_work) = Evaluator::new(&db).adaptive(2.0).eval_cq(&w.query);
-        assert_eq!(
-            adaptive_rows, static_rows,
-            "adaptivity must not change answers"
-        );
-        assert!(
-            !static_rows.is_empty(),
-            "narrow hits keep the output non-empty"
-        );
-        assert!(adaptive_work.replan.replans_triggered >= 1);
-        assert!(
-            adaptive_work.rows_examined * 2 <= static_work.rows_examined,
-            "adaptive {} vs static {} rows examined",
-            adaptive_work.rows_examined,
-            static_work.rows_examined
-        );
+        for exec in [Execution::Scalar, Execution::default()] {
+            let eval = || Evaluator::new(&db).execution(exec);
+            let (static_rows, static_work) = eval().eval_cq(&w.query);
+            let (adaptive_rows, adaptive_work) = eval().adaptive(2.0).eval_cq(&w.query);
+            assert_eq!(
+                adaptive_rows, static_rows,
+                "{exec:?}: adaptivity must not change answers"
+            );
+            assert!(
+                !static_rows.is_empty(),
+                "narrow hits keep the output non-empty"
+            );
+            assert!(adaptive_work.replan.replans_triggered >= 1, "{exec:?}");
+            assert!(
+                adaptive_work.rows_examined * 2 <= static_work.rows_examined,
+                "{exec:?}: adaptive {} vs static {} rows examined",
+                adaptive_work.rows_examined,
+                static_work.rows_examined
+            );
+        }
     }
 
     #[test]

@@ -84,8 +84,6 @@ use provabs_relational::{
 };
 use provabs_sched::sync::atomic::{AtomicU64, Ordering};
 use provabs_sched::sync::Mutex as SchedMutex;
-use provabs_semiring::AnnotId;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -594,8 +592,7 @@ impl Provabsd {
                     // published: no session may pin `next` and still hit
                     // a frontier or a plan computed before this delta.
                     let next = self.inner.registry.epoch() + 1;
-                    let touched: HashSet<AnnotId> = applied.touched().collect();
-                    self.inner.cache.invalidate_at(&touched, next);
+                    self.inner.cache.invalidate_at(applied.touched(), next);
                     self.inner
                         .registry
                         .plan_cache()

@@ -20,8 +20,8 @@
 use crate::exec::Execution;
 use crate::interned::IKRelation;
 use crate::plan::{
-    cumulative_estimates, plan_cq_anchored, plan_cq_with_costs, replan_suffix, Adaptive, AtomCost,
-    PlanMode, PlanTrace, PlanWork, QueryPlan, ReplanWork, Sideways,
+    cumulative_estimates, plan_cq_anchored, Adaptive, AtomCost, PlanMode, PlanTrace, PlanWork,
+    QueryPlan, ReplanWork,
 };
 use crate::vintern::{ValueId, ID_WIDTH, VALUE_MOVE_WIDTH};
 use crate::{Cq, Database, Term, Tuple, VarId};
@@ -266,10 +266,11 @@ pub(crate) fn run_engine(
     adaptive: Option<Adaptive>,
     plan_override: Option<&QueryPlan>,
 ) -> (IKRelation, EvalWork, PlanTrace) {
+    let pivot = restrict.as_ref().map(|r| r.pivot);
     let empty_trace = || PlanTrace {
         plan: QueryPlan {
             mode,
-            pivoted: restrict.as_ref().map(|r| r.pivot),
+            pivoted: pivot,
             steps: Vec::new(),
         },
         actual_rows: Vec::new(),
@@ -318,131 +319,105 @@ pub(crate) fn run_engine(
     // and the cold path record identical counters.
     let plan = match plan_override {
         Some(p) => p.clone(),
-        None => plan_cq_with_costs(db, q, &costs, mode, restrict.as_ref().map(|r| r.pivot)),
+        None => plan_cq_anchored(db, q, &costs, mode, pivot, &BTreeMap::new()),
     };
-    let order = plan.atom_order();
     let mut work = EvalWork::default();
     work.plan.record(&plan);
-    let (mut work, actual_rows) = match exec {
-        Execution::Scalar => {
-            let thresholds = match adaptive {
-                Some(ad) => cumulative_estimates(&plan.steps, 1)
-                    .iter()
-                    .map(|&c| ad.threshold(c))
-                    .collect(),
-                None => vec![u64::MAX; order.len()],
-            };
-            let mut engine = Engine {
+    // One adaptive loop for both engines. Each attempt runs the current
+    // plan; a mis-estimate aborts it deterministically and the whole query
+    // restarts under a re-anchored plan: the exploded step's atom keeps
+    // its observed cardinality as an estimate floor, deferring it behind
+    // atoms still believed cheap. Work counters accumulate across attempts
+    // (aborted work was really done); the accumulator and derivation
+    // counts reset. Without adaptivity the first attempt is the only one.
+    let n = plan.steps.len();
+    let mut restarted: Option<QueryPlan> = None;
+    let mut anchors: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut attempts = 0usize;
+    let mut watchdog = adaptive;
+    let actual_rows = loop {
+        let current = restarted.as_ref().unwrap_or(&plan);
+        let mut depth_rows = vec![0u64; n];
+        let thresholds: Option<Vec<u64>> = watchdog.map(|ad| {
+            cumulative_estimates(&current.steps)
+                .iter()
+                .map(|&c| ad.threshold(c))
+                .collect()
+        });
+        acc.clear();
+        let (derivations, aborted) = match exec {
+            Execution::Scalar => {
+                let mut engine = Engine {
+                    db,
+                    q,
+                    compiled: &compiled,
+                    head_vars: &head_vars,
+                    limits,
+                    derivations: 0,
+                    work: &mut work,
+                    depth_rows: &mut depth_rows,
+                    out: &mut acc,
+                    store: &mut *store,
+                    order: current.atom_order(),
+                    restrict: restrict.as_ref(),
+                    key_buf: Vec::new(),
+                    thresholds: thresholds.as_deref(),
+                    aborted: None,
+                };
+                engine.solve(0, &mut HashMap::new(), &mut Vec::with_capacity(n));
+                (engine.derivations as u64, engine.aborted)
+            }
+            Execution::Block { block_size } => crate::exec::run_block(
                 db,
                 q,
-                compiled,
-                head_vars,
+                &compiled,
+                &head_vars,
                 limits,
-                derivations: 0,
-                work,
-                depth_rows: vec![0; order.len()],
-                out: &mut acc,
+                restrict.as_ref(),
+                current,
                 store,
-                order,
-                restrict,
-                key_buf: Vec::new(),
-                costs: &costs,
-                adaptive,
-                thresholds,
-                replanned: vec![false; plan.steps.len()],
-                sideways: Sideways::default(),
-            };
-            let mut bindings: HashMap<VarId, ValueId> = HashMap::new();
-            let mut image: Vec<provabs_semiring::AnnotId> = Vec::with_capacity(q.body.len());
-            engine.solve(0, &mut bindings, &mut image);
-            let actual_rows = std::mem::take(&mut engine.depth_rows);
-            let mut work = engine.work;
-            work.derivations = engine.derivations as u64;
-            (work, actual_rows)
-        }
-        Execution::Block { block_size } => {
-            // The block pipeline compiles its operator tree per plan, so a
-            // mis-estimate aborts the attempt deterministically and the
-            // whole query restarts under a re-anchored plan: the exploded
-            // step's atom keeps its observed cardinality as an estimate
-            // floor, deferring it behind atoms still believed cheap. Work
-            // counters accumulate across attempts (aborted work was really
-            // done); the accumulator and derivation counts reset.
-            let n = plan.steps.len();
-            let mut attempt_plan = plan.clone();
-            let mut anchors: BTreeMap<usize, u64> = BTreeMap::new();
-            let mut attempts = 0usize;
-            let mut watchdog = adaptive;
-            let depth_rows = loop {
-                let mut depth_rows = vec![0u64; n];
-                let thresholds: Option<Vec<u64>> = watchdog.map(|ad| {
-                    cumulative_estimates(&attempt_plan.steps, 1)
-                        .iter()
-                        .map(|&c| ad.threshold(c))
-                        .collect()
-                });
-                acc.clear();
-                let (derivations, aborted) = crate::exec::run_block(
-                    db,
-                    q,
-                    &compiled,
-                    &head_vars,
-                    limits,
-                    restrict.as_ref(),
-                    &attempt_plan,
-                    store,
-                    &mut acc,
-                    &mut work,
-                    &mut depth_rows,
-                    block_size,
-                    thresholds.as_deref(),
-                );
-                let Some(depth) = aborted else {
-                    work.derivations = derivations;
-                    break depth_rows;
-                };
-                attempts += 1;
-                work.replan.replans_triggered += 1;
-                let observed = depth_rows[depth];
-                let cums = cumulative_estimates(&attempt_plan.steps, 1);
-                let err = observed / cums[depth].max(1);
-                work.replan.est_error_max = work.replan.est_error_max.max(err);
-                let atom = attempt_plan.steps[depth].atom;
-                let floor = anchors.get(&atom).copied().unwrap_or(0).max(observed);
-                anchors.insert(atom, floor);
-                let next = plan_cq_anchored(
-                    db,
-                    q,
-                    &costs,
-                    mode,
-                    restrict.as_ref().map(|r| r.pivot),
-                    &anchors,
-                );
-                let moved = next
-                    .steps
-                    .iter()
-                    .zip(&attempt_plan.steps)
-                    .filter(|(a, b)| a.atom != b.atom)
-                    .count() as u64;
-                work.replan.steps_replanned += moved;
-                if moved == 0 || attempts > n {
-                    // Re-anchoring found no better order (or every atom
-                    // has aborted once): finish under the current plan
-                    // with the watchdog disarmed.
-                    watchdog = None;
-                } else {
-                    attempt_plan = next;
-                }
-            };
-            (work, depth_rows)
+                &mut acc,
+                &mut work,
+                &mut depth_rows,
+                block_size,
+                thresholds.as_deref(),
+            ),
+        };
+        let Some(depth) = aborted else {
+            work.derivations = derivations;
+            break depth_rows;
+        };
+        attempts += 1;
+        work.replan.replans_triggered += 1;
+        let observed = depth_rows[depth];
+        let err = observed / cumulative_estimates(&current.steps)[depth].max(1);
+        work.replan.est_error_max = work.replan.est_error_max.max(err);
+        let atom = current.steps[depth].atom;
+        let floor = anchors.get(&atom).copied().unwrap_or(0).max(observed);
+        anchors.insert(atom, floor);
+        let next = plan_cq_anchored(db, q, &costs, mode, pivot, &anchors);
+        let moved = next
+            .steps
+            .iter()
+            .zip(&current.steps)
+            .filter(|(a, b)| a.atom != b.atom)
+            .count() as u64;
+        work.replan.steps_replanned += moved;
+        if moved == 0 || attempts > n {
+            // Re-anchoring found no better order (or every atom has
+            // aborted once): finish under the current plan with the
+            // watchdog disarmed.
+            watchdog = None;
+        } else {
+            restarted = Some(next);
         }
     };
     if adaptive.is_some() {
         // Worst mis-estimate of the *initial* plan, whatever re-planning
-        // later did about it. Under block restarts the reported actuals
-        // are the final attempt's, so the abort loop above already folded
-        // the aborted attempts' errors in.
-        let cums = cumulative_estimates(&plan.steps, 1);
+        // later did about it. The reported actuals are the final
+        // attempt's, so the abort loop above already folded the aborted
+        // attempts' errors in.
+        let cums = cumulative_estimates(&plan.steps);
         for (d, &actual) in actual_rows.iter().enumerate() {
             let err = actual / cums[d].max(1);
             work.replan.est_error_max = work.replan.est_error_max.max(err);
@@ -507,90 +482,31 @@ struct Engine<'a> {
     db: &'a Database,
     q: &'a Cq,
     /// Per body atom (original order): the dictionary-compiled terms.
-    compiled: Vec<Vec<Slot>>,
+    compiled: &'a [Vec<Slot>],
     /// Head variables in head-position order (the accumulation key shape).
-    head_vars: Vec<VarId>,
+    head_vars: &'a [VarId],
     limits: EvalLimits,
     derivations: usize,
-    work: EvalWork,
+    work: &'a mut EvalWork,
     /// Candidate rows examined per plan depth (the per-step "actual" the
     /// trace reports next to the plan's estimates).
-    depth_rows: Vec<u64>,
+    depth_rows: &'a mut [u64],
     out: &'a mut Accum,
     store: &'a mut ProvStore,
     order: Vec<usize>,
-    restrict: Option<Restriction<'a>>,
+    restrict: Option<&'a Restriction<'a>>,
     /// Scratch for the output key: reused across derivations, cloned only
     /// when a new output first enters the accumulator.
     key_buf: Vec<ValueId>,
-    /// Compiled atom statistics, shared with the planner — suffix re-plans
-    /// re-estimate against these without re-probing the dictionary.
-    costs: &'a [AtomCost],
-    /// Mid-join re-planning configuration; `None` replays the static
-    /// engine bit for bit (the thresholds below are all `u64::MAX`).
-    adaptive: Option<Adaptive>,
-    /// Per-depth trigger thresholds: `k ×` the plan's cumulative estimate
-    /// at that depth, re-anchored whenever a re-plan rewrites the suffix.
-    thresholds: Vec<u64>,
-    /// Depths whose trigger already fired. A shallower re-plan re-arms the
-    /// deeper flags (their estimates are fresh), so re-plans per depth are
-    /// bounded by the depths above it — never unbounded.
-    replanned: Vec<bool>,
-    /// Sideways-exported observed bindings (adaptive runs only).
-    sideways: Sideways,
+    /// Per-depth adaptive abort thresholds, as in
+    /// [`crate::exec::run_block`] (`None` when adaptivity is off).
+    thresholds: Option<&'a [u64]>,
+    /// The depth whose threshold fired, when one did: the attempt's
+    /// outputs are partial and [`run_engine`] restarts.
+    aborted: Option<usize>,
 }
 
 impl Engine<'_> {
-    /// Deterministic mid-join suffix re-plan, fired by the row counter at
-    /// `depth` crossing its threshold. Safe exactly here: between candidate
-    /// rows at `depth`, no binding from a deeper frame is live, so the
-    /// atoms at `order[depth + 1..]` can be reordered freely — frames at or
-    /// above `depth` read their atom once on entry and re-read the order
-    /// only when they recurse, which always happens after this returns.
-    /// The new suffix re-anchors on the observed frontier cardinality
-    /// (`depth_rows[depth]`) and estimates with the sideways-observed
-    /// postings of every bound variable.
-    fn replan_at(&mut self, depth: usize) {
-        self.replanned[depth] = true;
-        self.work.replan.replans_triggered += 1;
-        let suffix_start = depth + 1;
-        if suffix_start >= self.order.len() {
-            return; // nothing left to reorder
-        }
-        let mut bound: std::collections::BTreeSet<VarId> = std::collections::BTreeSet::new();
-        for &a in &self.order[..suffix_start] {
-            bound.extend(self.q.body[a].variables());
-        }
-        let remaining: Vec<usize> = self.order[suffix_start..].to_vec();
-        let steps = replan_suffix(
-            self.db,
-            self.q,
-            self.costs,
-            &remaining,
-            &bound,
-            &self.sideways,
-        );
-        let moved = steps
-            .iter()
-            .zip(&remaining)
-            .filter(|(s, &old)| s.atom != old)
-            .count() as u64;
-        self.work.replan.steps_replanned += moved;
-        let Some(ad) = self.adaptive else {
-            unreachable!("replan_at only fires on adaptive runs");
-        };
-        let mut cum = self.depth_rows[depth].max(1);
-        for (i, step) in steps.iter().enumerate() {
-            let d = suffix_start + i;
-            self.order[d] = step.atom;
-            cum = cum.saturating_mul(step.est_rows.max(1));
-            self.thresholds[d] = ad.threshold(cum);
-            // Fresh estimates get a fresh trigger; re-plans per depth stay
-            // bounded because each firing needs a shallower one to re-arm.
-            self.replanned[d] = false;
-        }
-    }
-
     fn solve(
         &mut self,
         depth: usize,
@@ -646,7 +562,7 @@ impl Engine<'_> {
         // the pivot atom of a restricted evaluation the delta rows are a
         // candidate access path too.
         let mut candidates: Option<Cand<'_>> = None;
-        if let Some(r) = &self.restrict {
+        if let Some(r) = self.restrict {
             if orig == r.pivot {
                 candidates = Some(Cand::Owned(
                     r.pivot_rows.iter().map(|&r| r as u32).collect(),
@@ -691,18 +607,20 @@ impl Engine<'_> {
         let cols: Vec<&[ValueId]> = (0..atom.terms.len())
             .map(|col| db.column(atom.rel, col))
             .collect();
-        let mut keep_going = true;
         rows.for_each(|row| {
             let row = row as usize;
             self.work.rows_examined += 1;
             self.depth_rows[depth] += 1;
-            if self.adaptive.is_some()
-                && self.depth_rows[depth] > self.thresholds[depth]
-                && !self.replanned[depth]
+            if self
+                .thresholds
+                .is_some_and(|th| self.depth_rows[depth] > th[depth])
             {
-                self.replan_at(depth);
+                // Adaptive abort: stop the whole attempt so the caller
+                // re-plans and restarts.
+                self.aborted = Some(depth);
+                return false;
             }
-            if let Some(r) = &self.restrict {
+            if let Some(r) = self.restrict {
                 // Membership by original atom position: before the pivot
                 // only non-delta rows, at the pivot only delta rows.
                 let in_set = r.set.contains(&annots[row]);
@@ -738,9 +656,6 @@ impl Engine<'_> {
                             // cloned the full `Value` here.
                             self.work.moved_bytes_id += ID_WIDTH;
                             self.work.moved_bytes_value += VALUE_MOVE_WIDTH;
-                            if self.adaptive.is_some() {
-                                self.sideways.record(*v, cell);
-                            }
                             bindings.insert(*v, cell);
                             newly_bound.push(*v);
                         }
@@ -752,14 +667,13 @@ impl Engine<'_> {
             // intermediate tuple — every bound column plus the provenance
             // prefix — crosses to the next operator.
             self.work.boundary_bytes += ID_WIDTH * (bindings.len() + image.len()) as u64;
-            keep_going = self.solve(depth + 1, bindings, image);
+            let keep_going = self.solve(depth + 1, bindings, image);
             image.pop();
             for v in newly_bound {
                 bindings.remove(&v);
             }
             keep_going
-        });
-        keep_going
+        })
     }
 }
 

@@ -114,11 +114,12 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    /// Enables deterministic mid-join re-planning: when a step's actual
+    /// Enables deterministic adaptive re-planning: when a step's actual
     /// frontier exceeds its cumulative estimate by factor `k` (exact row
-    /// counters, never time), the remaining atoms are re-planned against
-    /// the observed cardinality and sideways bound-value statistics. `k`
-    /// is clamped to ≥ 1.0. [`EvalWork::replan`] reports what happened.
+    /// counters, never time), either engine aborts the attempt and the
+    /// query restarts under a re-plan that floors the exploded atom's
+    /// estimate at its observed cardinality. `k` is clamped to ≥ 1.0.
+    /// [`EvalWork::replan`] reports what happened.
     /// Off by default; with adaptivity off every counter replays the
     /// static baselines bit-for-bit.
     ///

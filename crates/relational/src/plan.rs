@@ -37,7 +37,7 @@
 //!   against.
 
 use crate::vintern::ValueId;
-use crate::{Cq, Database, RelId, Term, VarId};
+use crate::{Cq, Database, Term, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How the engine orders a query's body atoms.
@@ -160,23 +160,23 @@ impl PlanWork {
     }
 }
 
-/// Configuration of deterministic mid-join re-planning, enabled through
+/// Configuration of deterministic adaptive re-planning, enabled through
 /// [`Evaluator::adaptive`](crate::Evaluator::adaptive).
 ///
 /// The engine tracks, per plan depth, the cumulative candidate rows it has
 /// examined and compares them against the plan's *cumulative* estimate for
 /// that depth (the saturating product of per-visit estimates along the
-/// prefix, each clamped to at least 1). The first time a depth's actual
-/// exceeds `k ×` its cumulative estimate the planner re-runs over the
-/// remaining unbound atoms, anchored on the observed frontier cardinality
-/// and fed with sideways-observed posting statistics. The trigger reads
-/// exact row counters only — never wall-clock — so adaptive runs are as
-/// bit-for-bit deterministic as static ones.
+/// prefix, each clamped to at least 1). When a depth's actual exceeds `k ×`
+/// its cumulative estimate, either engine aborts the attempt and the whole
+/// query restarts under a re-plan that floors the exploded atom's estimate
+/// at its observed cardinality. The trigger reads exact row counters only —
+/// never wall-clock — so adaptive runs are as bit-for-bit deterministic as
+/// static ones.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adaptive {
-    /// Mis-estimate factor that arms the trigger: a depth re-plans when its
-    /// examined rows exceed `k ×` its cumulative estimate. Clamped to at
-    /// least 1 by [`Adaptive::new`].
+    /// Mis-estimate factor that arms the trigger: a depth aborts its
+    /// attempt when its examined rows exceed `k ×` its cumulative estimate.
+    /// Clamped to at least 1 by [`Adaptive::new`].
     pub k: f64,
 }
 
@@ -212,8 +212,8 @@ impl Default for Adaptive {
 /// adaptivity-off counter baselines replay bit for bit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplanWork {
-    /// Times the mis-estimate trigger fired (scalar suffix re-plans plus
-    /// block-pipeline restarts).
+    /// Times the mis-estimate trigger fired (aborted attempts, each
+    /// followed by a restart).
     pub replans_triggered: u64,
     /// Worst observed estimation error: the maximum over executed depths of
     /// `actual_rows / max(cumulative_estimate, 1)` (integer division),
@@ -234,12 +234,11 @@ impl ReplanWork {
 }
 
 /// Cumulative estimated candidate rows per depth: the saturating running
-/// product of the steps' per-visit estimates (each clamped to ≥ 1), scaled
-/// by `anchor` — 1 for a fresh plan, or the observed frontier cardinality
-/// when re-estimating a suffix mid-join. This is what the adaptive trigger
-/// compares the cumulative `depth_rows` counters against.
-pub(crate) fn cumulative_estimates(steps: &[PlanStep], anchor: u64) -> Vec<u64> {
-    let mut cum = anchor.max(1);
+/// product of the steps' per-visit estimates (each clamped to ≥ 1). This is
+/// what the adaptive trigger compares the cumulative `depth_rows` counters
+/// against.
+pub(crate) fn cumulative_estimates(steps: &[PlanStep]) -> Vec<u64> {
+    let mut cum = 1u64;
     steps
         .iter()
         .map(|s| {
@@ -249,53 +248,6 @@ pub(crate) fn cumulative_estimates(steps: &[PlanStep], anchor: u64) -> Vec<u64> 
         .collect()
 }
 
-/// Beyond this many distinct observed values per variable, sideways export
-/// stops tracking the set and re-planning falls back to whole-relation
-/// statistics for that variable. Bounds both memory and the per-re-plan
-/// posting probes, and is part of the determinism contract (a fixed cap,
-/// never a memory- or time-dependent one).
-pub(crate) const SIDEWAYS_CAP: usize = 64;
-
-/// Sideways-exported execution statistics: for each variable the executed
-/// plan prefix has bound, the distinct dictionary ids it was actually bound
-/// to (up to [`SIDEWAYS_CAP`]; an overflowed set is kept only as an
-/// overflow marker). Re-planning uses these to replace the independence
-/// assumption with observed posting lengths for later atoms. Lifetime: one
-/// evaluation of one CQ body (delta passes and UCQ disjuncts each start
-/// empty); never shared across queries or epochs.
-#[derive(Debug, Default)]
-pub(crate) struct Sideways {
-    per_var: BTreeMap<VarId, BTreeSet<ValueId>>,
-}
-
-impl Sideways {
-    /// Records that `v` was bound to `id` at some executed row. Sets grow
-    /// to at most `SIDEWAYS_CAP + 1` entries; the extra entry marks
-    /// overflow.
-    pub(crate) fn record(&mut self, v: VarId, id: ValueId) {
-        let set = self.per_var.entry(v).or_default();
-        if set.len() <= SIDEWAYS_CAP {
-            set.insert(id);
-        }
-    }
-
-    /// Mean posting length of `rel.col` over the values `v` was observed
-    /// bound to — the observed per-visit candidate count for a later atom
-    /// reusing `v` at that column. `None` when the variable has no usable
-    /// observation (nothing recorded, or the set overflowed the cap).
-    fn mean_posting_len(&self, db: &Database, rel: RelId, col: usize, v: VarId) -> Option<f64> {
-        let set = self.per_var.get(&v)?;
-        if set.is_empty() || set.len() > SIDEWAYS_CAP {
-            return None;
-        }
-        let total: u64 = set
-            .iter()
-            .map(|&id| db.posting_len(rel, col, id) as u64)
-            .sum();
-        Some(total as f64 / set.len() as f64)
-    }
-}
-
 /// One atom's compiled cost factors: the statistics lookups (constant
 /// posting lengths, per-column distinct counts) happen once per planning
 /// call here, not once per greedy step — the greedy loop evaluates
@@ -303,9 +255,6 @@ impl Sideways {
 /// dictionary each time. The engine compiles these once per evaluation and
 /// shares them between its dead-atom short-circuit and the planner.
 pub(crate) struct AtomCost {
-    /// The atom's relation — kept so sideways-observed re-planning can
-    /// probe posting lengths for values a variable was actually bound to.
-    rel: RelId,
     /// Total rows of the atom's relation (the per-visit scan cost when the
     /// relation has no posting lists to probe).
     rows: f64,
@@ -366,7 +315,6 @@ impl AtomCost {
                     }
                 }
                 AtomCost {
-                    rel: a.rel,
                     rows: n,
                     indexed: db.is_indexed(),
                     const_rows,
@@ -397,24 +345,6 @@ impl AtomCost {
             .iter()
             .filter(|(v, _, _)| bound.contains(v))
             .fold(self.const_rows, |est, (_, _, sel)| est * sel)
-    }
-
-    /// [`AtomCost::estimate`] with sideways-observed statistics: a bound
-    /// variable whose executed prefix recorded a usable value set
-    /// contributes its *observed* mean posting length over those values
-    /// (divided by relation rows) instead of the static `1 / distinct`
-    /// independence factor. Variables without a usable observation fall
-    /// back to the static factor, so this strictly refines [`estimate`].
-    fn estimate_observed(&self, db: &Database, bound: &BTreeSet<VarId>, obs: &Sideways) -> f64 {
-        self.var_sel
-            .iter()
-            .filter(|(v, _, _)| bound.contains(v))
-            .fold(self.const_rows, |est, (v, col, sel)| {
-                match obs.mean_posting_len(db, self.rel, *col, *v) {
-                    Some(mean) => est * (mean / self.rows.max(1.0)),
-                    None => est * sel,
-                }
-            })
     }
 
     /// Whether executing this atom with `bound` variables bound probes no
@@ -532,57 +462,6 @@ fn cost_based_order(
     order
 }
 
-/// Re-plans the not-yet-executed tail of a running scalar evaluation:
-/// orders `remaining` (written-body atom indexes) by the cost-based rule
-/// under the already-bound variable set, with sideways-observed posting
-/// statistics replacing the independence assumption wherever an observation
-/// exists. Pure function of its inputs — the deterministic core of the
-/// adaptive engine. Returned steps carry the observed estimates (clamped to
-/// ≥ 1 for live atoms) so the caller can re-arm its trigger thresholds.
-pub(crate) fn replan_suffix(
-    db: &Database,
-    q: &Cq,
-    costs: &[AtomCost],
-    remaining: &[usize],
-    bound: &BTreeSet<VarId>,
-    obs: &Sideways,
-) -> Vec<PlanStep> {
-    let mut bound = bound.clone();
-    let mut chosen: BTreeSet<usize> = BTreeSet::new();
-    let mut steps = Vec::with_capacity(remaining.len());
-    while steps.len() < remaining.len() {
-        let connects = |i: usize| q.body[i].variables().any(|v| bound.contains(&v));
-        let any_connected = remaining
-            .iter()
-            .any(|&i| !chosen.contains(&i) && connects(i));
-        let mut best: Option<(usize, f64)> = None;
-        for &i in remaining {
-            if chosen.contains(&i) || (any_connected && !connects(i)) {
-                continue;
-            }
-            let est = costs[i].estimate_observed(db, &bound, obs);
-            if best.is_none_or(|(_, b)| est < b) {
-                best = Some((i, est));
-            }
-        }
-        let (i, est) = best.expect("atom remains");
-        chosen.insert(i);
-        let connected = connects(i) || bound.is_empty();
-        bound.extend(q.body[i].variables());
-        let est_rows = if costs[i].dead {
-            est_to_u64(est)
-        } else {
-            est_to_u64(est).max(1)
-        };
-        steps.push(PlanStep {
-            atom: i,
-            est_rows,
-            connected,
-        });
-    }
-    steps
-}
-
 /// Plans `q` against the live statistics of `db` under `mode`.
 ///
 /// `first` forces a leading atom — the delta pivot of a restricted
@@ -594,28 +473,18 @@ pub(crate) fn replan_suffix(
 /// (and connectivity flags), whatever mode chose the order, so
 /// estimated-versus-actual comparisons work for every mode.
 pub fn plan_cq(db: &Database, q: &Cq, mode: PlanMode, first: Option<usize>) -> QueryPlan {
-    plan_cq_with_costs(db, q, &AtomCost::compile(db, q), mode, first)
+    let costs = AtomCost::compile(db, q);
+    plan_cq_anchored(db, q, &costs, mode, first, &BTreeMap::new())
 }
 
 /// [`plan_cq`] over already-compiled [`AtomCost`]s (the engine compiles
-/// them once per evaluation for its dead-atom short-circuit and hands them
-/// on here).
-pub(crate) fn plan_cq_with_costs(
-    db: &Database,
-    q: &Cq,
-    costs: &[AtomCost],
-    mode: PlanMode,
-    first: Option<usize>,
-) -> QueryPlan {
-    plan_cq_anchored(db, q, costs, mode, first, &BTreeMap::new())
-}
-
-/// [`plan_cq_with_costs`] with per-atom estimate floors — the observed
-/// cumulative row counts of steps that blew their estimate in an aborted
-/// block-pipeline attempt. An anchored atom estimates at least its observed
-/// cardinality whatever the bound set, deferring it behind atoms the cost
-/// model still believes cheap. An empty anchor map makes this identical to
-/// the static planner, which is how adaptivity-off replays every baseline.
+/// them once per evaluation for its dead-atom short-circuit) with per-atom
+/// estimate floors — the observed cumulative row counts of steps that blew
+/// their estimate in an aborted adaptive attempt. An anchored atom
+/// estimates at least its observed cardinality whatever the bound set,
+/// deferring it behind atoms the cost model still believes cheap. An empty
+/// anchor map is the static planner, which is how adaptivity-off replays
+/// every baseline.
 pub(crate) fn plan_cq_anchored(
     db: &Database,
     q: &Cq,
@@ -943,78 +812,7 @@ mod tests {
                 connected: true,
             },
         ];
-        assert_eq!(cumulative_estimates(&steps, 1), vec![5, 5, 15]);
-        assert_eq!(cumulative_estimates(&steps, 4), vec![20, 20, 60]);
-    }
-
-    #[test]
-    fn replan_uses_observed_postings_over_whole_relation_statistics() {
-        // Correlated skew: `Wide` looks selective on whole-relation
-        // statistics (rows / distinct ≈ 2) but every key of `Anchor` is a
-        // hot key with 50 rows; `Narrow` looks worse (6 rows per key) but
-        // matches almost nothing on Anchor's keys.
-        let mut db = Database::new();
-        let anchor = db.add_relation("Anchor", &["k"]);
-        let wide = db.add_relation("Wide", &["k", "w"]);
-        let narrow = db.add_relation("Narrow", &["k", "n"]);
-        for i in 0..4 {
-            db.insert_str(anchor, &format!("a{i}"), &[&i.to_string()]);
-        }
-        let mut w = 0;
-        for i in 0..4 {
-            for j in 0..50 {
-                db.insert_str(wide, &format!("w{w}"), &[&i.to_string(), &j.to_string()]);
-                w += 1;
-            }
-        }
-        for i in 100..196 {
-            db.insert_str(wide, &format!("w{w}"), &[&i.to_string(), "0"]);
-            w += 1;
-        }
-        for i in 200..232 {
-            for j in 0..6 {
-                db.insert_str(
-                    narrow,
-                    &format!("n{i}_{j}"),
-                    &[&i.to_string(), &j.to_string()],
-                );
-            }
-        }
-        db.insert_str(narrow, "n_hit", &["0", "0"]);
-        db.build_indexes();
-
-        let q = parse_cq("Q(k) :- Anchor(k), Wide(k, w), Narrow(k, n)", db.schema()).unwrap();
-        let costs = AtomCost::compile(&db, &q);
-        // Statically, Wide (396 rows / 100 distinct keys ≈ 4 per probe)
-        // beats Narrow (193 rows / 33 keys ≈ 6 per probe).
-        let plan = plan_cq_with_costs(&db, &q, &costs, PlanMode::CostBased, None);
-        assert_eq!(plan.atom_order(), vec![0, 1, 2], "{plan:?}");
-
-        // After executing Anchor, sideways observation knows k ∈ {0..3}:
-        // Wide averages 50 postings on those keys, Narrow well under 1.
-        let mut obs = Sideways::default();
-        let mut bound = BTreeSet::new();
-        bound.extend(q.body[0].variables());
-        for i in 0..4 {
-            let id = db.interner().lookup(&crate::Value::Int(i)).unwrap();
-            obs.record(q.body[0].variables().next().unwrap(), id);
-        }
-        let steps = replan_suffix(&db, &q, &costs, &[1, 2], &bound, &obs);
-        let order: Vec<usize> = steps.iter().map(|s| s.atom).collect();
-        assert_eq!(order, vec![2, 1], "observed postings must flip the order");
-        assert_eq!(steps[0].est_rows, 1, "live estimates clamp to ≥ 1");
-        assert_eq!(steps[1].est_rows, 50, "observed mean posting length");
-
-        // Overflowed sets fall back to static statistics bit-for-bit.
-        let mut overflowed = Sideways::default();
-        let v = q.body[0].variables().next().unwrap();
-        for j in 100..=100 + SIDEWAYS_CAP as i64 {
-            let id = db.interner().lookup(&crate::Value::Int(j)).unwrap();
-            overflowed.record(v, id);
-        }
-        let fallback = replan_suffix(&db, &q, &costs, &[1, 2], &bound, &overflowed);
-        let static_suffix = replan_suffix(&db, &q, &costs, &[1, 2], &bound, &Sideways::default());
-        assert_eq!(fallback, static_suffix);
+        assert_eq!(cumulative_estimates(&steps), vec![5, 5, 15]);
     }
 
     #[test]
@@ -1022,7 +820,7 @@ mod tests {
         let db = skewed_db();
         let q = parse_cq("Q(k) :- Big(k, 'hot'), Mid(k, m), Small(k)", db.schema()).unwrap();
         let costs = AtomCost::compile(&db, &q);
-        let static_plan = plan_cq_with_costs(&db, &q, &costs, PlanMode::CostBased, None);
+        let static_plan = plan_cq(&db, &q, PlanMode::CostBased, None);
         assert_eq!(static_plan.atom_order(), vec![2, 0, 1]);
         // An empty anchor map is the static planner, bit for bit.
         let empty = plan_cq_anchored(&db, &q, &costs, PlanMode::CostBased, None, &BTreeMap::new());

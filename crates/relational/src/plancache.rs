@@ -31,6 +31,7 @@ use crate::epochmap::EpochMap;
 use crate::plan::{plan_cq, PlanMode, QueryPlan};
 use crate::{Cq, Database, RelId, Term, Value};
 use provabs_sched::sync::atomic::{AtomicU64, Ordering};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -169,8 +170,10 @@ impl PlanCache {
     /// at older epochs keep hitting their versions bit-for-bit. The writer
     /// must call this **before** publishing `epoch` so no reader pins the
     /// new epoch and hits a stale plan.
-    pub fn invalidate_at(&self, touched: &[RelId], epoch: u64) {
-        let retired = self.plans.retire(touched.iter().copied(), epoch);
+    pub fn invalidate_at(&self, touched: impl IntoIterator<Item = impl Borrow<RelId>>, epoch: u64) {
+        let retired = self
+            .plans
+            .retire(touched.into_iter().map(|r| *r.borrow()), epoch);
         self.invalidations.fetch_add(retired, Ordering::Relaxed);
     }
 }
@@ -307,7 +310,7 @@ mod tests {
         let cache = PlanCache::new();
         cache.lookup_or_plan(&db, &q_r, PlanMode::CostBased, 0);
         cache.lookup_or_plan(&db, &q_s, PlanMode::CostBased, 0);
-        cache.invalidate_at(&[r], 1);
+        cache.invalidate_at([r], 1);
         assert_eq!(cache.stats().invalidations, 1, "only the R query retires");
         // The pinned epoch-0 reader keeps hitting both.
         assert!(cache.lookup_or_plan(&db, &q_r, PlanMode::CostBased, 0).1);

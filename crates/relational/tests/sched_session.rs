@@ -128,11 +128,11 @@ fn plan_cache_fence_scenario(fence_first: bool) {
     let wdb = db.clone();
     let w = sched::thread::spawn(move || {
         if fence_first {
-            reg_w.plan_cache().invalidate_at(&[s_rel], 1);
+            reg_w.plan_cache().invalidate_at([s_rel], 1);
             writer.publish(&wdb);
         } else {
             writer.publish(&wdb);
-            reg_w.plan_cache().invalidate_at(&[s_rel], 1);
+            reg_w.plan_cache().invalidate_at([s_rel], 1);
         }
     });
     // The racing reader: whatever epoch it pins, a touched query at the
@@ -198,7 +198,7 @@ fn plan_cache_cold_late_insert_scenario() {
     let reg_w = Arc::clone(&registry);
     let wdb = db.clone();
     let w = sched::thread::spawn(move || {
-        reg_w.plan_cache().invalidate_at(&[s_rel], 1);
+        reg_w.plan_cache().invalidate_at([s_rel], 1);
         writer.publish(&wdb);
     });
     let session = registry.pin();

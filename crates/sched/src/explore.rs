@@ -8,8 +8,7 @@
 //! any reachable state; with `preemption_bound: None` the sweep is therefore
 //! exhaustive over the sequentially-consistent state space. A finite
 //! preemption bound composes with the reduction as a further (heuristic)
-//! cut, trading exhaustiveness for depth — `PROVABS_SCHED_BUDGET` raises it
-//! in nightly runs (see [`Config::from_env`]).
+//! cut, trading exhaustiveness for depth.
 //!
 //! Determinism contract: scenario closures must be deterministic functions
 //! of the schedule (no wall clock, no OS randomness, no `RandomState`
@@ -53,25 +52,6 @@ impl Config {
         Self {
             preemption_bound: None,
             ..Self::default()
-        }
-    }
-
-    /// The default config scaled by the `PROVABS_SCHED_BUDGET` environment
-    /// knob (a small integer, default 1): budget `b` adds `b - 1` to the
-    /// preemption bound and multiplies `max_schedules` by `b`. CI's nightly
-    /// sweep sets a deeper budget; gated scenarios pin explicit configs and
-    /// ignore the knob.
-    pub fn from_env() -> Self {
-        let budget = std::env::var("PROVABS_SCHED_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&b| b >= 1)
-            .unwrap_or(1);
-        let base = Self::default();
-        Self {
-            preemption_bound: base.preemption_bound.map(|p| p + (budget - 1)),
-            max_schedules: base.max_schedules.saturating_mul(u64::from(budget)),
-            ..base
         }
     }
 }
