@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `NAME` is one of `updates` (the default, `BENCH_2.json`), `intern`,
-//! `storage`, `planner`, `durability`, `vectorized`, `service`, `adaptive`
+//! `storage`, `planner`, `durability`, `vectorized`, `service`, `plancache`
 //! or `sched` (`BENCH_10.json`). Each runs its harness at the fixed
 //! `ci_gate()` configuration. `--emit` writes the report; `--check` also
 //! writes it, then checks it against the baseline under the bench's rule

@@ -9,10 +9,10 @@
 
 use crate::report::{parse_gate_json, ratio, GateEntry};
 use crate::{
-    run_adaptive_comparison, run_durability_comparison, run_intern_comparison,
+    run_durability_comparison, run_intern_comparison, run_plancache_comparison,
     run_planner_comparison, run_sched_sweeps, run_service_comparison, run_storage_comparison,
-    run_update_comparison, run_vectorized_comparison, AdaptiveSettings, DurabilitySettings,
-    InternSettings, PlannerSettings, SchedSettings, ServiceSettings, StorageSettings,
+    run_update_comparison, run_vectorized_comparison, DurabilitySettings, InternSettings,
+    PlanCacheSettings, PlannerSettings, SchedSettings, ServiceSettings, StorageSettings,
     UpdateSettings, VectorizedSettings,
 };
 use Rule::*;
@@ -45,8 +45,6 @@ pub enum Rule {
     /// The current count is at most the baseline's `× (1 + TOLERANCE)`
     /// plus the given absolute slack.
     PagesBudget(&'static str, u64),
-    /// The current count is non-zero.
-    Positive(&'static str),
     /// A path that fired in the baseline (count > 0) still fires.
     MustFire(&'static str),
     /// `FrozenWhile(guard, field)`: when the baseline's `guard` fired,
@@ -168,7 +166,6 @@ impl Rule {
                     format!("{c} exceeds baseline {b} (+{pct:.0}% & slack = {budget:.0})"),
                 )
             }
-            Positive(f) => ensure(p.counts(f)?.1 > 0, "is 0"),
             MustFire(f) => {
                 let (b, c) = p.counts(f)?;
                 ensure(b == 0 || c > 0, format!("no longer fires (baseline {b})"))
@@ -365,22 +362,19 @@ pub const GATES: &[Gate] = &[
         ],
     },
     Gate {
-        name: "adaptive",
-        bench: "micro_adaptive",
+        name: "plancache",
+        bench: "micro_plancache",
         baseline: "BENCH_9.json",
-        run: || run_adaptive_comparison(&AdaptiveSettings::ci_gate()),
+        run: || run_plancache_comparison(&PlanCacheSettings::ci_gate()),
         rules: &[
             Holds("equal"),
             // Cached plans are byte-identical to cold plans, so the cache
-            // scenarios gate on the hit rate, not the row ratio.
+            // scenario gates on the hit rate, not a row ratio.
             Scoped(
                 "plan-cache/",
                 &HitRateFloor("cache_hits", "cache_misses", 0.9),
             ),
             Scoped("plan-cache/", &MustFire("cache_invalidations")),
-            Scoped("corr-skew/", &Halves("adaptive_rows", "static_rows")),
-            Scoped("corr-skew/", &Positive("replans_triggered")),
-            Scoped("corr-skew/", &RatioCeiling("adaptive_rows", "static_rows")),
         ],
     },
     Gate {
@@ -493,7 +487,6 @@ mod tests {
                 let budget = count(base, f) as f64 * (1.0 + TOLERANCE) + slack as f64;
                 set(cur, f, Field::Count(budget.floor() as u64 + p));
             }
-            Positive(f) => set(cur, f, Field::Count(1 - p)),
             MustFire(f) => {
                 set(cur, f, Field::Count(0));
                 set(base, f, Field::Count(p));
@@ -566,7 +559,7 @@ mod tests {
                 tested += 1;
             }
         }
-        assert_eq!(tested, 43, "rule count changed");
+        assert_eq!(tested, 40, "rule count changed");
     }
 
     #[test]

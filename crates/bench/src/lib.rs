@@ -9,11 +9,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod durability;
 pub mod figures;
 pub mod gate;
 pub mod intern;
+pub mod plancache;
 pub mod planner;
 pub mod report;
 pub mod scenario;
@@ -24,10 +24,10 @@ pub mod updates;
 pub mod user_study;
 pub mod vectorized;
 
-pub use adaptive::{run_adaptive_comparison, AdaptiveSettings};
 pub use durability::{run_durability_comparison, DurabilitySettings};
 pub use gate::{check, Gate, Rule, GATES};
 pub use intern::{run_intern_comparison, InternSettings};
+pub use plancache::{run_plancache_comparison, PlanCacheSettings};
 pub use planner::{run_planner_comparison, PlannerSettings};
 pub use report::{
     gate_table, parse_gate_json, print_table, write_csv, write_gate_json, Field, GateEntry,

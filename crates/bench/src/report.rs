@@ -130,7 +130,7 @@ pub(crate) fn ratio(num: u64, den: u64) -> f64 {
 /// them. Wall-clock fields ride along for humans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateEntry {
-    /// Scenario name, e.g. `TPCH-Q3/ins50` or `corr-skew/s9`.
+    /// Scenario name, e.g. `TPCH-Q3/ins50` or `plan-cache/zipf`.
     pub name: String,
     /// `(key, value)` pairs in report order.
     pub fields: Vec<(String, Field)>,

@@ -31,9 +31,7 @@ pub mod service;
 pub mod tpch;
 pub mod workload;
 
-pub use adversarial::{
-    adversarial_order, adversarial_workloads, correlated_skew, CorrelatedSkewConfig,
-};
+pub use adversarial::{adversarial_order, adversarial_workloads};
 pub use churn::{recovery_stream, ChurnConfig, ChurnGenerator};
 pub use service::{service_schedule, ServiceOp, ServiceWorkloadConfig, Zipf};
 pub use workload::{join_variants, kexample_for, kexample_for_mode, Workload};

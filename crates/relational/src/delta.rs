@@ -227,10 +227,9 @@ pub(crate) fn eval_delta_side(
         let Some(pivot_rows) = rows_by_rel.get(&q.body[pivot].rel) else {
             continue;
         };
-        // Delta passes never re-plan adaptively: the pivot's precomputed
-        // delta rows are already the exact access path, and keeping the
-        // restricted path static preserves the PR 2 delta counter
-        // baselines bit for bit.
+        // The pivot's precomputed delta rows lead as the exact access
+        // path; the planner orders only the rest of the body. Pivot passes
+        // bypass the plan cache (its key carries no pivot).
         let (part, w, _) = run_engine(
             db,
             q,
@@ -243,7 +242,6 @@ pub(crate) fn eval_delta_side(
             store,
             mode,
             exec,
-            None,
             None,
         );
         work.absorb(&w);

@@ -19,10 +19,7 @@
 
 use crate::exec::Execution;
 use crate::interned::IKRelation;
-use crate::plan::{
-    cumulative_estimates, plan_cq_anchored, Adaptive, AtomCost, PlanMode, PlanTrace, PlanWork,
-    QueryPlan, ReplanWork,
-};
+use crate::plan::{plan_compiled, AtomCost, PlanMode, PlanTrace, PlanWork, QueryPlan};
 use crate::vintern::{ValueId, ID_WIDTH, VALUE_MOVE_WIDTH};
 use crate::{Cq, Database, Term, Tuple, VarId};
 use provabs_semiring::{AnnotId, Monomial, Polynomial, ProvStore};
@@ -188,10 +185,6 @@ pub struct EvalWork {
     /// Planner counters: queries planned, atoms reordered, estimated rows
     /// (see [`PlanWork`]).
     pub plan: PlanWork,
-    /// Adaptive re-planning counters (see [`ReplanWork`]). All zero unless
-    /// the evaluation ran with [`Adaptive`] enabled, so adaptivity-off
-    /// counter baselines replay bit for bit.
-    pub replan: ReplanWork,
 }
 
 impl EvalWork {
@@ -209,7 +202,6 @@ impl EvalWork {
         self.gallop_steps += other.gallop_steps;
         self.boundary_bytes += other.boundary_bytes;
         self.plan.absorb(&other.plan);
-        self.replan.absorb(&other.replan);
     }
 }
 
@@ -248,12 +240,12 @@ pub(crate) enum Slot {
 pub(crate) type Accum = BTreeMap<Vec<ValueId>, BTreeMap<provabs_semiring::MonoId, u64>>;
 
 /// The join engine: evaluates `q` into `store` under the given plan mode,
-/// execution, limits and optional adaptivity, returning the interned
-/// output, its work counters and the executed plan with per-step actual
-/// row counts. `restrict` confines derivations to a delta pivot (see
-/// [`Restriction`]); `plan_override` executes a caller-supplied plan (a
-/// plan-cache hit) instead of planning — the caller guarantees it was
-/// produced for this exact database content, query, mode and pivot.
+/// execution and limits, returning the interned output, its work counters
+/// and the executed plan with per-step actual row counts. `restrict`
+/// confines derivations to a delta pivot (see [`Restriction`]);
+/// `plan_override` executes a caller-supplied plan (a plan-cache hit)
+/// instead of planning — the caller guarantees it was produced for this
+/// exact database content, query, mode and pivot.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine(
     db: &Database,
@@ -263,7 +255,6 @@ pub(crate) fn run_engine(
     store: &mut ProvStore,
     mode: PlanMode,
     exec: Execution,
-    adaptive: Option<Adaptive>,
     plan_override: Option<&QueryPlan>,
 ) -> (IKRelation, EvalWork, PlanTrace) {
     let pivot = restrict.as_ref().map(|r| r.pivot);
@@ -319,111 +310,51 @@ pub(crate) fn run_engine(
     // and the cold path record identical counters.
     let plan = match plan_override {
         Some(p) => p.clone(),
-        None => plan_cq_anchored(db, q, &costs, mode, pivot, &BTreeMap::new()),
+        None => plan_compiled(db, q, &costs, mode, pivot),
     };
     let mut work = EvalWork::default();
     work.plan.record(&plan);
-    // One adaptive loop for both engines. Each attempt runs the current
-    // plan; a mis-estimate aborts it deterministically and the whole query
-    // restarts under a re-anchored plan: the exploded step's atom keeps
-    // its observed cardinality as an estimate floor, deferring it behind
-    // atoms still believed cheap. Work counters accumulate across attempts
-    // (aborted work was really done); the accumulator and derivation
-    // counts reset. Without adaptivity the first attempt is the only one.
     let n = plan.steps.len();
-    let mut restarted: Option<QueryPlan> = None;
-    let mut anchors: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut attempts = 0usize;
-    let mut watchdog = adaptive;
-    let actual_rows = loop {
-        let current = restarted.as_ref().unwrap_or(&plan);
-        let mut depth_rows = vec![0u64; n];
-        let thresholds: Option<Vec<u64>> = watchdog.map(|ad| {
-            cumulative_estimates(&current.steps)
-                .iter()
-                .map(|&c| ad.threshold(c))
-                .collect()
-        });
-        acc.clear();
-        let (derivations, aborted) = match exec {
-            Execution::Scalar => {
-                let mut engine = Engine {
-                    db,
-                    q,
-                    compiled: &compiled,
-                    head_vars: &head_vars,
-                    limits,
-                    derivations: 0,
-                    work: &mut work,
-                    depth_rows: &mut depth_rows,
-                    out: &mut acc,
-                    store: &mut *store,
-                    order: current.atom_order(),
-                    restrict: restrict.as_ref(),
-                    key_buf: Vec::new(),
-                    thresholds: thresholds.as_deref(),
-                    aborted: None,
-                };
-                engine.solve(0, &mut HashMap::new(), &mut Vec::with_capacity(n));
-                (engine.derivations as u64, engine.aborted)
-            }
-            Execution::Block { block_size } => crate::exec::run_block(
+    let mut depth_rows = vec![0u64; n];
+    work.derivations = match exec {
+        Execution::Scalar => {
+            let mut engine = Engine {
                 db,
                 q,
-                &compiled,
-                &head_vars,
+                compiled: &compiled,
+                head_vars: &head_vars,
                 limits,
-                restrict.as_ref(),
-                current,
-                store,
-                &mut acc,
-                &mut work,
-                &mut depth_rows,
-                block_size,
-                thresholds.as_deref(),
-            ),
-        };
-        let Some(depth) = aborted else {
-            work.derivations = derivations;
-            break depth_rows;
-        };
-        attempts += 1;
-        work.replan.replans_triggered += 1;
-        let observed = depth_rows[depth];
-        let err = observed / cumulative_estimates(&current.steps)[depth].max(1);
-        work.replan.est_error_max = work.replan.est_error_max.max(err);
-        let atom = current.steps[depth].atom;
-        let floor = anchors.get(&atom).copied().unwrap_or(0).max(observed);
-        anchors.insert(atom, floor);
-        let next = plan_cq_anchored(db, q, &costs, mode, pivot, &anchors);
-        let moved = next
-            .steps
-            .iter()
-            .zip(&current.steps)
-            .filter(|(a, b)| a.atom != b.atom)
-            .count() as u64;
-        work.replan.steps_replanned += moved;
-        if moved == 0 || attempts > n {
-            // Re-anchoring found no better order (or every atom has
-            // aborted once): finish under the current plan with the
-            // watchdog disarmed.
-            watchdog = None;
-        } else {
-            restarted = Some(next);
+                derivations: 0,
+                work: &mut work,
+                depth_rows: &mut depth_rows,
+                out: &mut acc,
+                store: &mut *store,
+                order: plan.atom_order(),
+                restrict: restrict.as_ref(),
+                key_buf: Vec::new(),
+            };
+            engine.solve(0, &mut HashMap::new(), &mut Vec::with_capacity(n));
+            engine.derivations as u64
         }
+        Execution::Block { block_size } => crate::exec::run_block(
+            db,
+            q,
+            &compiled,
+            &head_vars,
+            limits,
+            restrict.as_ref(),
+            &plan,
+            store,
+            &mut acc,
+            &mut work,
+            &mut depth_rows,
+            block_size,
+        ),
     };
-    if adaptive.is_some() {
-        // Worst mis-estimate of the *initial* plan, whatever re-planning
-        // later did about it. The reported actuals are the final
-        // attempt's, so the abort loop above already folded the aborted
-        // attempts' errors in.
-        let cums = cumulative_estimates(&plan.steps);
-        for (d, &actual) in actual_rows.iter().enumerate() {
-            let err = actual / cums[d].max(1);
-            work.replan.est_error_max = work.replan.est_error_max.max(err);
-        }
-    }
-    let trace = PlanTrace { plan, actual_rows };
+    let trace = PlanTrace {
+        plan,
+        actual_rows: depth_rows,
+    };
     // Decode boundary: each distinct output materializes its owned tuple
     // exactly once, interleaving head constants with the accumulated
     // variable bindings.
@@ -498,12 +429,6 @@ struct Engine<'a> {
     /// Scratch for the output key: reused across derivations, cloned only
     /// when a new output first enters the accumulator.
     key_buf: Vec<ValueId>,
-    /// Per-depth adaptive abort thresholds, as in
-    /// [`crate::exec::run_block`] (`None` when adaptivity is off).
-    thresholds: Option<&'a [u64]>,
-    /// The depth whose threshold fired, when one did: the attempt's
-    /// outputs are partial and [`run_engine`] restarts.
-    aborted: Option<usize>,
 }
 
 impl Engine<'_> {
@@ -611,15 +536,6 @@ impl Engine<'_> {
             let row = row as usize;
             self.work.rows_examined += 1;
             self.depth_rows[depth] += 1;
-            if self
-                .thresholds
-                .is_some_and(|th| self.depth_rows[depth] > th[depth])
-            {
-                // Adaptive abort: stop the whole attempt so the caller
-                // re-plans and restarts.
-                self.aborted = Some(depth);
-                return false;
-            }
             if let Some(r) = self.restrict {
                 // Membership by original atom position: before the pivot
                 // only non-delta rows, at the pivot only delta rows.
@@ -962,21 +878,29 @@ mod tests {
             db.schema(),
         )
         .unwrap();
-        let (out, work, trace) = Evaluator::new(&db)
-            .plan(crate::PlanMode::CostBased)
-            .execution(Execution::Scalar)
-            .eval_cq_traced(&q);
-        assert_eq!(out, eval_cq(&db, &q));
-        assert_eq!(trace.plan.steps.len(), q.body.len());
-        assert_eq!(trace.actual_rows.len(), q.body.len());
-        // Per-step actuals decompose the engine's total exactly.
-        assert_eq!(trace.actual_rows.iter().sum::<u64>(), work.rows_examined);
-        assert_eq!(work.plan.queries_planned, 1);
-        assert_eq!(work.plan.est_rows, trace.plan.est_rows_total());
-        // Person (2 rows) beats the 'Dance' posting list (3 rows) and
-        // opens the plan.
-        assert_eq!(trace.plan.steps[0].atom, 0);
-        assert_eq!(trace.actual_rows[0], 2);
+        let planned = crate::plan_cq(&db, &q, crate::PlanMode::CostBased, None);
+        for exec in [Execution::Scalar, Execution::default()] {
+            let (out, work, trace) = Evaluator::new(&db)
+                .plan(crate::PlanMode::CostBased)
+                .execution(exec)
+                .eval_cq_traced(&q);
+            assert_eq!(out, eval_cq(&db, &q), "{exec:?}");
+            // The trace pairs the plan that ran with that run's rows.
+            assert_eq!(trace.plan, planned, "{exec:?}");
+            assert_eq!(trace.actual_rows.len(), q.body.len(), "{exec:?}");
+            // Per-step actuals decompose the engine's total exactly.
+            assert_eq!(
+                trace.actual_rows.iter().sum::<u64>(),
+                work.rows_examined,
+                "{exec:?}"
+            );
+            assert_eq!(work.plan.queries_planned, 1, "{exec:?}");
+            assert_eq!(work.plan.est_rows, trace.plan.est_rows_total(), "{exec:?}");
+            // Person (2 rows) beats the 'Dance' posting list (3 rows) and
+            // opens the plan.
+            assert_eq!(trace.plan.steps[0].atom, 0, "{exec:?}");
+            assert_eq!(trace.actual_rows[0], 2, "{exec:?}");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::delta::{
 use crate::eval::{run_engine, EvalLimits, EvalWork, KRelation};
 use crate::exec::Execution;
 use crate::interned::IKRelation;
-use crate::plan::{Adaptive, PlanMode, PlanTrace};
+use crate::plan::{PlanMode, PlanTrace};
 use crate::plancache::PlanCache;
 use crate::{Cq, Database, Ucq};
 use provabs_semiring::{AnnotId, ProvStore};
@@ -75,20 +75,18 @@ pub struct Evaluator<'db> {
     mode: PlanMode,
     exec: Execution,
     limits: EvalLimits,
-    adaptive: Option<Adaptive>,
     cache: Option<(&'db PlanCache, u64)>,
 }
 
 impl<'db> Evaluator<'db> {
     /// An evaluator with the default configuration: cost-based planning,
-    /// vectorized block execution, no limits, no adaptivity.
+    /// vectorized block execution, no limits.
     pub fn new(db: &'db Database) -> Self {
         Evaluator {
             db,
             mode: PlanMode::default(),
             exec: Execution::default(),
             limits: EvalLimits::default(),
-            adaptive: None,
             cache: None,
         }
     }
@@ -111,50 +109,6 @@ impl<'db> Evaluator<'db> {
     /// Caps derivations and distinct outputs (see [`EvalLimits`]).
     pub fn limits(mut self, limits: EvalLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Enables deterministic adaptive re-planning: when a step's actual
-    /// frontier exceeds its cumulative estimate by factor `k` (exact row
-    /// counters, never time), either engine aborts the attempt and the
-    /// query restarts under a re-plan that floors the exploded atom's
-    /// estimate at its observed cardinality. `k` is clamped to ≥ 1.0.
-    /// [`EvalWork::replan`] reports what happened.
-    /// Off by default; with adaptivity off every counter replays the
-    /// static baselines bit-for-bit.
-    ///
-    /// Adaptivity is answer-invisible — it may only change the join
-    /// order, never the output:
-    ///
-    /// ```
-    /// use provabs_relational::{parse_cq, Database, Evaluator};
-    ///
-    /// let mut db = Database::new();
-    /// let r = db.add_relation("R", &["a", "b"]);
-    /// let s = db.add_relation("S", &["b", "c"]);
-    /// // Correlated data the statistics get wrong: S averages ~2 rows
-    /// // per key over its 33 distinct keys, but every R row points at
-    /// // the one key carrying 32 rows.
-    /// for i in 0..8 {
-    ///     db.insert_str(r, &format!("r{i}"), &[&format!("{i}"), "7"]);
-    /// }
-    /// for i in 0..32 {
-    ///     db.insert_str(s, &format!("s{i}"), &["7", &format!("{i}")]);
-    /// }
-    /// for i in 0..32 {
-    ///     db.insert_str(s, &format!("cold{i}"), &[&format!("{}", 100 + i), "0"]);
-    /// }
-    /// db.build_indexes();
-    /// let q = parse_cq("Q(x, c) :- R(x, y), S(y, c)", db.schema()).unwrap();
-    ///
-    /// let (static_out, _) = Evaluator::new(&db).eval_cq(&q);
-    /// let (out, work) = Evaluator::new(&db).adaptive(2.0).eval_cq(&q);
-    /// assert_eq!(out, static_out); // bit-for-bit, polynomials included
-    /// assert_eq!(work.replan.replans_triggered, 1); // the trigger fired
-    /// assert!(work.replan.est_error_max >= 2); // and measured the lie
-    /// ```
-    pub fn adaptive(mut self, k: f64) -> Self {
-        self.adaptive = Some(Adaptive::new(k));
         self
     }
 
@@ -304,7 +258,6 @@ impl InternedEvaluator<'_, '_> {
             self.store,
             e.mode,
             e.exec,
-            e.adaptive,
             plan.as_deref(),
         )
     }
@@ -331,7 +284,6 @@ impl InternedEvaluator<'_, '_> {
                 self.store,
                 e.mode,
                 e.exec,
-                e.adaptive,
                 None,
             );
             work.absorb(&dwork);

@@ -178,11 +178,6 @@ struct Compiled<'a> {
     limits: EvalLimits,
     block_size: usize,
     set: Option<&'a HashSet<AnnotId>>,
-    /// Per-depth adaptive abort thresholds (`None` when adaptivity is off):
-    /// the Select counter crossing `thresholds[depth]` aborts the attempt
-    /// so the caller can re-plan and restart. Exact row counters only —
-    /// the abort point is bit-for-bit deterministic.
-    thresholds: Option<&'a [u64]>,
 }
 
 /// Mutable execution state: counters, the output accumulator, and the
@@ -198,18 +193,12 @@ struct State<'a, 'b> {
     /// Per-block monomial memo: each distinct derivation image interns into
     /// the arena once per block.
     mono_cache: HashMap<Vec<AnnotId>, MonoId>,
-    /// The plan depth whose adaptive threshold fired, when one did: the
-    /// attempt's outputs are partial and the caller must restart.
-    aborted: Option<usize>,
     _marker: std::marker::PhantomData<&'b ()>,
 }
 
 /// Runs the compiled plan through the block pipeline. Returns the number of
-/// derivations emitted and, when `thresholds` is set and a depth's Select
-/// counter crossed its threshold, the aborting depth (the attempt's outputs
-/// in `out` are then partial — the caller re-plans, clears `out` and
-/// restarts). Outputs accumulate into `out`, counters into `work` and
-/// `depth_rows`.
+/// derivations emitted. Outputs accumulate into `out`, counters into `work`
+/// and `depth_rows`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_block(
     db: &Database,
@@ -224,8 +213,7 @@ pub(crate) fn run_block(
     work: &mut EvalWork,
     depth_rows: &mut [u64],
     block_size: usize,
-    thresholds: Option<&[u64]>,
-) -> (u64, Option<usize>) {
+) -> u64 {
     let order = plan.atom_order();
     let Some(c) = compile(
         db,
@@ -237,9 +225,8 @@ pub(crate) fn run_block(
         &order,
         block_size,
         work,
-        thresholds,
     ) else {
-        return (0, None);
+        return 0;
     };
     let mut state = State {
         derivations: 0,
@@ -250,12 +237,11 @@ pub(crate) fn run_block(
         key_buf: Vec::with_capacity(head_vars.len()),
         image_buf: Vec::with_capacity(order.len()),
         mono_cache: HashMap::new(),
-        aborted: None,
         _marker: std::marker::PhantomData,
     };
     let mut path: Vec<Block> = Vec::new();
     step(&c, &mut state, 0, &mut path);
-    (state.derivations as u64, state.aborted)
+    state.derivations as u64
 }
 
 /// Compiles the plan into [`StepOp`]s: resolves binder positions, fetches
@@ -273,7 +259,6 @@ fn compile<'a>(
     order: &[usize],
     block_size: usize,
     work: &mut EvalWork,
-    thresholds: Option<&'a [u64]>,
 ) -> Option<Compiled<'a>> {
     let mut binder: HashMap<VarId, (usize, usize)> = HashMap::new();
     let mut ops: Vec<StepOp> = Vec::with_capacity(order.len());
@@ -345,7 +330,6 @@ fn compile<'a>(
         limits,
         block_size: block_size.max(1),
         set: restrict.map(|r| r.set),
-        thresholds,
     })
 }
 
@@ -539,15 +523,6 @@ fn step(c: &Compiled<'_>, s: &mut State<'_, '_>, depth: usize, path: &mut Vec<Bl
         'cand: for &row in cand {
             s.work.rows_examined += 1;
             s.depth_rows[depth] += 1;
-            if let Some(th) = c.thresholds {
-                if s.depth_rows[depth] > th[depth] {
-                    // Adaptive abort: this depth blew its cumulative
-                    // estimate by the trigger factor. Stop the whole
-                    // attempt — the caller re-plans and restarts.
-                    s.aborted = Some(depth);
-                    return false;
-                }
-            }
             if op.skip_set && c.set.is_some_and(|set| set.contains(&annots[row as usize])) {
                 continue;
             }

@@ -62,7 +62,7 @@ pub use exec::{Execution, DEFAULT_BLOCK_SIZE};
 pub use interned::{IKRelation, IKRelationDelta};
 pub use kexample::{monomial_connected, ConcreteRow, KExample, KRow};
 pub use parser::{parse_cq, parse_ucq, ParseError};
-pub use plan::{plan_cq, Adaptive, PlanMode, PlanStep, PlanTrace, PlanWork, QueryPlan, ReplanWork};
+pub use plan::{plan_cq, PlanMode, PlanStep, PlanTrace, PlanWork, QueryPlan};
 pub use plancache::{PlanCache, PlanCacheStats};
 pub use query::{Atom, Cq, RelId, Term, Ucq, VarId};
 pub use schema::{RelationSchema, Schema};

@@ -38,7 +38,7 @@
 
 use crate::vintern::ValueId;
 use crate::{Cq, Database, Term, VarId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// How the engine orders a query's body atoms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -158,94 +158,6 @@ impl PlanWork {
         self.atoms_reordered += plan.atoms_reordered();
         self.est_rows = self.est_rows.saturating_add(plan.est_rows_total());
     }
-}
-
-/// Configuration of deterministic adaptive re-planning, enabled through
-/// [`Evaluator::adaptive`](crate::Evaluator::adaptive).
-///
-/// The engine tracks, per plan depth, the cumulative candidate rows it has
-/// examined and compares them against the plan's *cumulative* estimate for
-/// that depth (the saturating product of per-visit estimates along the
-/// prefix, each clamped to at least 1). When a depth's actual exceeds `k ×`
-/// its cumulative estimate, either engine aborts the attempt and the whole
-/// query restarts under a re-plan that floors the exploded atom's estimate
-/// at its observed cardinality. The trigger reads exact row counters only —
-/// never wall-clock — so adaptive runs are as bit-for-bit deterministic as
-/// static ones.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Adaptive {
-    /// Mis-estimate factor that arms the trigger: a depth aborts its
-    /// attempt when its examined rows exceed `k ×` its cumulative estimate.
-    /// Clamped to at least 1 by [`Adaptive::new`].
-    pub k: f64,
-}
-
-impl Adaptive {
-    /// Adaptivity with trigger factor `k` (values below 1 are clamped to 1;
-    /// 2 is the conventional default).
-    pub fn new(k: f64) -> Self {
-        Adaptive {
-            k: if k >= 1.0 { k } else { 1.0 },
-        }
-    }
-
-    /// The examined-row count beyond which a depth with cumulative estimate
-    /// `cum_est` triggers a re-plan.
-    pub(crate) fn threshold(&self, cum_est: u64) -> u64 {
-        let t = self.k * cum_est.max(1) as f64;
-        if t >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            t.ceil() as u64
-        }
-    }
-}
-
-impl Default for Adaptive {
-    fn default() -> Self {
-        Adaptive::new(2.0)
-    }
-}
-
-/// Work counters of the adaptive re-planning layer, carried inside
-/// [`EvalWork`](crate::EvalWork). All zero when adaptivity is off, so
-/// adaptivity-off counter baselines replay bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplanWork {
-    /// Times the mis-estimate trigger fired (aborted attempts, each
-    /// followed by a restart).
-    pub replans_triggered: u64,
-    /// Worst observed estimation error: the maximum over executed depths of
-    /// `actual_rows / max(cumulative_estimate, 1)` (integer division),
-    /// measured against the *initial* plan. Combined with `max` (not `+`)
-    /// across absorbed evaluations.
-    pub est_error_max: u64,
-    /// Plan steps whose atom changed position across all re-plans.
-    pub steps_replanned: u64,
-}
-
-impl ReplanWork {
-    /// Accumulates another evaluation's re-planning counters.
-    pub fn absorb(&mut self, other: &ReplanWork) {
-        self.replans_triggered += other.replans_triggered;
-        self.est_error_max = self.est_error_max.max(other.est_error_max);
-        self.steps_replanned += other.steps_replanned;
-    }
-}
-
-/// Cumulative estimated candidate rows per depth: the saturating running
-/// product of the steps' per-visit estimates (each clamped to ≥ 1). This is
-/// what the adaptive trigger compares the cumulative `depth_rows` counters
-/// against.
-pub(crate) fn cumulative_estimates(steps: &[PlanStep]) -> Vec<u64> {
-    let mut cum = 1u64;
-    steps
-        .iter()
-        .map(|s| {
-            cum = cum.saturating_mul(s.est_rows.max(1));
-            cum
-        })
-        .collect()
 }
 
 /// One atom's compiled cost factors: the statistics lookups (constant
@@ -420,12 +332,7 @@ fn greedy_order(db: &Database, q: &Cq, first: Option<usize>) -> Vec<usize> {
 /// estimated frontier, restricted to atoms connected to the bound variable
 /// set whenever any such atom exists (cross products only when the join
 /// graph forces them). Ties break toward the lower written index.
-fn cost_based_order(
-    q: &Cq,
-    costs: &[AtomCost],
-    first: Option<usize>,
-    anchors: &BTreeMap<usize, u64>,
-) -> Vec<usize> {
+fn cost_based_order(q: &Cq, costs: &[AtomCost], first: Option<usize>) -> Vec<usize> {
     let n = q.body.len();
     let mut chosen = vec![false; n];
     let mut order = Vec::with_capacity(n);
@@ -443,12 +350,7 @@ fn cost_based_order(
             if *taken || (any_connected && !connects(i)) {
                 continue;
             }
-            let mut est = costs[i].estimate(&bound);
-            // An anchored atom blew this estimate in an aborted attempt:
-            // its observed cardinality is a floor no bound set talks down.
-            if let Some(&floor) = anchors.get(&i) {
-                est = est.max(floor as f64);
-            }
+            let est = costs[i].estimate(&bound);
             // Strict `<` keeps the lower index on ties.
             if best.is_none_or(|(_, b)| est < b) {
                 best = Some((i, est));
@@ -474,28 +376,21 @@ fn cost_based_order(
 /// estimated-versus-actual comparisons work for every mode.
 pub fn plan_cq(db: &Database, q: &Cq, mode: PlanMode, first: Option<usize>) -> QueryPlan {
     let costs = AtomCost::compile(db, q);
-    plan_cq_anchored(db, q, &costs, mode, first, &BTreeMap::new())
+    plan_compiled(db, q, &costs, mode, first)
 }
 
 /// [`plan_cq`] over already-compiled [`AtomCost`]s (the engine compiles
-/// them once per evaluation for its dead-atom short-circuit) with per-atom
-/// estimate floors — the observed cumulative row counts of steps that blew
-/// their estimate in an aborted adaptive attempt. An anchored atom
-/// estimates at least its observed cardinality whatever the bound set,
-/// deferring it behind atoms the cost model still believes cheap. An empty
-/// anchor map is the static planner, which is how adaptivity-off replays
-/// every baseline.
-pub(crate) fn plan_cq_anchored(
+/// them once per evaluation for its dead-atom short-circuit).
+pub(crate) fn plan_compiled(
     db: &Database,
     q: &Cq,
     costs: &[AtomCost],
     mode: PlanMode,
     first: Option<usize>,
-    anchors: &BTreeMap<usize, u64>,
 ) -> QueryPlan {
     let n = q.body.len();
     let order: Vec<usize> = match mode {
-        PlanMode::CostBased => cost_based_order(q, costs, first, anchors),
+        PlanMode::CostBased => cost_based_order(q, costs, first),
         PlanMode::Greedy => greedy_order(db, q, first),
         PlanMode::WrittenOrder => match first {
             None => (0..n).collect(),
@@ -518,16 +413,13 @@ pub(crate) fn plan_cq_anchored(
             } else {
                 let cost = &costs[atom];
                 let mut est = cost.estimate(&bound);
-                if let Some(&floor) = anchors.get(&atom) {
-                    est = est.max(floor as f64);
-                }
                 if !cost.dead && cost.scan_fallback(&bound) {
                     // Unindexed relations have no posting lists: a visit
                     // of a constant-bearing or variable-bound atom scans
                     // the whole relation (`scan_matching`). Record that
                     // scan cost — a sub-one match estimate would round to
-                    // a blind 0 and fool the adaptive trigger and
-                    // `est_error_max`.
+                    // a blind 0 and leave the trace's estimate-versus-actual
+                    // comparison dishonest.
                     est = est.max(cost.rows);
                 }
                 est_to_u64(est)
@@ -786,50 +678,5 @@ mod tests {
         indexed.build_indexes();
         let plan = plan_cq(&indexed, &q, PlanMode::WrittenOrder, None);
         assert_eq!(plan.steps[1].est_rows, 1);
-    }
-
-    #[test]
-    fn adaptive_thresholds_scale_cumulative_estimates() {
-        let ad = Adaptive::new(2.0);
-        assert_eq!(ad.threshold(0), 2, "zero estimates clamp to 1");
-        assert_eq!(ad.threshold(10), 20);
-        assert_eq!(ad.threshold(u64::MAX), u64::MAX);
-        assert_eq!(Adaptive::new(0.25).k, 1.0, "k clamps to at least 1");
-        let steps = [
-            PlanStep {
-                atom: 0,
-                est_rows: 5,
-                connected: true,
-            },
-            PlanStep {
-                atom: 1,
-                est_rows: 0,
-                connected: true,
-            },
-            PlanStep {
-                atom: 2,
-                est_rows: 3,
-                connected: true,
-            },
-        ];
-        assert_eq!(cumulative_estimates(&steps), vec![5, 5, 15]);
-    }
-
-    #[test]
-    fn anchored_replans_defer_the_exploded_atom() {
-        let db = skewed_db();
-        let q = parse_cq("Q(k) :- Big(k, 'hot'), Mid(k, m), Small(k)", db.schema()).unwrap();
-        let costs = AtomCost::compile(&db, &q);
-        let static_plan = plan_cq(&db, &q, PlanMode::CostBased, None);
-        assert_eq!(static_plan.atom_order(), vec![2, 0, 1]);
-        // An empty anchor map is the static planner, bit for bit.
-        let empty = plan_cq_anchored(&db, &q, &costs, PlanMode::CostBased, None, &BTreeMap::new());
-        assert_eq!(empty, static_plan);
-        // Anchoring Big at an observed 10_000 rows pushes it last and the
-        // recorded estimate carries the floor.
-        let anchors: BTreeMap<usize, u64> = [(0, 10_000)].into_iter().collect();
-        let plan = plan_cq_anchored(&db, &q, &costs, PlanMode::CostBased, None, &anchors);
-        assert_eq!(plan.atom_order(), vec![2, 1, 0], "{plan:?}");
-        assert_eq!(plan.steps[2].est_rows, 10_000);
     }
 }

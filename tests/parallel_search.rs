@@ -53,8 +53,8 @@ fn query_plans_and_work_counters_identical_across_parallelism() {
     // is this: evaluating the whole workload through the shared-`&Database`
     // parallel batch evaluator at 1, 2 or 8 workers (a) returns the same
     // outputs in the same slots, and (b) leaves the database — and
-    // therefore the statistics every plan reads — untouched, so replanning
-    // and recounting *after* each parallel run still reproduces the
+    // therefore the statistics every plan reads — untouched, so planning
+    // and counting again *after* each parallel run still reproduces the
     // reference `QueryPlan`s and `EvalWork`/`PlanWork` counters bit for
     // bit, in every mode.
     let (mut db, _) = tpch::generate(&TpchConfig {
